@@ -31,12 +31,13 @@ from .semigroup_flow import (
     galilean_reduce,
     galilean_restore,
     heat_propagate,
+    march,
     norms_from_csv,
     norms_to_csv,
-    pair_distance,
     simulate,
     smoothing_ratio,
     step,
+    sup_distances,
     viscosity_normalize,
 )
 from .picard_wellposedness import (

@@ -5,14 +5,13 @@ fields and never feed back into the dynamics.
 """
 
 import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .spectral_field import SpectralField, hs_norm, single_mode_field
-from .semigroup_flow import NormSeries, StepConfig, Trajectory, pair_distance
+from .spectral_field import SpectralField, _write_json, hs_norm, single_mode_field
+from .semigroup_flow import NormSeries, Trajectory, sup_distances
 from .picard_wellposedness import local_time
 
 __all__ = [
@@ -90,19 +89,7 @@ class PigeonholeResult:
     partial: bool = False
 
     def to_json(self, path=None) -> str:
-        obj = {
-            "T_prime": self.T_prime,
-            "gradient_l2_at_T_prime": self.gradient_l2_at_T_prime,
-            "epsilon_used": self.epsilon_used,
-            "budget_bound": self.budget_bound,
-            "h1_at_T_prime": self.h1_at_T_prime,
-            "partial": self.partial,
-        }
-        text = json.dumps(obj, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return _write_json(asdict(self), path)
 
 
 def pigeonhole_time(series: NormSeries, eps: float) -> PigeonholeResult:
@@ -187,18 +174,7 @@ class CompactnessReport:
     c_used: float
 
     def to_json(self, path=None) -> str:
-        obj = {
-            "frequencies": list(self.frequencies),
-            "distances": list(self.distances),
-            "epsilon_window": self.epsilon_window,
-            "T_used": self.T_used,
-            "c_used": self.c_used,
-        }
-        text = json.dumps(obj, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return _write_json(asdict(self), path)
 
 
 def compactness_experiment(
@@ -213,9 +189,10 @@ def compactness_experiment(
 
     For each frequency n the datum is u0 plus a divergence-free pair at
     wavevector (n, 0, 0) with y-polarization and H^1 size ``perturbation_h1``.
-    Both runs share the horizon T = local_time(A + 1, c) and every step time
-    in [eps_window, T] enters the supremum, so the result does not depend on
-    any storage thinning.
+    The base run and all perturbed runs march once, in lockstep, to the
+    horizon T = local_time(A + 1, c), and every step time in [eps_window, T]
+    enters the supremum, so the result does not depend on any storage
+    thinning.
     """
     freqs = [int(n) for n in freqs]
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
@@ -228,13 +205,10 @@ def compactness_experiment(
     T = local_time(A + 1.0, c)
     if eps_window < 0 or eps_window >= T:
         raise ValueError(f"eps_window must lie in [0, T) with T={T:.6g}")
-    cfg = StepConfig(dt=dt)
-    distances = []
-    for n in freqs:
-        w = single_mode_field(u0.grid, (n, 0, 0), (0.0, 1.0, 0.0), perturbation_h1)
-        d, _ = pair_distance(u0 + w, u0, T, cfg, t_min=eps_window, s=1.0)
-        distances.append(d)
-    return CompactnessReport(freqs, distances, eps_window, T, c)
+    perturbed = [u0 + single_mode_field(u0.grid, (n, 0, 0), (0.0, 1.0, 0.0), perturbation_h1)
+                 for n in freqs]
+    sups = sup_distances(u0, perturbed, T, dt, t_min=eps_window, s=1.0)
+    return CompactnessReport(freqs, [d for d, _ in sups], eps_window, T, c)
 
 
 class ExplosionScan(NamedTuple):

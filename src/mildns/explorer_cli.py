@@ -10,7 +10,6 @@ censored: excluded from the maximum but counted and reported.
 import argparse
 import csv
 import hashlib
-import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +24,7 @@ from .spectral_field import (
     GridSpec,
     SpectralField,
     _wavenumbers,
+    _write_json,
     divergence_linf,
     hermitian_residual,
     hs_norm,
@@ -41,9 +41,9 @@ from .semigroup_flow import (
     StepConfig,
     heat_propagate,
     norms_to_csv,
-    pair_distance,
     simulate,
     smoothing_ratio,
+    sup_distances,
 )
 from .picard_wellposedness import picard_solve, report_to_json
 from .apriori_diagnostics import (
@@ -77,6 +77,11 @@ class ConfigError(ValueError):
 
 def _parse_a_list(text: str):
     return tuple(float(v) for v in text.split(","))
+
+
+def ensemble_csv_name(a: float) -> str:
+    """Per-amplitude ensemble CSV name; amplitudes are written with {a:g}."""
+    return f"ensemble_A{a:g}.csv"
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,10 @@ class ExperimentConfig:
             raise ConfigError("a_list", "amplitudes must be positive")
         if any(b <= a for a, b in zip(self.a_list, self.a_list[1:])):
             raise ConfigError("a_list", "amplitudes must be strictly increasing")
+        names = [ensemble_csv_name(a) for a in self.a_list]
+        if len(set(names)) < len(names):
+            raise ConfigError("a_list", "amplitudes must differ in their first 6 significant "
+                                        "digits, which name the ensemble_A*.csv files")
         try:
             self.grid()
         except ValueError as exc:
@@ -141,12 +150,7 @@ class ExperimentConfig:
             if f.name == "out_dir":
                 continue
             v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                canon = ",".join(repr(float(x)) for x in v)
-            elif isinstance(v, float):
-                canon = repr(v)
-            else:
-                canon = repr(v)
+            canon = ",".join(repr(float(x)) for x in v) if isinstance(v, tuple) else repr(v)
             items.append(f"{f.name}={canon}")
         return hashlib.sha256("\n".join(items).encode()).hexdigest()
 
@@ -154,11 +158,11 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         """Parse a flat key=value file with # comments."""
         converters = {
-            "grid_n": int, "grid_k": int, "dt": float, "horizon": float,
-            "c": float, "picard_tol": float, "a_list": _parse_a_list,
-            "samples_per_a": int, "base_seed": int, "slope": float,
-            "ceiling": float, "mode": str, "method": str, "store_every": int,
-            "out_dir": str,
+            "grid_n": int, "grid_k": lambda text: int(text) if text else None,
+            "dt": float, "horizon": float, "c": float, "picard_tol": float,
+            "a_list": _parse_a_list, "samples_per_a": int, "base_seed": int,
+            "slope": float, "ceiling": float, "mode": str, "method": str,
+            "store_every": int, "out_dir": str,
         }
         values = {}
         with open(path) as fh:
@@ -217,11 +221,7 @@ class EnsembleSummary:
             "argmax_time": self.argmax_time,
             "config_hash": self.config_hash,
         }
-        text = json.dumps(obj, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return _write_json(obj, path)
 
 
 def monotone_envelope(values) -> np.ndarray:
@@ -327,19 +327,18 @@ def lipschitz_probe(u0: SpectralField, deltas, cfg: ExperimentConfig,
     """Measured data-to-solution Lipschitz quotients sup_t |u' - u|_H1 / delta.
 
     Perturbs u0 along a fixed divergence-free direction at each size delta
-    and runs both solutions in lockstep over the horizon.  Stable quotients
-    under halving delta indicate the linear response regime.
+    and runs the base and all perturbed solutions once, in lockstep, over
+    the horizon.  Stable quotients under halving delta indicate the linear
+    response regime.
     """
     if direction is None:
         direction = single_mode_field(u0.grid, (1, 0, 0), (0.0, 0.0, 1.0), 1.0)
-    step_cfg = StepConfig(dt=cfg.dt, ceiling=cfg.ceiling)
-    ratios = []
-    for d in deltas:
-        if d <= 0:
-            raise ValueError("perturbation sizes must be positive")
-        sup, _ = pair_distance(u0 + float(d) * direction, u0, cfg.horizon, step_cfg)
-        ratios.append(sup / d)
-    return ratios
+    deltas = list(deltas)
+    if any(d <= 0 for d in deltas):
+        raise ValueError("perturbation sizes must be positive")
+    perturbed = [u0 + float(d) * direction for d in deltas]
+    sups = sup_distances(u0, perturbed, cfg.horizon, cfg.dt)
+    return [sup / d for (sup, _), d in zip(sups, deltas)]
 
 
 def write_manifest(out_dir, cfg_hash: str, seeds, file_names) -> Path:
@@ -355,8 +354,7 @@ def write_manifest(out_dir, cfg_hash: str, seeds, file_names) -> Path:
         "files": sorted(str(f) for f in file_names),
     }
     path = out / "manifest.json"
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_json(obj, path)
     return path
 
 
@@ -484,13 +482,13 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value experiment config file")
     p.add_argument("--seed", type=int, help="seed override for random data")
-    p.add_argument("--out-dir", default=".", help="output directory")
+    p.add_argument("--out-dir", help="output directory (overrides out_dir)")
     p.add_argument("--threads", type=int, default=1, help="parallel sample workers")
 
 
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "out_dir", None):
+    if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
     return cfg
 
@@ -523,7 +521,7 @@ def _grid_from(args, cfg: ExperimentConfig) -> GridSpec:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     grid = _grid_from(args, cfg)
-    out = Path(args.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     u0, seed = _initial_field(args, cfg, grid)
     dt = args.dt if args.dt is not None else cfg.dt
@@ -556,7 +554,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_picard(args) -> int:
     cfg = _load_config(args)
     grid = _grid_from(args, cfg)
-    out = Path(args.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     u0, seed = _initial_field(args, cfg, grid)
     c = args.c if args.c is not None else cfg.c
@@ -582,13 +580,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     cfg = _load_config(args)
-    out = Path(args.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = estimate_F(cfg, threads=max(1, args.threads))
     files = ["summary.json"]
     summary.to_json(out / "summary.json")
     for j, a in enumerate(summary.a_values):
-        name = f"ensemble_A{a:g}.csv"
+        name = ensemble_csv_name(a)
         with open(out / name, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("sample", "seed", "sup_h1", "argmax_time", "censored"))
@@ -614,7 +612,7 @@ def _cmd_ensemble(args) -> int:
 def _cmd_compactness(args) -> int:
     cfg = _load_config(args)
     grid = _grid_from(args, cfg)
-    out = Path(args.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     u0, seed = _initial_field(args, cfg, grid)
     freqs = [int(v) for v in args.freqs.split(",")]

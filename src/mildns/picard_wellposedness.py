@@ -8,7 +8,6 @@ The local horizon follows the subcritical scaling T = c A^-4 for data of
 H^1 size A, capped at 1.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +18,7 @@ from .spectral_field import (
     SpectralField,
     _norm_weights,
     _wavenumbers,
+    _write_json,
     hs_norm,
     nonlinear_term,
 )
@@ -153,11 +153,10 @@ def heat_trajectory(u0: SpectralField, tgrid: TimeGrid) -> TrajectoryX:
 def _duhamel_weights(k2: np.ndarray, h: float):
     """Exact integrals over one sub-interval of e^((t_next - t') L) times the
     linear interpolant basis: returns (decay, a0, a1) with
-        decay = e^(-x), a0 = (1 - e^(-x)) / lam, a1 = (h - a0) / lam,
+        decay = e^(-|k|^2 h), a0 = (1 - e^(-x)) / lam, a1 = (h - a0) / lam,
     x = lam h, continuously extended by (h, h^2/2) at lam = 0."""
     lam = np.where(k2 > 0, k2, 1.0)
     x = lam * h
-    decay = np.exp(-x)
     a0 = -np.expm1(-x) / lam
     a1 = (h - a0) / lam
     a0 = np.where(k2 > 0, a0, h)
@@ -328,8 +327,4 @@ def report_to_json(report: PicardReport, path=None) -> str:
         "contraction_factors": list(report.contraction_factors),
         "converged": report.converged,
     }
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+    return _write_json(obj, path)

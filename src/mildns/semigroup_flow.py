@@ -26,9 +26,10 @@ __all__ = [
     "BlowupError",
     "heat_propagate",
     "smoothing_ratio",
+    "march",
     "step",
     "simulate",
-    "pair_distance",
+    "sup_distances",
     "viscosity_normalize",
     "galilean_reduce",
     "galilean_restore",
@@ -74,15 +75,12 @@ class StepConfig:
     """
 
     dt: float
-    scheme: str = "if_rk4"
     store_every: int = 1
     ceiling: float = 1e6
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.scheme != "if_rk4":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
         if self.ceiling <= 0:
@@ -144,47 +142,89 @@ def _decay_factors(grid: GridSpec, h: float):
     return np.exp(-k2 * (0.5 * h)), np.exp(-k2 * h)
 
 
-def _check_finite(coef, t, origin: SpectralField):
-    if not np.all(np.isfinite(coef)):
-        where = "" if t is None else f" at t={t:.6g}"
-        raise BlowupError(f"non-finite coefficients{where}", time=t, last_field=origin)
-
-
-def _if_rk4_step(u: SpectralField, h: float, e_half, e_full) -> SpectralField:
+def _if_rk4_step(u: SpectralField, h: float, e_half, e_full):
     """One integrating-factor RK4 step.
 
     The substitution v = exp(|k|^2 t) u makes the stiff linear part exact;
     classical RK4 is applied to the transformed nonlinearity.  With a zero
-    nonlinearity the step reduces to the exact heat propagator.
+    nonlinearity the step reduces to the exact heat propagator.  Returns None
+    as soon as a stage or the result overflows; :func:`march` turns that into
+    a blowup signal.
     """
     grid = u.grid
-    # overflow surfaces as an explicit blowup signal, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         n1 = nonlinear_term(u).coef
         u2 = SpectralField(grid, e_half * (u.coef + (0.5 * h) * n1))
-        _check_finite(u2.coef, None, u)
+        if not np.all(np.isfinite(u2.coef)):
+            return None
         n2 = nonlinear_term(u2).coef
         u3 = SpectralField(grid, e_half * u.coef + (0.5 * h) * n2)
+        if not np.all(np.isfinite(u3.coef)):
+            return None
         n3 = nonlinear_term(u3).coef
         u4 = SpectralField(grid, e_full * u.coef + h * (e_half * n3))
-        _check_finite(u4.coef, None, u)
+        if not np.all(np.isfinite(u4.coef)):
+            return None
         n4 = nonlinear_term(u4).coef
         out = e_full * u.coef + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
-    return SpectralField(grid, out)
-
-
-def step(u: SpectralField, cfg: StepConfig) -> SpectralField:
-    """Advance one time step of size cfg.dt; raises BlowupError on overflow."""
-    e_half, e_full = _decay_factors(u.grid, cfg.dt)
-    out = _if_rk4_step(u, cfg.dt, e_half, e_full)
-    _check_finite(out.coef, cfg.dt, u)
-    return out
+    return SpectralField(grid, out) if np.all(np.isfinite(out)) else None
 
 
 def _plan_steps(T: float, dt: float):
     """Number of steps with the final one shortened to land exactly on T."""
     n = max(1, int(np.ceil(T / dt - 1e-9)))
     return n
+
+
+def march(states, T: float, dt: float):
+    """Advance several states in lockstep from 0 to T with IF-RK4 steps.
+
+    Returns a generator yielding ``(t, states)`` after every step.  All
+    states share one step plan: steps of size dt, the last one shortened to
+    land exactly on T, so only the final yield has ``t == T``.  Arguments
+    are checked before the first step.  A step that leaves some state
+    non-finite raises :class:`BlowupError` carrying the step's end time and
+    that state as it was before the step.
+    """
+    states = list(states)
+    if T <= 0:
+        raise ValueError("horizon T must be positive")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if not states:
+        raise ValueError("nothing to march")
+    grid = states[0].grid
+    if any(u.grid != grid for u in states[1:]):
+        raise ValueError("grid mismatch between the initial data")
+    return _lockstep(states, grid, T, dt)
+
+
+def _lockstep(states, grid: GridSpec, T: float, dt: float):
+    n = _plan_steps(T, dt)
+    full = _decay_factors(grid, dt) if n > 1 else None
+    for i in range(n):
+        last = i == n - 1
+        if last:
+            h = T - i * dt
+            e_half, e_full = _decay_factors(grid, h)
+        else:
+            h, (e_half, e_full) = dt, full
+        t = T if last else (i + 1) * dt
+        advanced = []
+        for u in states:
+            v = _if_rk4_step(u, h, e_half, e_full)
+            if v is None:
+                raise BlowupError(f"non-finite coefficients at t={t:.6g}",
+                                  time=t, last_field=u)
+            advanced.append(v)
+        states = advanced
+        yield t, states
+
+
+def step(u: SpectralField, cfg: StepConfig) -> SpectralField:
+    """Advance one time step of size cfg.dt; raises BlowupError on overflow."""
+    _, (out,) = next(march([u], cfg.dt, cfg.dt))
+    return out
 
 
 def simulate(u0: SpectralField, T: float, cfg: StepConfig) -> Trajectory:
@@ -194,12 +234,8 @@ def simulate(u0: SpectralField, T: float, cfg: StepConfig) -> Trajectory:
     Raises :class:`BlowupError` with the partial trajectory attached if
     coefficients go non-finite or H^1 crosses ``cfg.ceiling``.
     """
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    steps = march([u0], T, cfg.dt)  # checks the arguments
     grid = u0.grid
-    n = _plan_steps(T, cfg.dt)
-    e_half, e_full = _decay_factors(grid, cfg.dt)
-
     times = [0.0]
     l2s = [hs_norm(u0, 0.0)]
     h1s = [hs_norm(u0, 1.0)]
@@ -214,81 +250,58 @@ def simulate(u0: SpectralField, T: float, cfg: StepConfig) -> Trajectory:
         )
         return Trajectory(grid, series, np.asarray(field_times), fields)
 
-    u = u0
-    for i in range(n):
-        last = i == n - 1
-        if last:
-            h = T - i * cfg.dt
-            eh, ef = _decay_factors(grid, h)
-        else:
-            h, eh, ef = cfg.dt, e_half, e_full
-        t_next = T if last else (i + 1) * cfg.dt
-        try:
-            u = _if_rk4_step(u, h, eh, ef)
-            _check_finite(u.coef, t_next, u)
-        except BlowupError as exc:
-            exc.trajectory = partial()
-            exc.time = t_next
-            raise
-        times.append(t_next)
-        l2s.append(hs_norm(u, 0.0))
-        h1s.append(hs_norm(u, 1.0))
-        divs.append(divergence_linf(u))
-        if (i + 1) % cfg.store_every == 0 or last:
-            fields.append(u.copy())
-            field_times.append(t_next)
-        if h1s[-1] > cfg.ceiling:
-            raise BlowupError(
-                f"H1 norm {h1s[-1]:.6g} exceeded ceiling {cfg.ceiling:.6g} at t={t_next:.6g}",
-                time=t_next, last_field=u, trajectory=partial(),
-            )
+    try:
+        for i, (t, (u,)) in enumerate(steps, 1):
+            times.append(t)
+            l2s.append(hs_norm(u, 0.0))
+            h1s.append(hs_norm(u, 1.0))
+            divs.append(divergence_linf(u))
+            if i % cfg.store_every == 0 or t == T:
+                fields.append(u.copy())
+                field_times.append(t)
+            if h1s[-1] > cfg.ceiling:
+                raise BlowupError(
+                    f"H1 norm {h1s[-1]:.6g} exceeded ceiling {cfg.ceiling:.6g} at t={t:.6g}",
+                    time=t, last_field=u,
+                )
+    except BlowupError as exc:
+        exc.trajectory = partial()
+        raise
     return partial()
 
 
-def pair_distance(
-    u0_a: SpectralField,
-    u0_b: SpectralField,
+def sup_distances(
+    base: SpectralField,
+    others,
     T: float,
-    cfg: StepConfig,
+    dt: float,
     t_min: float = 0.0,
     s: float = 1.0,
-) -> tuple[float, float]:
-    """Largest H^s distance between two lockstep runs over step times >= t_min.
+) -> list[tuple[float, float]]:
+    """Largest H^s distance from the base run to each other run, over step
+    times >= t_min.
 
-    Both states advance with the same stepper and step sequence, so the
-    result is independent of any field-storage thinning.  Returns the
-    supremum and the time where it is attained.
+    The base and every other datum march once, in lockstep on one step
+    plan, so the result is independent of any field-storage thinning.
+    Returns one (supremum, time attained) pair per entry of ``others``.
     """
-    if u0_a.grid != u0_b.grid:
-        raise ValueError("grid mismatch between the two initial data")
-    grid = u0_a.grid
-    n = _plan_steps(T, cfg.dt)
-    e_half, e_full = _decay_factors(grid, cfg.dt)
-    best, best_t = -1.0, 0.0
-    ua, ub = u0_a, u0_b
-    t = 0.0
+    others = list(others)
     eps = 1e-12
-    if t >= t_min - eps:
-        best, best_t = hs_norm(ua - ub, s), 0.0
-    for i in range(n):
-        last = i == n - 1
-        if last:
-            h = T - i * cfg.dt
-            eh, ef = _decay_factors(grid, h)
-        else:
-            h, eh, ef = cfg.dt, e_half, e_full
-        t = T if last else (i + 1) * cfg.dt
-        ua = _if_rk4_step(ua, h, eh, ef)
-        ub = _if_rk4_step(ub, h, eh, ef)
-        _check_finite(ua.coef, t, ua)
-        _check_finite(ub.coef, t, ub)
-        if t >= t_min - eps:
-            d = hs_norm(ua - ub, s)
-            if d > best:
-                best, best_t = d, t
-    if best < 0.0:
+    if T < t_min - eps:
         raise ValueError("no step times fall inside the comparison window")
-    return best, best_t
+    best = [(-1.0, 0.0)] * len(others)
+
+    def update(t, states):
+        if t >= t_min - eps:
+            for j, u in enumerate(states[1:]):
+                d = hs_norm(u - states[0], s)
+                if d > best[j][0]:
+                    best[j] = (d, t)
+
+    update(0.0, [base, *others])
+    for t, states in march([base, *others], T, dt):
+        update(t, states)
+    return best
 
 
 def viscosity_normalize(u0: SpectralField, nu: float) -> SpectralField:

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 * the k = 0 slot is stored but pinned to zero (mean-zero reduction).
 """
 
+import json
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -328,17 +329,13 @@ def random_divfree(A: float, seed: int, slope: float, grid: GridSpec) -> Spectra
     sigma = np.zeros_like(k2)
     nz = k2 > 0
     sigma[nz] = k2[nz] ** (-slope / 2.0)
-    for attempt_seed in range(seed, seed + 100):
-        rng = np.random.default_rng(attempt_seed)
-        draw = rng.standard_normal((3, m, m, m)) + 1j * rng.standard_normal((3, m, m, m))
-        coef = hermitize(draw * sigma)
-        K = grid.cutoff
-        coef[:, K, K, K] = 0.0
-        f = leray_project(SpectralField(grid, coef))
-        h1 = hs_norm(f, 1.0)
-        if h1 > 0.0:
-            return SpectralField(grid, f.coef * (A / h1))
-    raise RuntimeError("random field generation degenerated to zero repeatedly")
+    rng = np.random.default_rng(seed)
+    draw = rng.standard_normal((3, m, m, m)) + 1j * rng.standard_normal((3, m, m, m))
+    coef = hermitize(draw * sigma)
+    K = grid.cutoff
+    coef[:, K, K, K] = 0.0
+    f = leray_project(SpectralField(grid, coef))
+    return SpectralField(grid, f.coef * (A / hs_norm(f, 1.0)))
 
 
 def _set_pair(coef, K, k, component, value):
@@ -446,3 +443,13 @@ def load_nsf1(path) -> SpectralField:
         raise ValueError("snapshot truncated")
     coef = np.moveaxis(data.reshape(m, m, m, 3), -1, 0).astype(np.complex128)
     return SpectralField(grid, np.ascontiguousarray(coef))
+
+
+def _write_json(obj, path=None) -> str:
+    """Serialize a report as indented, key-sorted JSON; returns the text and,
+    given a path, writes it there with a trailing newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    return text

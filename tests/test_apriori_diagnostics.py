@@ -24,6 +24,7 @@ from mildns import (
     simulate,
     unit_time_contraction,
 )
+from mildns import semigroup_flow
 from mildns.apriori_diagnostics import residuals_to_csv
 
 
@@ -232,6 +233,23 @@ class TestCompactness:
         u0 = named_flow("shear", 1.0, grid)
         with pytest.raises(ValueError, match="eps_window"):
             compactness_experiment(u0, [2], 0.5, 0.01)  # T = c(A+1)^-4 << 0.5
+
+    def test_base_run_shared_across_frequencies(self, monkeypatch):
+        # zero base: T = local_time(1, c) = c, so c = 0.05 at dt = 0.01 is
+        # 5 steps; one base run plus one run per frequency, 4 stages a step
+        grid = GridSpec(8)
+        calls = []
+        original = semigroup_flow.nonlinear_term
+
+        def counted(u):
+            calls.append(1)
+            return original(u)
+
+        monkeypatch.setattr(semigroup_flow, "nonlinear_term", counted)
+        rep = compactness_experiment(SpectralField.zero(grid), [1, 2], 0.01, 0.05,
+                                     dt=0.01)
+        assert rep.T_used == 0.05
+        assert len(calls) == 4 * (2 + 1) * 5
 
     def test_json_export(self, tmp_path):
         grid = GridSpec(16)

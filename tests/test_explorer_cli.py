@@ -70,6 +70,24 @@ class TestExperimentConfig:
             ExperimentConfig.from_file(p)
         assert exc.value.key == "dt"
 
+    def test_empty_grid_k_means_default_cutoff(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text("grid_n = 12\ngrid_k =\n")
+        cfg = ExperimentConfig.from_file(p)
+        assert cfg.grid_k is None
+        assert cfg.grid().cutoff == 4
+
+    def test_colliding_csv_names_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(a_list=(0.1, 0.1000001))
+        assert exc.value.key == "a_list"
+        ExperimentConfig(a_list=(0.1, 0.100001))  # distinct at 6 digits
+        p = tmp_path / "exp.cfg"
+        p.write_text("a_list = 0.1,0.1000001\n")
+        rc = cli_main(["ensemble", "--config", str(p), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "a_list" in capsys.readouterr().err
+
     def test_invariants(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(dt=-1.0)
@@ -243,6 +261,28 @@ class TestCli:
                        "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert "grid_q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, written", [
+        (["simulate", "--flow", "shear", "--N", "8", "--T", "0.02", "--dt", "1e-2"],
+         "norms.csv"),
+        (["picard", "--flow", "shear", "--N", "8", "--c", "0.01"], "picard.json"),
+        (["compactness", "--flow", "shear", "--N", "8", "--freqs", "1,2",
+          "--eps-window", "0.01", "--c", "0.5", "--dt", "1e-2"], "compactness.json"),
+        (["ensemble"], "ensemble_A0.1.csv"),
+    ])
+    def test_config_out_dir_used(self, tmp_path, argv, written):
+        target = tmp_path / "from_config"
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(
+            "grid_n = 8\ndt = 0.02\nhorizon = 0.04\na_list = 0.1\n"
+            f"samples_per_a = 1\nout_dir = {target}\n"
+        )
+        assert cli_main(argv + ["--config", str(cfgfile)]) == 0
+        assert (target / written).exists()
+        assert (target / "manifest.json").exists()
+        override = tmp_path / "from_flag"
+        assert cli_main(argv + ["--config", str(cfgfile), "--out-dir", str(override)]) == 0
+        assert (override / written).exists()
 
     def test_picard_report_written(self, tmp_path):
         out = tmp_path / "p"

@@ -16,16 +16,17 @@ from mildns import (
     galilean_restore,
     heat_propagate,
     hs_norm,
+    march,
     named_flow,
     norms_from_csv,
     norms_to_csv,
-    pair_distance,
     random_divfree,
     sample_on_grid,
     simulate,
     single_mode_field,
     smoothing_ratio,
     step,
+    sup_distances,
     viscosity_normalize,
 )
 
@@ -175,29 +176,67 @@ class TestSimulate:
         assert traj.norm_series.times[-1] == pytest.approx(0.01)
         assert exc.value.time == pytest.approx(0.01)
 
+    def test_overflow_blowup_carries_finite_last_field(self, grid8):
+        u0 = random_divfree(1e150, 1, 2.0, grid8)
+        with pytest.raises(BlowupError) as exc:
+            simulate(u0, 0.05, StepConfig(dt=1e-2))
+        assert exc.value.time == pytest.approx(0.01)
+        assert np.array_equal(exc.value.last_field.coef, u0.coef)
+        assert np.all(np.isfinite(exc.value.last_field.coef))
+        assert list(exc.value.trajectory.norm_series.times) == [0.0]
+
     def test_invalid_horizon(self, grid8):
         with pytest.raises(ValueError):
             simulate(named_flow("shear", 1.0, grid8), 0.0, StepConfig(dt=1e-2))
 
 
-class TestPairDistance:
+class TestSupDistances:
     def test_identical_data(self, grid8):
         u0 = random_divfree(0.5, 1, 2.0, grid8)
-        d, t = pair_distance(u0, u0.copy(), 0.05, StepConfig(dt=1e-2))
+        [(d, t)] = sup_distances(u0, [u0.copy()], 0.05, 1e-2)
         assert d == 0.0
 
     def test_window_excludes_initial_gap(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
         w = single_mode_field(grid8, (2, 0, 0), (0.0, 1.0, 0.0), 0.1)
-        full, _ = pair_distance(u0 + w, u0, 0.2, StepConfig(dt=1e-2), t_min=0.0)
-        late, t_at = pair_distance(u0 + w, u0, 0.2, StepConfig(dt=1e-2), t_min=0.1)
+        [(full, _)] = sup_distances(u0, [u0 + w], 0.2, 1e-2, t_min=0.0)
+        [(late, t_at)] = sup_distances(u0, [u0 + w], 0.2, 1e-2, t_min=0.1)
         assert late < full
         assert t_at >= 0.1
 
     def test_empty_window_rejected(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
         with pytest.raises(ValueError, match="window"):
-            pair_distance(u0, u0, 0.05, StepConfig(dt=1e-2), t_min=1.0)
+            sup_distances(u0, [u0], 0.05, 1e-2, t_min=1.0)
+
+    def test_lockstep_matches_single_runs(self, grid8):
+        base = random_divfree(0.8, 2, 2.0, grid8)
+        a = base + random_divfree(0.1, 3, 2.0, grid8)
+        b = base + single_mode_field(grid8, (2, 0, 0), (0.0, 1.0, 0.0), 0.3)
+        both = sup_distances(base, [a, b], 0.055, 1e-2, t_min=0.02)
+        single = (sup_distances(base, [a], 0.055, 1e-2, t_min=0.02)
+                  + sup_distances(base, [b], 0.055, 1e-2, t_min=0.02))
+        assert both == single
+
+
+class TestMarch:
+    def test_plan_lands_on_horizon(self, grid8):
+        u0 = named_flow("shear", 1.0, grid8)
+        times = [t for t, _ in march([u0], 0.105, 1e-2)]
+        assert len(times) == 11
+        assert times[-1] == 0.105
+        assert all(t < 0.105 for t in times[:-1])
+
+    def test_arguments_checked_before_stepping(self, grid8):
+        u0 = SpectralField.zero(grid8)
+        with pytest.raises(ValueError, match="horizon"):
+            march([u0], 0.0, 1e-2)
+        with pytest.raises(ValueError, match="dt"):
+            march([u0], 0.1, 0.0)
+        with pytest.raises(ValueError, match="grid"):
+            march([u0, SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
+        with pytest.raises(ValueError, match="grid"):
+            sup_distances(u0, [SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
 
 
 class TestViscosityNormalize:
