@@ -481,9 +481,9 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value experiment config file")
-    p.add_argument("--seed", type=int, help="seed override for random data")
+    p.add_argument("--seed", type=int,
+                   help="seed for random data (ensemble: replaces base_seed)")
     p.add_argument("--out-dir", help="output directory (overrides out_dir)")
-    p.add_argument("--threads", type=int, default=1, help="parallel sample workers")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -569,7 +569,8 @@ def _cmd_picard(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = run_verify(n=args.N if args.N is not None else 16)
+    kw = {} if args.seed is None else {"seed": args.seed}
+    checks = run_verify(n=args.N if args.N is not None else 16, **kw)
     failed = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -580,6 +581,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     cfg = _load_config(args)
+    if args.seed is not None:
+        cfg = replace(cfg, base_seed=args.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = estimate_F(cfg, threads=max(1, args.threads))
@@ -666,6 +669,7 @@ def cli_main(argv=None) -> int:
 
     p_ens = sub.add_parser("ensemble", help="estimate the growth envelope F_hat(A)")
     _common_flags(p_ens)
+    p_ens.add_argument("--threads", type=int, default=1, help="parallel sample workers")
     p_ens.set_defaults(func=_cmd_ensemble)
 
     p_cmp = sub.add_parser("compactness", help="perturbation-convergence experiment")

@@ -169,21 +169,22 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
 
     The heat factor is applied exactly mode-wise; the nonlinearity is
     evaluated at every node and interpolated linearly in time inside the
-    per-interval exponential quadrature.  Output at t=0 is exactly u0.
+    per-interval exponential quadrature.  Output at t=0 is exactly u0.  The
+    quadrature weights are computed once, so the time grid must be uniform.
     """
     if u0.grid != u.grid:
         raise ValueError("initial datum and trajectory use different grids")
+    widths = u.tgrid.widths
+    if not np.allclose(widths, widths[0], rtol=1e-12, atol=0.0):
+        raise ValueError("phi_map needs a uniform time grid")
     _, k2, _ = _wavenumbers(u.grid)
     g = [nonlinear_term(f).coef for f in u.fields]
-    widths = u.tgrid.widths
-    uniform = np.allclose(widths, widths[0], rtol=1e-12, atol=0.0)
-    cached = _duhamel_weights(k2, float(widths[0])) if uniform else None
+    decay, a0, a1 = _duhamel_weights(k2, float(widths[0]))
 
     out = [u0.copy()]
     homog = u0.coef
     integral = np.zeros_like(u0.coef)
     for j, h in enumerate(widths):
-        decay, a0, a1 = cached if uniform else _duhamel_weights(k2, float(h))
         slope = (g[j + 1] - g[j]) / h
         integral = decay * integral + a0 * g[j] + a1 * slope
         homog = decay * homog

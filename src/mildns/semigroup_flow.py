@@ -232,7 +232,8 @@ def simulate(u0: SpectralField, T: float, cfg: StepConfig) -> Trajectory:
 
     Fields are stored every ``cfg.store_every`` steps plus the final state.
     Raises :class:`BlowupError` with the partial trajectory attached if
-    coefficients go non-finite or H^1 crosses ``cfg.ceiling``.
+    coefficients go non-finite or H^1 exceeds ``cfg.ceiling``, the initial
+    datum included.
     """
     steps = march([u0], T, cfg.dt)  # checks the arguments
     grid = u0.grid
@@ -251,6 +252,11 @@ def simulate(u0: SpectralField, T: float, cfg: StepConfig) -> Trajectory:
         return Trajectory(grid, series, np.asarray(field_times), fields)
 
     try:
+        if h1s[0] > cfg.ceiling:
+            raise BlowupError(
+                f"initial H1 norm {h1s[0]:.6g} exceeds ceiling {cfg.ceiling:.6g}",
+                time=0.0, last_field=u0,
+            )
         for i, (t, (u,)) in enumerate(steps, 1):
             times.append(t)
             l2s.append(hs_norm(u, 0.0))

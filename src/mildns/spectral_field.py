@@ -104,18 +104,6 @@ def _norm_weights(grid: GridSpec, s: float):
     return w
 
 
-@lru_cache(maxsize=None)
-def _embed_indices(grid: GridSpec):
-    """Index maps between the mode cube and the padded rFFT layout."""
-    K, P = grid.cutoff, grid.pad_size
-    i = np.arange(2 * K + 1)
-    pos = (i - K) % P          # cube index -> fft index of +k
-    neg = (K - i) % P          # cube index -> fft index of -k
-    for a in (pos, neg):
-        a.setflags(write=False)
-    return pos, neg
-
-
 @dataclass
 class SpectralField:
     """Truncated Fourier coefficients of a real vector field on the torus.
@@ -151,24 +139,18 @@ class SpectralField:
         K = self.grid.cutoff
         return self.coef[:, K, K, K].real.copy()
 
-    def _binary_check(self, other):
+    def _combine(self, other, op):
         if not isinstance(other, SpectralField):
             return NotImplemented
         if other.grid != self.grid:
             raise ValueError("grid mismatch between spectral fields")
-        return other
+        return SpectralField(self.grid, op(self.coef, other.coef))
 
     def __add__(self, other):
-        other = self._binary_check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return SpectralField(self.grid, self.coef + other.coef)
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        other = self._binary_check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return SpectralField(self.grid, self.coef - other.coef)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, a):
         if not isinstance(a, (int, float)):
@@ -220,33 +202,58 @@ def divergence_linf(f: SpectralField) -> float:
     return float(np.max(np.abs(kdotv)))
 
 
-def _to_padded_physical(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Evaluate components on the alias-safe collocation grid (real values)."""
+def _blocks(grid: GridSpec):
+    """The four (cube, padded rfft) slice pairs over (k1, k2).  Per axis,
+    k in 0..K sits at [K:] in the cube and [:K+1] in the FFT layout, and
+    k in -K..-1 at [:K] and [P-K:]; all four blocks are contiguous."""
     K, P = grid.cutoff, grid.pad_size
-    pos, _ = _embed_indices(grid)
-    nb = coef.shape[0]
-    half = np.zeros((nb, P, P, P // 2 + 1), dtype=np.complex128)
-    half[np.ix_(range(nb), pos, pos, range(K + 1))] = coef[:, :, :, K:]
+    axis = ((slice(K, None), slice(None, K + 1)), (slice(None, K), slice(P - K, None)))
+    return [(c1, c2, f1, f2) for c1, f1 in axis for c2, f2 in axis]
+
+
+def _to_padded_physical(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Evaluate components on the alias-safe collocation grid (real values),
+    reading only the k3 >= 0 half of the cube."""
+    K, P = grid.cutoff, grid.pad_size
+    half = np.zeros((coef.shape[0], P, P, P // 2 + 1), dtype=np.complex128)
+    for c1, c2, f1, f2 in _blocks(grid):
+        half[:, f1, f2, : K + 1] = coef[:, c1, c2, K:]
     return _fft.irfftn(half, s=(P, P, P), axes=(1, 2, 3), norm="forward")
 
 
 def _from_padded_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Fourier coefficients of real collocation data, cut to the mode cube.
+    """Fourier coefficients of real collocation data on the k3 >= 0 half of
+    the mode cube: shape (nb, M, M, K+1), last axis index = k3.
 
-    The returned cube is exactly Hermitian: negative-k3 modes are taken as
-    conjugates of their positive partners, and the k3=0 plane is symmetrized.
+    The k3=0 plane is symmetrized, so :func:`_mirror` of the result is an
+    exactly Hermitian cube.
     """
-    K, P = grid.cutoff, grid.pad_size
-    pos, neg = _embed_indices(grid)
-    nb = values.shape[0]
-    half = _fft.rfftn(values, axes=(1, 2, 3), norm="forward")
-    m = 2 * K + 1
-    cube = np.empty((nb, m, m, m), dtype=np.complex128)
-    cube[:, :, :, K:] = half[np.ix_(range(nb), pos, pos, range(K + 1))]
-    cube[:, :, :, :K] = np.conj(half[np.ix_(range(nb), neg, neg, range(K, 0, -1))])
-    plane = cube[:, :, :, K]
-    cube[:, :, :, K] = 0.5 * (plane + np.conj(plane[:, ::-1, ::-1]))
-    return cube
+    K, m = grid.cutoff, grid.modes_per_axis
+    spec = _fft.rfftn(values, axes=(1, 2, 3), norm="forward")
+    half = np.empty((values.shape[0], m, m, K + 1), dtype=np.complex128)
+    for c1, c2, f1, f2 in _blocks(grid):
+        half[:, c1, c2] = spec[:, f1, f2, : K + 1]
+    half[..., 0] = 0.5 * (half[..., 0] + np.conj(half[:, ::-1, ::-1, 0]))
+    return half
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """Full mode cube from its k3 >= 0 half by coef(-k) = conj(coef(k))."""
+    return np.concatenate((np.conj(half[:, ::-1, ::-1, :0:-1]), half), axis=-1)
+
+
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # distinct (l, m) of u (x) u
+_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # _ROWS[l][m]: position of (l, m) in _PAIRS
+
+
+def _product_half(u: SpectralField) -> np.ndarray:
+    """The six distinct dealiased entries of u (x) u, in ``_PAIRS`` order, on
+    the k3 >= 0 half of the mode cube."""
+    phys = _to_padded_physical(u.coef, u.grid)
+    prods = np.empty((6,) + phys.shape[1:], dtype=np.float64)
+    for c, (l, m) in enumerate(_PAIRS):
+        np.multiply(phys[l], phys[m], out=prods[c])
+    return _from_padded_physical(prods, u.grid)
 
 
 def sample_on_grid(f: SpectralField, points: int | None = None) -> np.ndarray:
@@ -274,18 +281,7 @@ def tensor_product_coef(u: SpectralField) -> np.ndarray:
     to the retained cube, so it equals the exact convolution of the retained
     modes.  The result is Hermitian per entry and symmetric in (l, m).
     """
-    phys = _to_padded_physical(u.coef, u.grid)
-    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    prods = np.empty((6,) + phys.shape[1:], dtype=np.float64)
-    for c, (l, m) in enumerate(pairs):
-        np.multiply(phys[l], phys[m], out=prods[c])
-    cubes = _from_padded_physical(prods, u.grid)
-    m = u.grid.modes_per_axis
-    out = np.empty((3, 3, m, m, m), dtype=np.complex128)
-    for c, (l, mm) in enumerate(pairs):
-        out[l, mm] = cubes[c]
-        out[mm, l] = cubes[c]
-    return out
+    return _mirror(_product_half(u))[np.array(_ROWS)]
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:
@@ -293,7 +289,9 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
 
     The input must be divergence-free and mean zero (a non-projected input
     signals a caller bug and is rejected).  Output is mean zero,
-    divergence-free, and exactly dealiased against the cutoff cube.
+    divergence-free, and exactly dealiased against the cutoff cube.  The
+    flux and its projection are formed on the k3 >= 0 half; the k3 < 0
+    half is its conjugate mirror.
     """
     div = divergence_linf(u)
     scale = max(1.0, hs_norm(u, 1.0))
@@ -303,14 +301,15 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
         raise ValueError(
             f"nonlinear_term requires a divergence-free field (div_linf={div:.3e})"
         )
-    kv, _, inv_k2 = _wavenumbers(u.grid)
-    w = tensor_product_coef(u)
-    flux = 1j * np.einsum("mxyz,lmxyz->lxyz", kv, w)
-    kdotf = np.einsum("cxyz,cxyz->xyz", kv, flux)
-    out = -(flux - kv * (kdotf * inv_k2))
     K = u.grid.cutoff
-    out[:, K, K, K] = 0.0
-    return SpectralField(u.grid, out)
+    kv, _, inv_k2 = _wavenumbers(u.grid)
+    kv, inv_k2 = kv[..., K:], inv_k2[..., K:]
+    w = _product_half(u)
+    flux = 1j * np.stack([kv[0] * w[a] + kv[1] * w[b] + kv[2] * w[c] for a, b, c in _ROWS])
+    kdotf = kv[0] * flux[0] + kv[1] * flux[1] + kv[2] * flux[2]
+    out = -(flux - kv * (kdotf * inv_k2))
+    out[:, K, K, 0] = 0.0
+    return SpectralField(u.grid, _mirror(out))
 
 
 def random_divfree(A: float, seed: int, slope: float, grid: GridSpec) -> SpectralField:

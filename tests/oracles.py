@@ -3,9 +3,17 @@
 Everything here deliberately avoids the package's transform pipeline:
 the convolution oracle is a direct O(M^6) sum over retained mode pairs,
 and the convective-form oracle uses plain full-complex numpy FFTs.
+
+The one exception is ``reference_nonlinearity`` / ``reference_tensor_product``:
+a frozen copy of an earlier form of that pipeline (index-array gathers and
+scatters between the mode cube and the padded rfft layout, the full 3x3
+product tensor, einsum contractions on the whole cube).  It performs the
+same floating-point operations as the current pipeline in a different
+layout, so the two must agree exactly, not just to rounding.
 """
 
 import numpy as np
+import scipy.fft as _fft
 
 
 def dense_convolution_nonlinearity(u):
@@ -80,3 +88,73 @@ def quadrature_rms(values):
 def torus_mesh(points):
     x = 2.0 * np.pi * np.arange(points) / points
     return np.meshgrid(x, x, x, indexing="ij")
+
+
+def _ref_wavenumbers(K):
+    k1d = np.arange(-K, K + 1, dtype=np.float64)
+    kv = np.stack(np.meshgrid(k1d, k1d, k1d, indexing="ij"))
+    k2 = np.einsum("cxyz,cxyz->xyz", kv, kv)
+    inv_k2 = np.zeros_like(k2)
+    nz = k2 > 0
+    inv_k2[nz] = 1.0 / k2[nz]
+    return kv, inv_k2
+
+
+def _ref_embed_indices(K, P):
+    i = np.arange(2 * K + 1)
+    pos = (i - K) % P          # cube index -> fft index of +k
+    neg = (K - i) % P          # cube index -> fft index of -k
+    return pos, neg
+
+
+def _ref_to_padded_physical(coef, grid):
+    K, P = grid.cutoff, grid.pad_size
+    pos, _ = _ref_embed_indices(K, P)
+    nb = coef.shape[0]
+    half = np.zeros((nb, P, P, P // 2 + 1), dtype=np.complex128)
+    half[np.ix_(range(nb), pos, pos, range(K + 1))] = coef[:, :, :, K:]
+    return _fft.irfftn(half, s=(P, P, P), axes=(1, 2, 3), norm="forward")
+
+
+def _ref_from_padded_physical(values, grid):
+    K, P = grid.cutoff, grid.pad_size
+    pos, neg = _ref_embed_indices(K, P)
+    nb = values.shape[0]
+    half = _fft.rfftn(values, axes=(1, 2, 3), norm="forward")
+    m = 2 * K + 1
+    cube = np.empty((nb, m, m, m), dtype=np.complex128)
+    cube[:, :, :, K:] = half[np.ix_(range(nb), pos, pos, range(K + 1))]
+    cube[:, :, :, :K] = np.conj(half[np.ix_(range(nb), neg, neg, range(K, 0, -1))])
+    plane = cube[:, :, :, K]
+    cube[:, :, :, K] = 0.5 * (plane + np.conj(plane[:, ::-1, ::-1]))
+    return cube
+
+
+def reference_tensor_product(u):
+    """Dealiased coefficients of u (x) u, shape (3, 3, M, M, M), by the
+    gather/scatter pipeline."""
+    phys = _ref_to_padded_physical(u.coef, u.grid)
+    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    prods = np.empty((6,) + phys.shape[1:], dtype=np.float64)
+    for c, (l, m) in enumerate(pairs):
+        np.multiply(phys[l], phys[m], out=prods[c])
+    cubes = _ref_from_padded_physical(prods, u.grid)
+    m = u.grid.modes_per_axis
+    out = np.empty((3, 3, m, m, m), dtype=np.complex128)
+    for c, (l, mm) in enumerate(pairs):
+        out[l, mm] = cubes[c]
+        out[mm, l] = cubes[c]
+    return out
+
+
+def reference_nonlinearity(u):
+    """Projected flux divergence from the full product tensor by einsum
+    contractions over the whole mode cube."""
+    kv, inv_k2 = _ref_wavenumbers(u.grid.cutoff)
+    w = reference_tensor_product(u)
+    flux = 1j * np.einsum("mxyz,lmxyz->lxyz", kv, w)
+    kdotf = np.einsum("cxyz,cxyz->xyz", kv, flux)
+    out = -(flux - kv * (kdotf * inv_k2))
+    K = u.grid.cutoff
+    out[:, K, K, K] = 0.0
+    return out

@@ -323,6 +323,49 @@ class TestCli:
         summary = json.loads((outs[0] / "summary.json").read_text())
         assert summary["censored"] == [0, 0]
 
+    def _ensemble(self, tmp_path, name, *flags):
+        cfgfile = tmp_path / "seeded.cfg"
+        cfgfile.write_text(
+            "grid_n = 8\ndt = 0.02\nhorizon = 0.04\na_list = 0.5\n"
+            "samples_per_a = 2\nbase_seed = 100\n"
+        )
+        out = tmp_path / name
+        assert cli_main(["ensemble", "--config", str(cfgfile),
+                         "--out-dir", str(out), *flags]) == 0
+        return out
+
+    def test_ensemble_seed_replaces_base_seed(self, tmp_path):
+        a = self._ensemble(tmp_path, "s1", "--seed", "1")
+        b = self._ensemble(tmp_path, "s2", "--seed", "2")
+        assert (a / "summary.json").read_bytes() != (b / "summary.json").read_bytes()
+        ma = json.loads((a / "manifest.json").read_text())
+        mb = json.loads((b / "manifest.json").read_text())
+        assert ma["seeds"] == [1, 2] and mb["seeds"] == [2, 3]
+        assert ma["config_hash"] != mb["config_hash"]
+
+    def test_ensemble_seed_equal_to_base_seed_changes_nothing(self, tmp_path):
+        plain = self._ensemble(tmp_path, "plain")
+        seeded = self._ensemble(tmp_path, "seeded", "--seed", "100")
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in seeded.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (seeded / name).read_bytes()
+
+    def test_verify_seed_reaches_suite(self, monkeypatch):
+        import mildns.explorer_cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "run_verify", lambda **kw: calls.append(kw) or [])
+        assert cli_main(["verify", "--N", "8", "--seed", "5"]) == 0
+        assert cli_main(["verify", "--N", "8"]) == 0
+        assert calls == [{"n": 8, "seed": 5}, {"n": 8}]
+
+    @pytest.mark.parametrize("command", ["simulate", "picard", "verify", "compactness"])
+    def test_threads_only_on_ensemble(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--threads", "2", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_compactness_subcommand(self, tmp_path):
         out = tmp_path / "c"
         rc = cli_main([

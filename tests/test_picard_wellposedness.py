@@ -130,6 +130,12 @@ class TestPhiMap:
         with pytest.raises(ValueError, match="grid"):
             phi_map(u, u0)
 
+    def test_nonuniform_time_grid_rejected(self, grid8):
+        u0 = random_divfree(1.0, 3, 2.0, grid8)
+        tg = TimeGrid(np.linspace(0.0, 0.05, 17) ** 2 / 0.05)
+        with pytest.raises(ValueError, match="uniform"):
+            phi_map(heat_trajectory(u0, tg), u0)
+
     def test_second_order_refinement(self, grid8):
         u0 = random_divfree(1.0, 9, 2.0, grid8)
         T = local_time(hs_norm(u0, 1.0), 0.01)

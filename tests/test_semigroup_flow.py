@@ -168,18 +168,33 @@ class TestSimulate:
         assert np.max(np.diff(traj.norm_series.l2)) <= 1e-10 * 2e-3
 
     def test_ceiling_blowup_carries_partial_trajectory(self, grid8):
+        # steep-spectrum data whose H1 norm dips, then grows past 24.1 on the
+        # third step (24 -> 23.95 -> 24.06 -> 24.32)
+        u0 = random_divfree(24.0, 2, 6.0, grid8)
+        with pytest.raises(BlowupError) as exc:
+            simulate(u0, 0.1, StepConfig(dt=1e-2, ceiling=24.1))
+        traj = exc.value.trajectory
+        assert traj is not None
+        assert traj.norm_series.times == pytest.approx([0.0, 0.01, 0.02, 0.03])
+        assert np.all(traj.norm_series.h1[:-1] <= 24.1) and traj.norm_series.h1[-1] > 24.1
+        assert exc.value.time == pytest.approx(0.03)
+        assert hs_norm(exc.value.last_field, 1.0) == traj.norm_series.h1[-1]
+
+    def test_ceiling_checked_at_time_zero(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
         with pytest.raises(BlowupError) as exc:
             simulate(u0, 0.1, StepConfig(dt=1e-2, ceiling=1e-3))
+        assert exc.value.time == 0.0
+        assert np.array_equal(exc.value.last_field.coef, u0.coef)
         traj = exc.value.trajectory
-        assert traj is not None
-        assert traj.norm_series.times[-1] == pytest.approx(0.01)
-        assert exc.value.time == pytest.approx(0.01)
+        assert list(traj.norm_series.times) == [0.0]
+        assert len(traj.fields) == 1
 
     def test_overflow_blowup_carries_finite_last_field(self, grid8):
+        # no ceiling, so the run stops on overflow rather than at t=0
         u0 = random_divfree(1e150, 1, 2.0, grid8)
         with pytest.raises(BlowupError) as exc:
-            simulate(u0, 0.05, StepConfig(dt=1e-2))
+            simulate(u0, 0.05, StepConfig(dt=1e-2, ceiling=math.inf))
         assert exc.value.time == pytest.approx(0.01)
         assert np.array_equal(exc.value.last_field.coef, u0.coef)
         assert np.all(np.isfinite(exc.value.last_field.coef))

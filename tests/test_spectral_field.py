@@ -25,6 +25,8 @@ from oracles import (
     convective_form_nonlinearity,
     dense_convolution_nonlinearity,
     quadrature_rms,
+    reference_nonlinearity,
+    reference_tensor_product,
     torus_mesh,
 )
 
@@ -203,6 +205,25 @@ class TestNonlinearTerm:
         assert np.array_equal(w, np.swapaxes(w, 0, 1))
         flipped = np.conj(w[:, :, ::-1, ::-1, ::-1])
         assert np.max(np.abs(w - flipped)) == 0.0
+
+
+class TestTransformReference:
+    """The block-slice, half-spectrum transform path reproduces the
+    gather/scatter reference exactly (K=1 and K=n/2-1 are the edge cases)."""
+
+    @pytest.mark.parametrize("n, k", [(8, None), (12, None), (16, None), (16, 3),
+                                      (16, 7), (10, 1), (32, None)])
+    @pytest.mark.parametrize("seed, slope", [(3, 2.0), (11, 6.0)])
+    def test_random_data_exact(self, n, k, seed, slope):
+        u = random_divfree(1.5, seed, slope, GridSpec(n, k))
+        assert np.array_equal(nonlinear_term(u).coef, reference_nonlinearity(u))
+        assert np.array_equal(tensor_product_coef(u), reference_tensor_product(u))
+
+    @pytest.mark.parametrize("name", ["shear", "taylor_green", "abc"])
+    def test_named_flows_exact(self, name, grid16):
+        u = named_flow(name, 1.3, grid16)
+        assert np.array_equal(nonlinear_term(u).coef, reference_nonlinearity(u))
+        assert np.array_equal(tensor_product_coef(u), reference_tensor_product(u))
 
 
 class TestRandomDivfree:
