@@ -12,7 +12,7 @@ import csv
 import hashlib
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -272,26 +272,57 @@ def _run_sample(cfg: ExperimentConfig, grid: GridSpec, j: int, i: int, generator
     return SampleRecord(j, a, i, seed, sup, t_at, False, unit_max)
 
 
+# The ensemble being run: bound once per pool worker, so that only (j, i)
+# travels to a worker, or in the calling thread for an in-process run.
+# Thread-local, so in-process ensembles on different threads stay apart.
+_bound = threading.local()
+
+
+def _bind(cfg: ExperimentConfig, grid: GridSpec, generator):
+    _bound.args = (cfg, grid, generator)
+
+
+def _run_task(task) -> SampleRecord:
+    cfg, grid, generator = _bound.args
+    return _run_sample(cfg, grid, task[0], task[1], generator)
+
+
 def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> EnsembleSummary:
     """Empirical norm-growth envelope over a seeded random ensemble.
 
     Deterministic in the configuration: per-sample seeds are fixed up front
     and results are merged by an associative max keyed on (amplitude,
-    sample), so thread count does not affect the output.
+    sample), so the worker count does not affect the output.  With
+    ``threads`` > 1 the samples run on min(threads, samples) worker
+    processes forked from this one (the N=16 work is GIL-bound numpy glue,
+    so threads would not overlap it).  Forking lets ``generator`` be any
+    callable, a local closure included; call it from a process that runs no
+    other threads.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     grid = cfg.grid()
-    _wavenumbers(grid)  # warm shared read-only caches before going parallel
+    _wavenumbers(grid)  # warm the cache before forking so workers inherit it
     if generator is None:
         def generator(a, seed, g):
             return random_divfree(a, seed, cfg.slope, g)
     tasks = [(j, i) for j in range(len(cfg.a_list)) for i in range(cfg.samples_per_a)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {t: pool.submit(_run_sample, cfg, grid, t[0], t[1], generator)
-                       for t in tasks}
-            records = {t: f.result() for t, f in futures.items()}
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        # imported here so that only parallel ensembles pay for the import
+        from concurrent.futures.process import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
+                                 initializer=_bind,
+                                 initargs=(cfg, grid, generator)) as pool:
+            records = dict(zip(tasks, pool.map(_run_task, tasks)))
     else:
-        records = {t: _run_sample(cfg, grid, t[0], t[1], generator) for t in tasks}
+        _bind(cfg, grid, generator)
+        try:
+            records = dict(zip(tasks, map(_run_task, tasks)))
+        finally:
+            del _bound.args
 
     a_values, f_hat, censored, argmax_seed, argmax_time, rows = [], [], [], [], [], []
     for j, a in enumerate(cfg.a_list):
@@ -486,8 +517,21 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--out-dir", help="output directory (overrides out_dir)")
 
 
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    try:
+        cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
     if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
     return cfg
@@ -585,7 +629,7 @@ def _cmd_ensemble(args) -> int:
         cfg = replace(cfg, base_seed=args.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = estimate_F(cfg, threads=max(1, args.threads))
+    summary = estimate_F(cfg, threads=args.threads)
     files = ["summary.json"]
     summary.to_json(out / "summary.json")
     for j, a in enumerate(summary.a_values):
@@ -663,13 +707,14 @@ def cli_main(argv=None) -> int:
     p_pic.set_defaults(func=_cmd_picard)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
-    _common_flags(p_ver)
+    p_ver.add_argument("--seed", type=int, help="seed for the suite's random field")
     p_ver.add_argument("--N", type=int, help="grid resolution for the suite")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_ens = sub.add_parser("ensemble", help="estimate the growth envelope F_hat(A)")
     _common_flags(p_ens)
-    p_ens.add_argument("--threads", type=int, default=1, help="parallel sample workers")
+    p_ens.add_argument("--threads", type=_worker_count, default=1,
+                       help="worker processes that run the samples")
     p_ens.set_defaults(func=_cmd_ensemble)
 
     p_cmp = sub.add_parser("compactness", help="perturbation-convergence experiment")

@@ -19,6 +19,7 @@ from mildns import (
     monotone_envelope,
     named_flow,
     norms_from_csv,
+    random_divfree,
     run_verify,
 )
 from mildns.explorer_cli import sample_seed
@@ -160,6 +161,62 @@ class TestEstimateF:
         assert s.f_hat[0] == pytest.approx(0.1, abs=1e-9)
         assert s.argmax_time[0] == 0.0  # decaying norm peaks at t=0
 
+    def test_process_pool_matches_in_process_run(self):
+        # a local closure cannot be pickled, so this passes only because
+        # the pool forks and binds the generator once per worker
+        def shear_gen(a, seed, grid):
+            base = named_flow("shear", 1.0, grid)
+            return (a / hs_norm(base, 1.0)) * (1.0 + 1e-3 * (seed % 7)) * base
+
+        cfg = small_cfg(samples_per_a=3)
+        one = estimate_F(cfg, threads=1, generator=shear_gen)
+        two = estimate_F(cfg, threads=2, generator=shear_gen)
+        assert one.to_json() == two.to_json()
+        assert one.samples == two.samples
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_sample_raises_its_error(self, threads):
+        bad = sample_seed(100, 1, 0)
+
+        def gen(a, seed, grid):
+            if seed == bad:
+                raise ValueError(f"no datum for seed {seed}")
+            return random_divfree(a, seed, 2.0, grid)
+
+        with pytest.raises(ValueError, match=f"no datum for seed {bad}"):
+            estimate_F(small_cfg(), threads=threads, generator=gen)
+
+    @pytest.mark.parametrize("threads, samples, workers", [(8, 2, 2), (2, 4, 2), (3, 1, None)])
+    def test_pool_capped_at_task_count(self, monkeypatch, threads, samples, workers):
+        import concurrent.futures.process as cfp
+
+        seen = []
+
+        class InProcessPool:  # records the pool size, runs the tasks here
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                seen.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cfp, "ProcessPoolExecutor", InProcessPool)
+        cfg = small_cfg(a_list=(0.1,), samples_per_a=samples)
+        assert (estimate_F(cfg, threads=threads).to_json()
+                == estimate_F(cfg, threads=1).to_json())
+        assert seen == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError):
+            estimate_F(small_cfg(), threads=threads)
+
     def test_censoring_reported_as_infinity(self):
         cfg = small_cfg(ceiling=1e-3)  # everything trips the ceiling
         s = estimate_F(cfg)
@@ -296,7 +353,7 @@ class TestCli:
         assert len(obj["contraction_factors"]) == obj["iterate_count"] - 2
 
     def test_verify_subcommand_passes(self, tmp_path, capsys):
-        rc = cli_main(["verify", "--N", "8", "--out-dir", str(tmp_path)])
+        rc = cli_main(["verify", "--N", "8"])
         captured = capsys.readouterr().out
         assert rc == 0
         assert "FAIL" not in captured
@@ -365,6 +422,30 @@ class TestCli:
             cli_main([command, "--threads", "2", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_threads_must_be_positive(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["ensemble", "--threads", value, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not tmp_path.joinpath("summary.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--out-dir"])
+    def test_verify_rejects_unused_flags(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify", "--N", "8", flag, str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_missing_config_file_exit_code(self, command, tmp_path, capsys):
+        missing = tmp_path / "does-not-exist.cfg"
+        rc = cli_main([command, "--config", str(missing), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'config'" in err and str(missing) in err
+        assert not (tmp_path / "o").exists()
 
     def test_compactness_subcommand(self, tmp_path):
         out = tmp_path / "c"
