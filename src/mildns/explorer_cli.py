@@ -12,7 +12,6 @@ import csv
 import hashlib
 import math
 import sys
-import threading
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -111,7 +110,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("dt", "horizon", "c", "picard_tol", "slope", "ceiling"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:  # NaN fails too
                 raise ConfigError(key, "must be positive")
         for key in ("grid_n", "samples_per_a", "store_every"):
             if getattr(self, key) < 1:
@@ -133,9 +132,13 @@ class ExperimentConfig:
             raise ConfigError("a_list", "amplitudes must differ in their first 6 significant "
                                         "digits, which name the ensemble_A*.csv files")
         try:
-            self.grid()
+            GridSpec(self.grid_n)
         except ValueError as exc:
             raise ConfigError("grid_n", str(exc)) from exc
+        try:
+            self.grid()
+        except ValueError as exc:
+            raise ConfigError("grid_k", str(exc)) from exc
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_n, self.grid_k)
@@ -272,18 +275,18 @@ def _run_sample(cfg: ExperimentConfig, grid: GridSpec, j: int, i: int, generator
     return SampleRecord(j, a, i, seed, sup, t_at, False, unit_max)
 
 
-# The ensemble being run: bound once per pool worker, so that only (j, i)
-# travels to a worker, or in the calling thread for an in-process run.
-# Thread-local, so in-process ensembles on different threads stay apart.
-_bound = threading.local()
+# The ensemble a pool worker runs: bound once per forked worker by the pool
+# initializer, so that only (j, i) travels to it.  Only the workers read it.
+_bound = None
 
 
 def _bind(cfg: ExperimentConfig, grid: GridSpec, generator):
-    _bound.args = (cfg, grid, generator)
+    global _bound
+    _bound = (cfg, grid, generator)
 
 
 def _run_task(task) -> SampleRecord:
-    cfg, grid, generator = _bound.args
+    cfg, grid, generator = _bound
     return _run_sample(cfg, grid, task[0], task[1], generator)
 
 
@@ -318,11 +321,7 @@ def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> Ensem
                                  initargs=(cfg, grid, generator)) as pool:
             records = dict(zip(tasks, pool.map(_run_task, tasks)))
     else:
-        _bind(cfg, grid, generator)
-        try:
-            records = dict(zip(tasks, map(_run_task, tasks)))
-        finally:
-            del _bound.args
+        records = {(j, i): _run_sample(cfg, grid, j, i, generator) for j, i in tasks}
 
     a_values, f_hat, censored, argmax_seed, argmax_time, rows = [], [], [], [], [], []
     for j, a in enumerate(cfg.a_list):
@@ -512,84 +511,89 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value experiment config file")
-    p.add_argument("--seed", type=int,
-                   help="seed for random data (ensemble: replaces base_seed)")
+    p.add_argument("--seed", type=int, help="seed for random data (overrides base_seed)")
     p.add_argument("--out-dir", help="output directory (overrides out_dir)")
 
 
-def _worker_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return n
+def _flag_type(convert, what, ok=lambda value: True):
+    """An argparse type: ``convert`` the text and check it with ``ok``, or
+    exit 2 saying that the flag must be ``what``."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+_worker_count = _flag_type(int, "a positive integer", lambda n: n >= 1)
+_amplitude = _flag_type(float, "a nonnegative number", lambda a: a >= 0)
+_resolution = _flag_type(lambda text: GridSpec(int(text)).n, "an even integer >= 4")
+_frequencies = _flag_type(lambda text: [int(v) for v in text.split(",")],
+                          "increasing positive integers separated by commas",
+                          lambda f: f[0] >= 1 and all(a < b for a, b in zip(f, f[1:])))
+
+# Command-line flags (argparse dest) that override config keys.
+_FLAG_KEYS = {"N": "grid_n", "K": "grid_k", "dt": "dt", "T": "horizon", "c": "c",
+              "tol": "picard_tol", "store_every": "store_every", "seed": "base_seed",
+              "out_dir": "out_dir"}
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with every given flag applied over it."""
     try:
         cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
-    if args.out_dir is not None:
-        cfg = replace(cfg, out_dir=args.out_dir)
-    return cfg
+    over = {key: getattr(args, dest) for dest, key in _FLAG_KEYS.items()
+            if getattr(args, dest, None) is not None}
+    if "grid_n" in over:
+        over.setdefault("grid_k", None)  # a new resolution takes the default cutoff
+    return replace(cfg, **over)
 
 
-def _initial_field(args, cfg: ExperimentConfig, grid: GridSpec):
-    seed = args.seed if args.seed is not None else cfg.base_seed
+def _initial_field(args, cfg: ExperimentConfig) -> SpectralField:
     if args.flow == "random":
-        u0 = random_divfree(args.A, seed, cfg.slope, grid)
-    else:
-        u0 = named_flow(args.flow, args.amplitude, grid)
-    return u0, seed
+        return random_divfree(args.A, cfg.base_seed, cfg.slope, cfg.grid())
+    return named_flow(args.flow, args.amplitude, cfg.grid())
 
 
 def _add_field_flags(p: argparse.ArgumentParser):
     p.add_argument("--flow", choices=FLOW_NAMES + ("random",), default="random")
     p.add_argument("--amplitude", type=float, default=1.0,
                    help="amplitude for named flows")
-    p.add_argument("--A", type=float, default=1.0,
+    p.add_argument("--A", type=_amplitude, default=1.0,
                    help="target H1 norm for random data")
-    p.add_argument("--N", type=int, help="grid resolution override")
-    p.add_argument("--K", type=int, help="dealias cutoff override")
-
-
-def _grid_from(args, cfg: ExperimentConfig) -> GridSpec:
-    n = args.N if args.N is not None else cfg.grid_n
-    k = args.K if args.K is not None else (cfg.grid_k if args.N is None else None)
-    return GridSpec(n, k)
+    p.add_argument("--N", type=int, help="grid resolution (overrides grid_n)")
+    p.add_argument("--K", type=int, help="dealias cutoff (overrides grid_k)")
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    grid = _grid_from(args, cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    u0, seed = _initial_field(args, cfg, grid)
-    dt = args.dt if args.dt is not None else cfg.dt
-    horizon = args.T if args.T is not None else cfg.horizon
-    store = args.store_every if args.store_every is not None else cfg.store_every
-    step_cfg = StepConfig(dt=dt, store_every=store, ceiling=cfg.ceiling)
+    u0 = _initial_field(args, cfg)
+    step_cfg = StepConfig(dt=cfg.dt, store_every=cfg.store_every, ceiling=cfg.ceiling)
     files = ["u_initial.nsf1", "norms.csv"]
     save_nsf1(u0, out / "u_initial.nsf1")
     status = 0
     try:
-        traj = simulate(u0, horizon, step_cfg)
+        traj = simulate(u0, cfg.horizon, step_cfg)
     except BlowupError as exc:
         print(f"blowup: {exc}", file=sys.stderr)
         traj = exc.trajectory
         status = 3
     norms_to_csv(traj.norm_series, out / "norms.csv")
-    if args.store_every is not None:
-        for ft, f in zip(traj.field_times[1:-1], traj.fields[1:-1]):
-            name = f"snapshot_t{ft:.6f}.nsf1"
-            save_nsf1(f, out / name)
-            files.append(name)
+    for ft, f in zip(traj.field_times[1:-1], traj.fields[1:-1]):
+        name = f"snapshot_t{ft:.6f}.nsf1"
+        save_nsf1(f, out / name)
+        files.append(name)
     save_nsf1(traj.fields[-1], out / "u_final.nsf1")
     files.append("u_final.nsf1")
-    write_manifest(out, cfg.config_hash(), [seed], files + ["manifest.json"])
+    write_manifest(out, cfg.config_hash(), [cfg.base_seed], files + ["manifest.json"])
     print(f"simulated to t={traj.norm_series.times[-1]:.6g}; "
           f"final H1 {traj.norm_series.h1[-1]:.6g}")
     return status
@@ -597,16 +601,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_picard(args) -> int:
     cfg = _load_config(args)
-    grid = _grid_from(args, cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    u0, seed = _initial_field(args, cfg, grid)
-    c = args.c if args.c is not None else cfg.c
-    tol = args.tol if args.tol is not None else cfg.picard_tol
-    _, report = picard_solve(u0, c=c, tol=tol, max_iter=args.max_iter,
-                             auto_shrink=args.auto_shrink)
+    _, report = picard_solve(_initial_field(args, cfg), c=cfg.c, tol=cfg.picard_tol,
+                             max_iter=args.max_iter, auto_shrink=args.auto_shrink)
     report_to_json(report, out / "picard.json")
-    write_manifest(out, cfg.config_hash(), [seed], ["picard.json", "manifest.json"])
+    write_manifest(out, cfg.config_hash(), [cfg.base_seed], ["picard.json", "manifest.json"])
     print(f"picard: converged={report.converged} iterates={report.iterate_count} "
           f"T={report.T_used:.6g} c={report.c_used:.6g}")
     return 0
@@ -614,7 +614,7 @@ def _cmd_picard(args) -> int:
 
 def _cmd_verify(args) -> int:
     kw = {} if args.seed is None else {"seed": args.seed}
-    checks = run_verify(n=args.N if args.N is not None else 16, **kw)
+    checks = run_verify(n=args.N, **kw)
     failed = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -625,8 +625,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     cfg = _load_config(args)
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = estimate_F(cfg, threads=args.threads)
@@ -658,22 +656,17 @@ def _cmd_ensemble(args) -> int:
 
 def _cmd_compactness(args) -> int:
     cfg = _load_config(args)
-    grid = _grid_from(args, cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    u0, seed = _initial_field(args, cfg, grid)
-    freqs = [int(v) for v in args.freqs.split(",")]
+    u0 = _initial_field(args, cfg)
     try:
-        report = compactness_experiment(
-            u0, freqs, args.eps_window,
-            args.c if args.c is not None else cfg.c,
-            dt=args.dt if args.dt is not None else cfg.dt,
-        )
+        report = compactness_experiment(u0, args.freqs, args.eps_window, cfg.c, dt=cfg.dt)
     except BlowupError as exc:
         print(f"blowup: {exc}", file=sys.stderr)
         return 3
     report.to_json(out / "compactness.json")
-    write_manifest(out, cfg.config_hash(), [seed], ["compactness.json", "manifest.json"])
+    write_manifest(out, cfg.config_hash(), [cfg.base_seed],
+                   ["compactness.json", "manifest.json"])
     print("distances:", " ".join(f"{d:.6g}" for d in report.distances))
     return 0
 
@@ -690,17 +683,18 @@ def cli_main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run one trajectory; write NSF1 + CSV")
     _common_flags(p_sim)
     _add_field_flags(p_sim)
-    p_sim.add_argument("--T", type=float, help="horizon")
-    p_sim.add_argument("--dt", type=float, help="time step")
+    p_sim.add_argument("--T", type=float, help="horizon (overrides horizon)")
+    p_sim.add_argument("--dt", type=float, help="time step (overrides dt)")
     p_sim.add_argument("--store-every", type=int, dest="store_every",
-                       help="also write intermediate snapshots every this many steps")
+                       help="also write intermediate snapshots every this many steps "
+                            "(overrides store_every)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_pic = sub.add_parser("picard", help="fixed-point solve; write JSON report")
     _common_flags(p_pic)
     _add_field_flags(p_pic)
-    p_pic.add_argument("--c", type=float, help="local horizon constant")
-    p_pic.add_argument("--tol", type=float, help="stopping tolerance")
+    p_pic.add_argument("--c", type=float, help="local horizon constant (overrides c)")
+    p_pic.add_argument("--tol", type=float, help="stopping tolerance (overrides picard_tol)")
     p_pic.add_argument("--max-iter", type=int, default=40, dest="max_iter")
     p_pic.add_argument("--auto-shrink", action="store_true", dest="auto_shrink",
                        help="halve c and retry on non-convergence")
@@ -708,7 +702,8 @@ def cli_main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--seed", type=int, help="seed for the suite's random field")
-    p_ver.add_argument("--N", type=int, help="grid resolution for the suite")
+    p_ver.add_argument("--N", type=_resolution, default=16,
+                       help="grid resolution for the suite")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_ens = sub.add_parser("ensemble", help="estimate the growth envelope F_hat(A)")
@@ -720,10 +715,11 @@ def cli_main(argv=None) -> int:
     p_cmp = sub.add_parser("compactness", help="perturbation-convergence experiment")
     _common_flags(p_cmp)
     _add_field_flags(p_cmp)
-    p_cmp.add_argument("--freqs", default="2,4,8", help="comma list of frequencies")
+    p_cmp.add_argument("--freqs", type=_frequencies, default="2,4,8",
+                       help="comma list of frequencies")
     p_cmp.add_argument("--eps-window", type=float, default=0.1, dest="eps_window")
-    p_cmp.add_argument("--c", type=float, help="local horizon constant")
-    p_cmp.add_argument("--dt", type=float, help="time step")
+    p_cmp.add_argument("--c", type=float, help="local horizon constant (overrides c)")
+    p_cmp.add_argument("--dt", type=float, help="time step (overrides dt)")
     p_cmp.set_defaults(func=_cmd_compactness)
 
     args = parser.parse_args(argv)

@@ -197,7 +197,6 @@ def picard_solve(
     c: float = 0.01,
     tol: float = 1e-10,
     max_iter: int = 40,
-    dt_hint: float | None = None,
     auto_shrink: bool = False,
     seed_trajectory: str = "heat",
 ) -> tuple[TrajectoryX, PicardReport]:
@@ -220,17 +219,16 @@ def picard_solve(
     c_try = c
     result = None
     for _ in range(retries + 1):
-        result = _picard_attempt(u0, A, c_try, tol, max_iter, dt_hint, seed_trajectory)
+        result = _picard_attempt(u0, A, c_try, tol, max_iter, seed_trajectory)
         if result[1].converged:
             return result
         c_try *= 0.5
     return result
 
 
-def _picard_attempt(u0, A, c, tol, max_iter, dt_hint, seed_trajectory="heat"):
+def _picard_attempt(u0, A, c, tol, max_iter, seed_trajectory="heat"):
     T = local_time(A, c)
-    n_int = 64 if dt_hint is None else max(64, int(np.ceil(T / dt_hint)))
-    tgrid = TimeGrid.uniform(T, n_int)
+    tgrid = TimeGrid.uniform(T, 64)
 
     if seed_trajectory == "zero":
         current = TrajectoryX(

@@ -98,6 +98,12 @@ class TestExperimentConfig:
             ExperimentConfig(horizon=2.0, mode="short")
         ExperimentConfig(horizon=2.0, mode="long")  # allowed long-term
 
+    @pytest.mark.parametrize("grid_n, grid_k, key", [(8, 9, "grid_k"), (7, 2, "grid_n")])
+    def test_bad_grid_names_its_key(self, grid_n, grid_k, key):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(grid_n=grid_n, grid_k=grid_k)
+        assert exc.value.key == key
+
     def test_hash_stable_under_reordering(self, tmp_path):
         a = tmp_path / "a.cfg"
         b = tmp_path / "b.cfg"
@@ -446,6 +452,69 @@ class TestCli:
         err = capsys.readouterr().err
         assert "'config'" in err and str(missing) in err
         assert not (tmp_path / "o").exists()
+
+    def test_flags_and_config_keys_interchangeable(self, tmp_path):
+        by_flag = tmp_path / "flag"
+        assert cli_main(["simulate", "--N", "12", "--dt", "0.005", "--T", "0.02",
+                         "--seed", "4", "--store-every", "2", "--out-dir", str(by_flag)]) == 0
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("grid_n = 12\ndt = 0.005\nhorizon = 0.02\nbase_seed = 4\n"
+                           "store_every = 2\n")
+        by_key = tmp_path / "key"
+        assert cli_main(["simulate", "--config", str(cfgfile), "--out-dir", str(by_key)]) == 0
+        names = sorted(p.name for p in by_flag.iterdir())
+        assert "snapshot_t0.010000.nsf1" in names
+        assert names == sorted(p.name for p in by_key.iterdir())
+        for name in names:
+            assert (by_flag / name).read_bytes() == (by_key / name).read_bytes()
+        assert json.loads((by_key / "manifest.json").read_text())["seeds"] == [4]
+
+    def test_config_hash_covers_flags(self, tmp_path):
+        hashes = []
+        for dt in ("0.01", "0.005"):
+            out = tmp_path / dt
+            assert cli_main(["simulate", "--flow", "shear", "--N", "8", "--T", "0.02",
+                             "--dt", dt, "--out-dir", str(out)]) == 0
+            hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    def test_N_flag_resets_config_cutoff(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("grid_n = 16\ngrid_k = 3\n")
+        for flags, cutoff in ((["--N", "8"], 2), (["--K", "4"], 4), ([], 3)):
+            out = tmp_path / f"o{cutoff}"
+            assert cli_main(["simulate", "--flow", "shear", "--T", "0.02", "--dt", "0.01",
+                             "--config", str(cfgfile), "--out-dir", str(out), *flags]) == 0
+            assert load_nsf1(out / "u_initial.nsf1").grid.cutoff == cutoff
+
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--N", "7"], "'grid_n'"),
+        (["simulate", "--K", "9"], "'grid_k'"),
+        (["simulate", "--dt", "-1"], "'dt'"),
+        (["simulate", "--dt", "nan"], "'dt'"),
+        (["simulate", "--T", "-1"], "'horizon'"),
+        (["simulate", "--T", "2"], "'horizon'"),  # mode = short, the default
+        (["simulate", "--store-every", "0"], "'store_every'"),
+        (["picard", "--c", "0"], "'c'"),
+        (["picard", "--tol", "0"], "'picard_tol'"),
+        (["simulate", "--A", "-1"], "--A"),
+        (["picard", "--A", "-1"], "--A"),
+        (["compactness", "--A", "-1"], "--A"),
+        (["compactness", "--freqs", "2,x"], "--freqs"),
+        (["compactness", "--freqs", "4,2"], "--freqs"),
+        (["verify", "--N", "7"], "--N"),
+    ])
+    def test_bad_value_exits_2_naming_it(self, argv, named, tmp_path, capsys):
+        out = tmp_path / "o"
+        if argv[0] != "verify":
+            argv = argv + ["--out-dir", str(out)]
+        try:
+            rc = cli_main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compactness_subcommand(self, tmp_path):
         out = tmp_path / "c"
