@@ -24,6 +24,7 @@ __all__ = [
     "pigeonhole_time",
     "decay_envelope",
     "unit_time_contraction",
+    "compactness_horizon",
     "compactness_experiment",
     "norm_explosion_scan",
     "poincare_violation",
@@ -177,6 +178,12 @@ class CompactnessReport:
         return _write_json(asdict(self), path)
 
 
+def compactness_horizon(u0: SpectralField, c: float) -> float:
+    """Horizon of :func:`compactness_experiment`: local_time(A + 1, c) with
+    A the H^1 norm of u0."""
+    return local_time(hs_norm(u0, 1.0) + 1.0, c)
+
+
 def compactness_experiment(
     u0: SpectralField,
     freqs,
@@ -190,9 +197,9 @@ def compactness_experiment(
     For each frequency n the datum is u0 plus a divergence-free pair at
     wavevector (n, 0, 0) with y-polarization and H^1 size ``perturbation_h1``.
     The base run and all perturbed runs march once, in lockstep, to the
-    horizon T = local_time(A + 1, c), and every step time in [eps_window, T]
-    enters the supremum, so the result does not depend on any storage
-    thinning.
+    horizon T = compactness_horizon(u0, c), and every step time in
+    [eps_window, T] enters the supremum, so the result does not depend on
+    any storage thinning.
     """
     freqs = [int(n) for n in freqs]
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
@@ -201,8 +208,7 @@ def compactness_experiment(
     for n in freqs:
         if n < 1 or n > K:
             raise ValueError(f"perturbation frequency {n} outside the cutoff (1..{K})")
-    A = hs_norm(u0, 1.0)
-    T = local_time(A + 1.0, c)
+    T = compactness_horizon(u0, c)
     if eps_window < 0 or eps_window >= T:
         raise ValueError(f"eps_window must lie in [0, T) with T={T:.6g}")
     perturbed = [u0 + single_mode_field(u0.grid, (n, 0, 0), (0.0, 1.0, 0.0), perturbation_h1)

@@ -326,9 +326,9 @@ def viscosity_normalize(u0: SpectralField, nu: float) -> SpectralField:
 def galilean_reduce(f: SpectralField) -> tuple[SpectralField, np.ndarray]:
     """Split off the conserved mean velocity: returns (mean-zero part, drift)."""
     K = f.grid.cutoff
-    drift = f.coef[:, K, K, K].real.copy()
+    drift = f.mean_vector()
     out = f.coef.copy()
-    out[:, K, K, K] = 0.0
+    out[:, K, K, 0] = 0.0
     return SpectralField(f.grid, out), drift
 
 
@@ -343,7 +343,7 @@ def galilean_restore(f: SpectralField, drift: np.ndarray, t: float) -> SpectralF
     phase = np.exp(-1j * t * np.einsum("cxyz,c->xyz", kv, d))
     out = f.coef * phase
     K = f.grid.cutoff
-    out[:, K, K, K] = d.astype(np.complex128)
+    out[:, K, K, 0] = d.astype(np.complex128)
     return SpectralField(f.grid, out)
 
 

@@ -7,10 +7,11 @@ Conventions used throughout the package:
   eigenvalue is 1;
 * the measure is normalized to unit total mass, so Parseval reads
   mean(|f|^2) = sum_k |f_hat(k)|^2 with plain counting measure on modes;
-* a field keeps only the cube of modes |k_i| <= K (the dealias cutoff) in a
-  dense complex array of shape (3, 2K+1, 2K+1, 2K+1), axis index i mapping
-  to wavenumber k = i - K, component axis first;
-* the k = 0 slot is stored but pinned to zero (mean-zero reduction).
+* a field keeps the modes |k_i| <= K (the dealias cutoff) with k3 >= 0 in a
+  dense complex array of shape (3, 2K+1, 2K+1, K+1), component axis first,
+  index i mapping to k = i - K on the first two mode axes and to k3 = i on
+  the last; the k3 < 0 modes are coef(-k) = conj(coef(k)) (a real field);
+* the k = 0 slot [:, K, K, 0] is stored but pinned to zero (mean-zero).
 """
 
 import json
@@ -28,7 +29,6 @@ __all__ = [
     "leray_project",
     "divergence_linf",
     "nonlinear_term",
-    "tensor_product_coef",
     "random_divfree",
     "named_flow",
     "single_mode_field",
@@ -81,9 +81,9 @@ class GridSpec:
 
 @lru_cache(maxsize=None)
 def _wavenumbers(grid: GridSpec):
-    """Per-mode wavevector array (3,M,M,M), |k|^2, and 1/|k|^2 (0 at k=0)."""
+    """Per-mode wavevector array (3,M,M,K+1), |k|^2, and 1/|k|^2 (0 at k=0)."""
     k1d = np.arange(-grid.cutoff, grid.cutoff + 1, dtype=np.float64)
-    kv = np.stack(np.meshgrid(k1d, k1d, k1d, indexing="ij"))
+    kv = np.stack(np.meshgrid(k1d, k1d, k1d[grid.cutoff:], indexing="ij"))
     k2 = np.einsum("cxyz,cxyz->xyz", kv, kv)
     inv_k2 = np.zeros_like(k2)
     nz = k2 > 0
@@ -95,11 +95,13 @@ def _wavenumbers(grid: GridSpec):
 
 @lru_cache(maxsize=None)
 def _norm_weights(grid: GridSpec, s: float):
-    """|k|^(2s) with the k=0 slot zeroed (mean-zero norms skip it)."""
+    """|k|^(2s), doubled off the k3=0 plane where a slot stands for k and -k,
+    with the k=0 slot zeroed (mean-zero norms skip it)."""
     _, k2, _ = _wavenumbers(grid)
     w = np.zeros_like(k2)
     nz = k2 > 0
     w[nz] = k2[nz] ** s
+    w[..., 1:] *= 2.0
     w.setflags(write=False)
     return w
 
@@ -108,28 +110,28 @@ def _norm_weights(grid: GridSpec, s: float):
 class SpectralField:
     """Truncated Fourier coefficients of a real vector field on the torus.
 
-    ``coef`` has shape (3, M, M, M) with M = 2K+1; Hermitian symmetry
-    coef(-k) = conj(coef(k)) makes the field real-valued.  Instances are
-    value-like: every operation in this package returns a new field and
-    never mutates its inputs, so fields are safe to share across threads.
+    ``coef`` is the k3 >= 0 half of the mode cube, shape (3, M, M, K+1) with
+    M = 2K+1; coef(-k) = conj(coef(k)) gives the rest and, on the k3=0 plane,
+    relates stored modes.  Instances are value-like: every operation in this
+    package returns a new field and never mutates its inputs, so fields are
+    safe to share across threads.
     """
 
     grid: GridSpec
     coef: np.ndarray
 
     def __post_init__(self):
-        m = self.grid.modes_per_axis
-        if self.coef.shape != (3, m, m, m):
-            raise ValueError(
-                f"coefficient array must have shape (3,{m},{m},{m}), got {self.coef.shape}"
-            )
+        m, K = self.grid.modes_per_axis, self.grid.cutoff
+        if self.coef.shape != (3, m, m, K + 1):
+            raise ValueError(f"coefficient array must have shape (3, {m}, {m}, {K + 1}) "
+                             f"(the k3 >= 0 half), got {self.coef.shape}")
         if self.coef.dtype != np.complex128:
             self.coef = self.coef.astype(np.complex128)
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "SpectralField":
         m = grid.modes_per_axis
-        return cls(grid, np.zeros((3, m, m, m), dtype=np.complex128))
+        return cls(grid, np.zeros((3, m, m, grid.cutoff + 1), dtype=np.complex128))
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coef.copy())
@@ -137,7 +139,7 @@ class SpectralField:
     def mean_vector(self) -> np.ndarray:
         """Value of the k=0 coefficient (the spatial mean), as a real 3-vector."""
         K = self.grid.cutoff
-        return self.coef[:, K, K, K].real.copy()
+        return self.coef[:, K, K, 0].real.copy()
 
     def _combine(self, other, op):
         if not isinstance(other, SpectralField):
@@ -163,14 +165,11 @@ class SpectralField:
         return SpectralField(self.grid, -self.coef)
 
 
-def hermitize(coef: np.ndarray) -> np.ndarray:
-    """Project onto exactly Hermitian-symmetric coefficients (real field)."""
-    return 0.5 * (coef + np.conj(coef[:, ::-1, ::-1, ::-1]))
-
-
 def hermitian_residual(f: SpectralField) -> float:
-    """Max deviation from coef(-k) = conj(coef(k)); zero for real fields."""
-    return float(np.max(np.abs(f.coef - np.conj(f.coef[:, ::-1, ::-1, ::-1]))))
+    """Max deviation from coef(-k) = conj(coef(k)) on the k3=0 plane, the
+    only place both modes of a pair are stored; zero for real fields."""
+    plane = f.coef[..., 0]
+    return float(np.max(np.abs(plane - np.conj(plane[:, ::-1, ::-1]))))
 
 
 def hs_norm(f: SpectralField, s: float) -> float:
@@ -202,44 +201,35 @@ def divergence_linf(f: SpectralField) -> float:
     return float(np.max(np.abs(kdotv)))
 
 
-def _blocks(grid: GridSpec):
-    """The four (cube, padded rfft) slice pairs over (k1, k2).  Per axis,
-    k in 0..K sits at [K:] in the cube and [:K+1] in the FFT layout, and
-    k in -K..-1 at [:K] and [P-K:]; all four blocks are contiguous."""
-    K, P = grid.cutoff, grid.pad_size
+def _blocks(K: int, P: int):
+    """The four (field, rfft) slice pairs over (k1, k2) on P >= 2K+1 points
+    per axis.  Per axis, k in 0..K sits at [K:] in the field and [:K+1] in
+    the FFT layout, and k in -K..-1 at [:K] and [P-K:]; all four blocks are
+    contiguous."""
     axis = ((slice(K, None), slice(None, K + 1)), (slice(None, K), slice(P - K, None)))
     return [(c1, c2, f1, f2) for c1, f1 in axis for c2, f2 in axis]
 
 
-def _to_padded_physical(coef: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Evaluate components on the alias-safe collocation grid (real values),
-    reading only the k3 >= 0 half of the cube."""
-    K, P = grid.cutoff, grid.pad_size
+def _to_physical(coef: np.ndarray, K: int, P: int) -> np.ndarray:
+    """Evaluate components on P uniform collocation points per axis (real
+    values)."""
     half = np.zeros((coef.shape[0], P, P, P // 2 + 1), dtype=np.complex128)
-    for c1, c2, f1, f2 in _blocks(grid):
-        half[:, f1, f2, : K + 1] = coef[:, c1, c2, K:]
+    for c1, c2, f1, f2 in _blocks(K, P):
+        half[:, f1, f2, : K + 1] = coef[:, c1, c2]
     return _fft.irfftn(half, s=(P, P, P), axes=(1, 2, 3), norm="forward")
 
 
 def _from_padded_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Fourier coefficients of real collocation data on the k3 >= 0 half of
-    the mode cube: shape (nb, M, M, K+1), last axis index = k3.
-
-    The k3=0 plane is symmetrized, so :func:`_mirror` of the result is an
-    exactly Hermitian cube.
-    """
+    """Fourier coefficients of real collocation data in the field layout:
+    shape (nb, M, M, K+1), last axis index = k3.  The k3=0 plane is
+    symmetrized, so it is exactly Hermitian."""
     K, m = grid.cutoff, grid.modes_per_axis
     spec = _fft.rfftn(values, axes=(1, 2, 3), norm="forward")
     half = np.empty((values.shape[0], m, m, K + 1), dtype=np.complex128)
-    for c1, c2, f1, f2 in _blocks(grid):
+    for c1, c2, f1, f2 in _blocks(K, grid.pad_size):
         half[:, c1, c2] = spec[:, f1, f2, : K + 1]
     half[..., 0] = 0.5 * (half[..., 0] + np.conj(half[:, ::-1, ::-1, 0]))
     return half
-
-
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """Full mode cube from its k3 >= 0 half by coef(-k) = conj(coef(k))."""
-    return np.concatenate((np.conj(half[:, ::-1, ::-1, :0:-1]), half), axis=-1)
 
 
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # distinct (l, m) of u (x) u
@@ -247,9 +237,11 @@ _ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # _ROWS[l][m]: position of (l, m) in 
 
 
 def _product_half(u: SpectralField) -> np.ndarray:
-    """The six distinct dealiased entries of u (x) u, in ``_PAIRS`` order, on
-    the k3 >= 0 half of the mode cube."""
-    phys = _to_padded_physical(u.coef, u.grid)
+    """The six distinct dealiased entries of u (x) u, in ``_PAIRS`` order, in
+    the field layout (k3 >= 0).  Computed pseudo-spectrally on the alias-safe
+    padded grid, then truncated to the retained modes, so each equals the
+    exact convolution of the retained modes."""
+    phys = _to_physical(u.coef, u.grid.cutoff, u.grid.pad_size)
     prods = np.empty((6,) + phys.shape[1:], dtype=np.float64)
     for c, (l, m) in enumerate(_PAIRS):
         np.multiply(phys[l], phys[m], out=prods[c])
@@ -266,22 +258,7 @@ def sample_on_grid(f: SpectralField, points: int | None = None) -> np.ndarray:
     p = f.grid.n if points is None else int(points)
     if p < f.grid.modes_per_axis:
         raise ValueError(f"need at least {f.grid.modes_per_axis} points per axis, got {p}")
-    K = f.grid.cutoff
-    idx = (np.arange(-K, K + 1)) % p
-    full = np.zeros((3, p, p, p), dtype=np.complex128)
-    full[np.ix_(range(3), idx, idx, idx)] = f.coef
-    out = _fft.ifftn(full, axes=(1, 2, 3), norm="forward")
-    return out.real.copy()
-
-
-def tensor_product_coef(u: SpectralField) -> np.ndarray:
-    """Dealiased Fourier coefficients of u (x) u, shape (3, 3, M, M, M).
-
-    Computed pseudo-spectrally on the alias-safe padded grid, then truncated
-    to the retained cube, so it equals the exact convolution of the retained
-    modes.  The result is Hermitian per entry and symmetric in (l, m).
-    """
-    return _mirror(_product_half(u))[np.array(_ROWS)]
+    return _to_physical(f.coef, f.grid.cutoff, p)
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:
@@ -289,9 +266,7 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
 
     The input must be divergence-free and mean zero (a non-projected input
     signals a caller bug and is rejected).  Output is mean zero,
-    divergence-free, and exactly dealiased against the cutoff cube.  The
-    flux and its projection are formed on the k3 >= 0 half; the k3 < 0
-    half is its conjugate mirror.
+    divergence-free, and exactly dealiased against the cutoff cube.
     """
     div = divergence_linf(u)
     scale = max(1.0, hs_norm(u, 1.0))
@@ -303,46 +278,46 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
         )
     K = u.grid.cutoff
     kv, _, inv_k2 = _wavenumbers(u.grid)
-    kv, inv_k2 = kv[..., K:], inv_k2[..., K:]
     w = _product_half(u)
     flux = 1j * np.stack([kv[0] * w[a] + kv[1] * w[b] + kv[2] * w[c] for a, b, c in _ROWS])
     kdotf = kv[0] * flux[0] + kv[1] * flux[1] + kv[2] * flux[2]
     out = -(flux - kv * (kdotf * inv_k2))
     out[:, K, K, 0] = 0.0
-    return SpectralField(u.grid, _mirror(out))
+    return SpectralField(u.grid, out)
 
 
 def random_divfree(A: float, seed: int, slope: float, grid: GridSpec) -> SpectralField:
     """Random divergence-free field with H^1 norm A, reproducible in all inputs.
 
     Coefficients are independent complex Gaussians with standard deviation
-    |k|^(-slope), Hermitian-symmetrized, projected divergence-free, and
-    rescaled so hs_norm(., 1) == A.  A = 0 returns the zero field.
+    |k|^(-slope) drawn on the whole cube, averaged with the conjugate of the
+    mirror mode, projected divergence-free, and rescaled so
+    hs_norm(., 1) == A.  A = 0 returns the zero field.
     """
     if A < 0:
         raise ValueError("amplitude A must be nonnegative")
     if A == 0.0:
         return SpectralField.zero(grid)
-    m = grid.modes_per_axis
+    m, K = grid.modes_per_axis, grid.cutoff
     _, k2, _ = _wavenumbers(grid)
     sigma = np.zeros_like(k2)
     nz = k2 > 0
     sigma[nz] = k2[nz] ** (-slope / 2.0)
     rng = np.random.default_rng(seed)
     draw = rng.standard_normal((3, m, m, m)) + 1j * rng.standard_normal((3, m, m, m))
-    coef = hermitize(draw * sigma)
-    K = grid.cutoff
-    coef[:, K, K, K] = 0.0
+    # mode k (k3 >= 0) and the mirror -k of each stored slot; sigma(-k) = sigma(k)
+    coef = 0.5 * (draw[..., K:] * sigma + np.conj(draw[:, ::-1, ::-1, K::-1] * sigma))
+    coef[:, K, K, 0] = 0.0
     f = leray_project(SpectralField(grid, coef))
     return SpectralField(grid, f.coef * (A / hs_norm(f, 1.0)))
 
 
 def _set_pair(coef, K, k, component, value):
-    """Write value at mode k and its conjugate at -k for one component."""
-    i, j, l = (c + K for c in k)
-    ni, nj, nl = (K - c for c in k)
-    coef[component, i, j, l] += value
-    coef[component, ni, nj, nl] += np.conj(value)
+    """Add value at mode k and its conjugate at -k for one component,
+    writing whichever of the two modes the field stores (k3 >= 0)."""
+    for (k1, k2, k3), v in ((k, value), ((-k[0], -k[1], -k[2]), np.conj(value))):
+        if k3 >= 0:
+            coef[component, k1 + K, k2 + K, k3] += v
 
 
 def named_flow(name: str, amplitude: float, grid: GridSpec) -> SpectralField:
@@ -417,9 +392,11 @@ _NSF1_MAGIC = b"NSF1"
 
 def save_nsf1(f: SpectralField, path) -> None:
     """Write the binary snapshot: magic "NSF1", u32le N, K, component count 3,
-    then complex128 coefficients (re, im doubles) in row-major k-order with
-    k1 slowest and the 3 components interleaved per mode."""
-    data = np.ascontiguousarray(np.moveaxis(f.coef, 0, -1)).astype("<c16", copy=False)
+    then complex128 coefficients (re, im doubles) of the whole (2K+1)^3 mode
+    cube in row-major k-order with k1 slowest and the 3 components
+    interleaved per mode; the k3 < 0 half is the conjugate mirror."""
+    full = np.concatenate((np.conj(f.coef[:, ::-1, ::-1, :0:-1]), f.coef), axis=-1)
+    data = np.ascontiguousarray(np.moveaxis(full, 0, -1)).astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(_NSF1_MAGIC)
         fh.write(struct.pack("<III", f.grid.n, f.grid.cutoff, 3))
@@ -427,21 +404,27 @@ def save_nsf1(f: SpectralField, path) -> None:
 
 
 def load_nsf1(path) -> SpectralField:
-    """Read a snapshot written by :func:`save_nsf1` (bit-exact round trip)."""
+    """Read a snapshot written by :func:`save_nsf1` (bit-exact round trip).
+    ValueError on a bad header, a truncated or a non-Hermitian body (keeping
+    the k3 >= 0 half would drop any other k3 < 0 half silently)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _NSF1_MAGIC:
-            raise ValueError(f"bad snapshot magic {magic!r}")
-        n, cutoff, ncomp = struct.unpack("<III", fh.read(12))
-        if ncomp != 3:
-            raise ValueError(f"snapshot declares {ncomp} components, expected 3")
-        grid = GridSpec(int(n), int(cutoff))
-        m = grid.modes_per_axis
-        data = np.fromfile(fh, dtype="<c16", count=3 * m**3)
-    if data.size != 3 * m**3:
+        blob = fh.read()
+    if blob[:4] != _NSF1_MAGIC:
+        raise ValueError(f"bad snapshot magic {blob[:4]!r}")
+    if len(blob) < 16:
         raise ValueError("snapshot truncated")
-    coef = np.moveaxis(data.reshape(m, m, m, 3), -1, 0).astype(np.complex128)
-    return SpectralField(grid, np.ascontiguousarray(coef))
+    n, cutoff, ncomp = struct.unpack_from("<III", blob, 4)
+    if ncomp != 3:
+        raise ValueError(f"snapshot declares {ncomp} components, expected 3")
+    grid = GridSpec(int(n), int(cutoff))
+    m = grid.modes_per_axis
+    if len(blob) < 16 + 16 * 3 * m**3:
+        raise ValueError("snapshot truncated")
+    data = np.frombuffer(blob, dtype="<c16", count=3 * m**3, offset=16)
+    full = np.moveaxis(data.reshape(m, m, m, 3), -1, 0).astype(np.complex128)
+    if not np.array_equal(full, np.conj(full[:, ::-1, ::-1, ::-1])):
+        raise ValueError("snapshot is not Hermitian: coef(-k) != conj(coef(k))")
+    return SpectralField(grid, np.ascontiguousarray(full[..., grid.cutoff:]))
 
 
 def _write_json(obj, path=None) -> str:

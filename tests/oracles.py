@@ -10,10 +10,24 @@ scatters between the mode cube and the padded rfft layout, the full 3x3
 product tensor, einsum contractions on the whole cube).  It performs the
 same floating-point operations as the current pipeline in a different
 layout, so the two must agree exactly, not just to rounding.
+
+A field stores only the k3 >= 0 half of its mode cube; every oracle reads
+and returns whole (.., M, M, M) cubes, built by :func:`full_cube`.
 """
 
 import numpy as np
 import scipy.fft as _fft
+
+
+def full_cube(half):
+    """Whole mode cube (.., M, M, M) from a field layout (.., M, M, K+1):
+    k3 >= 0 copied, each k3 < 0 slot set to conj(coef(-k))."""
+    K = half.shape[-1] - 1
+    full = np.empty(half.shape[:-1] + (2 * K + 1,), dtype=np.complex128)
+    full[..., K:] = half
+    for k3 in range(1, K + 1):
+        full[..., K - k3] = np.conj(half[..., ::-1, ::-1, k3])
+    return full
 
 
 def dense_convolution_nonlinearity(u):
@@ -21,7 +35,7 @@ def dense_convolution_nonlinearity(u):
     convolution of the retained modes (no FFT anywhere)."""
     K = u.grid.cutoff
     M = 2 * K + 1
-    c = u.coef
+    c = full_cube(u.coef)
     # full linear convolution over the cube: pad to 2M-1 per axis
     W = np.zeros((3, 3, 2 * M - 1, 2 * M - 1, 2 * M - 1), dtype=np.complex128)
     for i in range(M):
@@ -64,12 +78,13 @@ def convective_form_nonlinearity(u):
         full = np.fft.fftn(vals, norm="forward")
         return full[np.ix_(idx, idx, idx)]
 
-    vel = [to_phys(u.coef[a]) for a in range(3)]
+    c = full_cube(u.coef)
+    vel = [to_phys(c[a]) for a in range(3)]
     conv = np.empty((3, M, M, M), dtype=np.complex128)
     for l in range(3):
         acc = np.zeros((P, P, P))
         for j in range(3):
-            dj_ul = to_phys(1j * kv[j] * u.coef[l])
+            dj_ul = to_phys(1j * kv[j] * c[l])
             acc += vel[j] * dj_ul
         conv[l] = to_cube(acc)
     k2 = np.einsum("cxyz,cxyz->xyz", kv, kv)
@@ -133,7 +148,7 @@ def _ref_from_padded_physical(values, grid):
 def reference_tensor_product(u):
     """Dealiased coefficients of u (x) u, shape (3, 3, M, M, M), by the
     gather/scatter pipeline."""
-    phys = _ref_to_padded_physical(u.coef, u.grid)
+    phys = _ref_to_padded_physical(full_cube(u.coef), u.grid)
     pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     prods = np.empty((6,) + phys.shape[1:], dtype=np.float64)
     for c, (l, m) in enumerate(pairs):

@@ -37,7 +37,7 @@ from mildns import (
 )
 from mildns.explorer_cli import ExperimentConfig
 
-from oracles import dense_convolution_nonlinearity
+from oracles import dense_convolution_nonlinearity, full_cube
 
 
 def report(num, name, detail):
@@ -204,11 +204,11 @@ def test_criterion_7_nonlinearity_oracle():
     worst_rel, worst_inner = 0.0, 0.0
     for n in (8, 12, 16):
         u = random_divfree(1.0, 21 + n, 2.0, GridSpec(n))
-        got = nonlinear_term(u).coef
+        got = full_cube(nonlinear_term(u).coef)
         want = dense_convolution_nonlinearity(u)
         scale = np.max(np.abs(want))
         worst_rel = max(worst_rel, float(np.max(np.abs(got - want))) / scale)
-        inner = abs(float(np.real(np.sum(got * np.conj(u.coef)))))
+        inner = abs(float(np.real(np.sum(got * np.conj(full_cube(u.coef))))))
         worst_inner = max(worst_inner, inner / hs_norm(u, 1.0) ** 3)
     assert worst_rel <= 1e-10
     assert worst_inner <= 1e-10

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mildns import (
+    BlowupError,
     ConfigError,
     ExperimentConfig,
     GridSpec,
@@ -97,6 +98,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(horizon=2.0, mode="short")
         ExperimentConfig(horizon=2.0, mode="long")  # allowed long-term
+
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(base_seed=-1)
+        assert exc.value.key == "base_seed"
+        ExperimentConfig(base_seed=0)
 
     @pytest.mark.parametrize("grid_n, grid_k, key", [(8, 9, "grid_k"), (7, 2, "grid_n")])
     def test_bad_grid_names_its_key(self, grid_n, grid_k, key):
@@ -251,6 +258,23 @@ class TestEstimateF:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(method="magic")
         assert exc.value.key == "method"
+
+    def test_samples_store_no_fields(self, monkeypatch):
+        # store_every sets simulate's snapshots; a sample reads only norms
+        import mildns.explorer_cli as cli
+        seen = []
+
+        def recording(u0, T, cfg):
+            seen.append(cfg.store_every)
+            return simulate(u0, T, cfg)
+
+        simulate = cli.simulate
+        monkeypatch.setattr(cli, "simulate", recording)
+        every = estimate_F(small_cfg(store_every=1))
+        assert len(seen) == 4 and min(seen) > 25  # 25 steps to the horizon
+        monkeypatch.undo()
+        plain = estimate_F(small_cfg())
+        assert every.samples == plain.samples and every.f_hat == plain.f_hat
 
 
 class TestLipschitzProbe:
@@ -503,6 +527,13 @@ class TestCli:
         (["compactness", "--freqs", "2,x"], "--freqs"),
         (["compactness", "--freqs", "4,2"], "--freqs"),
         (["verify", "--N", "7"], "--N"),
+        (["simulate", "--seed", "-1"], "'base_seed'"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["compactness", "--A", "0", "--N", "8"], "--freqs"),  # default 2,4,8 > K=2
+        (["compactness", "--flow", "shear", "--N", "8", "--freqs", "1,2",
+          "--eps-window", "5"], "--eps-window"),
+        (["compactness", "--flow", "shear", "--N", "8", "--freqs", "1,2",
+          "--eps-window", "-0.1"], "--eps-window"),
     ])
     def test_bad_value_exits_2_naming_it(self, argv, named, tmp_path, capsys):
         out = tmp_path / "o"
@@ -515,6 +546,26 @@ class TestCli:
         assert rc == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "e.cfg"
+        cfgfile.write_text("grid_n = 8\na_list = 0.5\nsamples_per_a = 1\nbase_seed = -5\n")
+        out = tmp_path / "o"
+        assert cli_main(["ensemble", "--config", str(cfgfile), "--out-dir", str(out)]) == 2
+        assert "'base_seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compactness_blowup_exit_code(self, tmp_path, monkeypatch, capsys):
+        import mildns.explorer_cli as cli
+
+        def blowup(*args, **kwargs):
+            raise BlowupError("non-finite coefficients at t=0.01", time=0.01)
+
+        monkeypatch.setattr(cli, "compactness_experiment", blowup)
+        rc = cli_main(["compactness", "--flow", "shear", "--N", "8", "--freqs", "1,2",
+                       "--eps-window", "0", "--out-dir", str(tmp_path / "c")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("blowup: non-finite")
 
     def test_compactness_subcommand(self, tmp_path):
         out = tmp_path / "c"

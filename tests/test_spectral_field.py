@@ -1,9 +1,12 @@
 """Spectral field representation: norms, projection, dealiased flux, IO."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mildns import (
     GridSpec,
@@ -19,11 +22,12 @@ from mildns import (
     save_nsf1,
     single_mode_field,
 )
-from mildns.spectral_field import hermitian_residual, tensor_product_coef
+from mildns.spectral_field import _product_half, hermitian_residual
 
 from oracles import (
     convective_form_nonlinearity,
     dense_convolution_nonlinearity,
+    full_cube,
     quadrature_rms,
     reference_nonlinearity,
     reference_tensor_product,
@@ -32,14 +36,18 @@ from oracles import (
 
 
 def pair_field(grid, k, vec):
-    """Field with one conjugate mode pair: vec at +k, conj(vec) at -k."""
+    """Field with one conjugate mode pair: vec at +k, conj(vec) at -k, each
+    written where the field stores it (k3 >= 0)."""
     f = SpectralField.zero(grid)
     K = grid.cutoff
-    i, j, l = (c + K for c in k)
-    ni, nj, nl = (K - c for c in k)
-    f.coef[:, i, j, l] = vec
-    f.coef[:, ni, nj, nl] = np.conj(vec)
+    for (k1, k2, k3), v in ((k, vec), (tuple(-c for c in k), np.conj(vec))):
+        if k3 >= 0:
+            f.coef[:, k1 + K, k2 + K, k3] = v
     return f
+
+
+# the six distinct (l, m) entries of u (x) u, in the order _product_half uses
+PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class TestGridSpec:
@@ -94,6 +102,16 @@ class TestHsNorm:
                 abs(lam) * hs_norm(rand16, 1.5), rel=1e-12, abs=1e-300
             )
 
+    @pytest.mark.parametrize("s", [-1.5, 0.0, 1.0, 2.5])
+    def test_equals_plain_sum_over_whole_cube(self, rand16, s):
+        full = full_cube(rand16.coef)
+        K = rand16.grid.cutoff
+        k1d = np.arange(-K, K + 1, dtype=np.float64)
+        k2 = sum(a**2 for a in np.meshgrid(k1d, k1d, k1d, indexing="ij"))
+        k2[K, K, K] = 1.0  # the k=0 slot is zero
+        want = math.sqrt(float(np.sum(k2**s * np.sum(np.abs(full) ** 2, axis=0))))
+        assert hs_norm(rand16, s) == pytest.approx(want, rel=1e-14)
+
     @pytest.mark.parametrize("n", [8, 16])
     def test_parseval_rms(self, n):
         f = random_divfree(1.0, 5, 2.0, GridSpec(n))
@@ -117,7 +135,7 @@ class TestLerayProject:
         f = pair_field(grid16, (1, 1, 0), np.array([1.0, 0, 0], dtype=complex))
         out = leray_project(f)
         K = grid16.cutoff
-        got = out.coef[:, K + 1, K + 1, K]
+        got = out.coef[:, K + 1, K + 1, 0]
         assert got == pytest.approx(np.array([0.5, -0.5, 0.0], dtype=complex), abs=1e-15)
 
     def test_idempotent(self, rand16):
@@ -127,11 +145,12 @@ class TestLerayProject:
 
     def test_projected_divergence(self, grid16):
         rng = np.random.default_rng(0)
-        m = grid16.modes_per_axis
-        from mildns.spectral_field import hermitize
-        raw = hermitize(rng.standard_normal((3, m, m, m))
-                        + 1j * rng.standard_normal((3, m, m, m)))
-        raw[:, grid16.cutoff, grid16.cutoff, grid16.cutoff] = 0.0
+        m, K = grid16.modes_per_axis, grid16.cutoff
+        shape = (3, m, m, K + 1)
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # a real field: the k3=0 plane holds both modes of each pair
+        raw[..., 0] = 0.5 * (raw[..., 0] + np.conj(raw[:, ::-1, ::-1, 0]))
+        raw[:, K, K, 0] = 0.0
         f = SpectralField(grid16, raw)
         f = SpectralField(grid16, f.coef / max(1.0, hs_norm(f, 1.0)))
         assert divergence_linf(leray_project(f)) <= 1e-12
@@ -168,13 +187,13 @@ class TestNonlinearTerm:
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_matches_dense_convolution_oracle(self, n):
         u = random_divfree(1.0, 11, 2.0, GridSpec(n))
-        got = nonlinear_term(u).coef
+        got = full_cube(nonlinear_term(u).coef)
         want = dense_convolution_nonlinearity(u)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
     def test_matches_convective_form(self, rand16):
-        got = nonlinear_term(rand16).coef
+        got = full_cube(nonlinear_term(rand16).coef)
         want = convective_form_nonlinearity(rand16)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-10 * scale
@@ -183,14 +202,14 @@ class TestNonlinearTerm:
     def test_does_no_work(self, grid16, seed):
         u = random_divfree(1.0, seed, 2.0, grid16)
         nl = nonlinear_term(u)
-        inner = abs(float(np.real(np.sum(nl.coef * np.conj(u.coef)))))
+        inner = abs(float(np.real(np.sum(full_cube(nl.coef) * np.conj(full_cube(u.coef))))))
         assert inner <= 1e-10 * hs_norm(u, 1.0) ** 3
 
     def test_output_divergence_free_mean_zero(self, rand16):
         out = nonlinear_term(rand16)
         assert divergence_linf(out) <= 1e-12
         K = rand16.grid.cutoff
-        assert np.all(out.coef[:, K, K, K] == 0.0)
+        assert np.all(out.coef[:, K, K, 0] == 0.0)
 
     def test_output_hermitian(self, rand16):
         assert hermitian_residual(nonlinear_term(rand16)) == 0.0
@@ -201,9 +220,9 @@ class TestNonlinearTerm:
             nonlinear_term(f)
 
     def test_tensor_coef_symmetric_hermitian(self, rand8):
-        w = tensor_product_coef(rand8)
-        assert np.array_equal(w, np.swapaxes(w, 0, 1))
-        flipped = np.conj(w[:, :, ::-1, ::-1, ::-1])
+        # six entries stand for the symmetric 3x3 tensor; each is Hermitian
+        w = full_cube(_product_half(rand8))
+        flipped = np.conj(w[:, ::-1, ::-1, ::-1])
         assert np.max(np.abs(w - flipped)) == 0.0
 
 
@@ -211,19 +230,22 @@ class TestTransformReference:
     """The block-slice, half-spectrum transform path reproduces the
     gather/scatter reference exactly (K=1 and K=n/2-1 are the edge cases)."""
 
+    @staticmethod
+    def assert_exact(u):
+        assert np.array_equal(full_cube(nonlinear_term(u).coef), reference_nonlinearity(u))
+        ref = reference_tensor_product(u)
+        want = np.stack([ref[l, m] for l, m in PAIRS])
+        assert np.array_equal(full_cube(_product_half(u)), want)
+
     @pytest.mark.parametrize("n, k", [(8, None), (12, None), (16, None), (16, 3),
                                       (16, 7), (10, 1), (32, None)])
     @pytest.mark.parametrize("seed, slope", [(3, 2.0), (11, 6.0)])
     def test_random_data_exact(self, n, k, seed, slope):
-        u = random_divfree(1.5, seed, slope, GridSpec(n, k))
-        assert np.array_equal(nonlinear_term(u).coef, reference_nonlinearity(u))
-        assert np.array_equal(tensor_product_coef(u), reference_tensor_product(u))
+        self.assert_exact(random_divfree(1.5, seed, slope, GridSpec(n, k)))
 
     @pytest.mark.parametrize("name", ["shear", "taylor_green", "abc"])
     def test_named_flows_exact(self, name, grid16):
-        u = named_flow(name, 1.3, grid16)
-        assert np.array_equal(nonlinear_term(u).coef, reference_nonlinearity(u))
-        assert np.array_equal(tensor_product_coef(u), reference_tensor_product(u))
+        self.assert_exact(named_flow(name, 1.3, grid16))
 
 
 class TestRandomDivfree:
@@ -233,7 +255,7 @@ class TestRandomDivfree:
         assert divergence_linf(f) <= 1e-12
         assert hermitian_residual(f) == 0.0
         K = grid16.cutoff
-        assert np.all(f.coef[:, K, K, K] == 0.0)
+        assert np.all(f.coef[:, K, K, 0] == 0.0)
 
     def test_deterministic(self, grid16):
         a = random_divfree(1.0, 7, 2.0, grid16)
@@ -315,7 +337,34 @@ class TestSingleModeField:
             single_mode_field(grid16, (1, 0, 0), (1.0, 0.0, 0.0))
 
 
+def nsf1_bytes(n, k, full):
+    """An NSF1 file holding a whole (3, M, M, M) cube, written independently
+    of the package."""
+    body = np.ascontiguousarray(np.moveaxis(full, 0, -1)).astype("<c16").tobytes()
+    return b"NSF1" + struct.pack("<III", n, k, 3) + body
+
+
 class TestSnapshotIO:
+    def test_whole_cube_file_loads(self, tmp_path, rand16):
+        # the on-disk body is the whole Hermitian cube, as it always was
+        blob = nsf1_bytes(16, rand16.grid.cutoff, full_cube(rand16.coef))
+        path = tmp_path / "full.nsf1"
+        path.write_bytes(blob)
+        back = load_nsf1(path)
+        assert back.coef.shape == rand16.coef.shape
+        assert np.array_equal(back.coef, rand16.coef)
+        save_nsf1(back, tmp_path / "again.nsf1")
+        assert (tmp_path / "again.nsf1").read_bytes() == blob
+
+    def test_non_hermitian_body_rejected(self, tmp_path, rand8):
+        full = full_cube(rand8.coef)
+        K = rand8.grid.cutoff
+        full[1, K + 1, K, K - 2] += 0.25j  # k = (1, 0, -2) only, not its mirror
+        path = tmp_path / "odd.nsf1"
+        path.write_bytes(nsf1_bytes(8, K, full))
+        with pytest.raises(ValueError, match="Hermitian"):
+            load_nsf1(path)
+
     def test_round_trip_bit_exact(self, tmp_path, rand16):
         path = tmp_path / "field.nsf1"
         save_nsf1(rand16, path)
@@ -354,6 +403,11 @@ class TestSnapshotIO:
 
 
 class TestFieldArithmetic:
+    def test_whole_cube_rejected(self, grid8):
+        m = grid8.modes_per_axis
+        with pytest.raises(ValueError, match=r"\(3, 5, 5, 3\)"):
+            SpectralField(grid8, np.zeros((3, m, m, m), dtype=np.complex128))
+
     def test_grid_mismatch(self, grid8, grid16):
         with pytest.raises(ValueError, match="grid"):
             _ = named_flow("shear", 1.0, grid8) + named_flow("shear", 1.0, grid16)
@@ -362,3 +416,58 @@ class TestFieldArithmetic:
         s = rand16 + rand16 - 2.0 * rand16
         assert np.max(np.abs(s.coef)) == 0.0
         assert np.array_equal((-rand16).coef, -rand16.coef)
+
+
+class TestSnapshotProperties:
+    """load_nsf1 turns every malformed file into a ValueError, never into a
+    different exception or a silently altered field."""
+
+    quick = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @staticmethod
+    def assert_rejected(tmp_path, blob):
+        path = tmp_path / "x.nsf1"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            load_nsf1(path)
+
+    @quick
+    @given(head=st.binary(max_size=4).filter(lambda b: b != b"NSF1"),
+           rest=st.binary(max_size=64))
+    def test_bad_magic(self, tmp_path, head, rest):
+        self.assert_rejected(tmp_path, head + rest)
+
+    @quick
+    @given(cut=st.integers(min_value=4, max_value=16 + 16 * 3 * 5**3 - 1))
+    def test_truncated(self, tmp_path, rand8, cut):
+        blob = nsf1_bytes(8, 2, full_cube(rand8.coef))
+        self.assert_rejected(tmp_path, blob[:cut])
+
+    @quick
+    @given(n=st.integers(min_value=0, max_value=2**32 - 1),
+           k=st.integers(min_value=0, max_value=2**32 - 1),
+           body=st.binary(max_size=64))
+    def test_grid_out_of_range(self, tmp_path, n, k, body):
+        valid = n >= 4 and n % 2 == 0 and 1 <= k <= n // 2 - 1
+        blob = b"NSF1" + struct.pack("<III", n, k, 3) + body
+        if valid:  # a valid grid with a short body: truncated
+            assert len(body) < 16 * 3 * (2 * k + 1) ** 3
+        self.assert_rejected(tmp_path, blob)
+
+    @quick
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           index=st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 4),
+                           st.integers(0, 4)),
+           re=st.floats(min_value=-4.0, max_value=4.0),
+           im=st.floats(min_value=0.5, max_value=4.0))
+    def test_non_hermitian(self, tmp_path, seed, index, re, im):
+        full = full_cube(random_divfree(1.0, seed, 2.0, GridSpec(8)).coef)
+        full[index] += complex(re, im)  # Im != 0 breaks even the real k=0 slot
+        self.assert_rejected(tmp_path, nsf1_bytes(8, 2, full))
+
+    @quick
+    @given(rest=st.binary(max_size=200))
+    def test_arbitrary_header(self, tmp_path, rest):
+        # too short for any body: the smallest grid (N=4) needs 1296 bytes
+        self.assert_rejected(tmp_path, b"NSF1" + rest)
