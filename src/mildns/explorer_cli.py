@@ -3,8 +3,10 @@
 The ensemble driver estimates the norm-growth envelope F_hat(A): for each
 amplitude A it draws seeded random divergence-free data of H^1 size A, runs
 them to the horizon, and records the largest H^1 norm seen (the supremum
-includes t = 0, so F_hat(A) >= A).  Runs that blow past the norm ceiling are
-censored: excluded from the maximum but counted and reported.
+includes t = 0, so F_hat(A) >= A up to rounding: the drawn data have H^1
+norm A only to a few ulps, see ``random_divfree``, so an F_hat equal to its
+t = 0 value can read slightly below A).  Runs that blow past the norm
+ceiling are censored: excluded from the maximum but counted and reported.
 """
 
 import argparse

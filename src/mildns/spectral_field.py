@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 import json
 import struct
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,7 +115,8 @@ class SpectralField:
     M = 2K+1; coef(-k) = conj(coef(k)) gives the rest and, on the k3=0 plane,
     relates stored modes.  Instances are value-like: every operation in this
     package returns a new field and never mutates its inputs, so fields are
-    safe to share across threads.
+    safe to share across threads.  The transform scratch buffers behind
+    :func:`nonlinear_term` are per thread, and no returned array views them.
     """
 
     grid: GridSpec
@@ -210,10 +212,12 @@ def _blocks(K: int, P: int):
     return [(c1, c2, f1, f2) for c1, f1 in axis for c2, f2 in axis]
 
 
-def _to_physical(coef: np.ndarray, K: int, P: int) -> np.ndarray:
+def _to_physical(coef: np.ndarray, K: int, half: np.ndarray) -> np.ndarray:
     """Evaluate components on P uniform collocation points per axis (real
-    values)."""
-    half = np.zeros((coef.shape[0], P, P, P // 2 + 1), dtype=np.complex128)
+    values), P = half.shape[1].  ``half`` is the rfft-layout input, shape
+    (nb, P, P, P//2+1): the retained blocks are overwritten, every other
+    entry must be zero and is left untouched."""
+    P = half.shape[1]
     for c1, c2, f1, f2 in _blocks(K, P):
         half[:, f1, f2, : K + 1] = coef[:, c1, c2]
     return _fft.irfftn(half, s=(P, P, P), axes=(1, 2, 3), norm="forward")
@@ -236,13 +240,37 @@ _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # distinct (l, m) of 
 _ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # _ROWS[l][m]: position of (l, m) in _PAIRS
 
 
+class _Workspace(threading.local):
+    """One thread's transform buffers for the grid it used last."""
+
+    grid = None
+
+
+_workspace = _Workspace()
+
+
+def _buffers(grid: GridSpec):
+    """This thread's zero-padded rfft input (3, P, P, P//2+1) and six-product
+    array (6, P, P, P) for ``grid``, rebuilt only when the grid changes.
+    Only the :func:`_blocks` slices of the padded input are ever written, so
+    the rest of it stays zero across calls."""
+    ws = _workspace
+    if ws.grid != grid:
+        P = grid.pad_size
+        ws.padded = np.zeros((3, P, P, P // 2 + 1), dtype=np.complex128)
+        ws.prods = np.empty((6, P, P, P), dtype=np.float64)
+        ws.grid = grid
+    return ws.padded, ws.prods
+
+
 def _product_half(u: SpectralField) -> np.ndarray:
     """The six distinct dealiased entries of u (x) u, in ``_PAIRS`` order, in
     the field layout (k3 >= 0).  Computed pseudo-spectrally on the alias-safe
     padded grid, then truncated to the retained modes, so each equals the
-    exact convolution of the retained modes."""
-    phys = _to_physical(u.coef, u.grid.cutoff, u.grid.pad_size)
-    prods = np.empty((6,) + phys.shape[1:], dtype=np.float64)
+    exact convolution of the retained modes.  The padded buffers are this
+    thread's workspace; the returned array is new."""
+    padded, prods = _buffers(u.grid)
+    phys = _to_physical(u.coef, u.grid.cutoff, padded)
     for c, (l, m) in enumerate(_PAIRS):
         np.multiply(phys[l], phys[m], out=prods[c])
     return _from_padded_physical(prods, u.grid)
@@ -258,7 +286,8 @@ def sample_on_grid(f: SpectralField, points: int | None = None) -> np.ndarray:
     p = f.grid.n if points is None else int(points)
     if p < f.grid.modes_per_axis:
         raise ValueError(f"need at least {f.grid.modes_per_axis} points per axis, got {p}")
-    return _to_physical(f.coef, f.grid.cutoff, p)
+    half = np.zeros((3, p, p, p // 2 + 1), dtype=np.complex128)
+    return _to_physical(f.coef, f.grid.cutoff, half)
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:
@@ -267,6 +296,10 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     The input must be divergence-free and mean zero (a non-projected input
     signals a caller bug and is rejected).  Output is mean zero,
     divergence-free, and exactly dealiased against the cutoff cube.
+
+    The padded transform buffers are reused across calls from a per-thread
+    workspace keyed by the grid, so concurrent calls from several threads are
+    safe, and the result never aliases that workspace.
     """
     div = divergence_linf(u)
     scale = max(1.0, hs_norm(u, 1.0))
@@ -291,8 +324,11 @@ def random_divfree(A: float, seed: int, slope: float, grid: GridSpec) -> Spectra
 
     Coefficients are independent complex Gaussians with standard deviation
     |k|^(-slope) drawn on the whole cube, averaged with the conjugate of the
-    mirror mode, projected divergence-free, and rescaled so
-    hs_norm(., 1) == A.  A = 0 returns the zero field.
+    mirror mode, projected divergence-free, and rescaled to H^1 norm A.  The
+    rescale holds only to rounding: hs_norm(., 1) may read a few ulps above
+    or below A (|hs_norm(., 1) - A| <= 8 eps A, eps the float64 machine
+    epsilon, on the grids up to N=32 the tests check; the gap grows with the
+    number of modes summed).  A = 0 returns the zero field.
     """
     if A < 0:
         raise ValueError("amplitude A must be nonnegative")

@@ -2,6 +2,8 @@
 
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from mildns import (
     save_nsf1,
     single_mode_field,
 )
+from mildns import spectral_field
 from mildns.spectral_field import _product_half, hermitian_residual
 
 from oracles import (
@@ -248,6 +251,64 @@ class TestTransformReference:
         self.assert_exact(named_flow(name, 1.3, grid16))
 
 
+class TestTransformWorkspace:
+    """nonlinear_term reuses per-thread padded buffers keyed by the grid; no
+    result may view them, and switching grids must not leak stale data."""
+
+    def test_results_never_alias_the_workspace(self):
+        u = random_divfree(1.5, 3, 2.0, GridSpec(32))
+        nl, prod = nonlinear_term(u), _product_half(u)
+        kept = nl.coef.copy(), prod.copy()
+        for other in (random_divfree(1.5, 11, 6.0, GridSpec(32)),
+                      random_divfree(1.5, 3, 2.0, GridSpec(16, 7))):
+            nonlinear_term(other)
+            _product_half(other)
+            ws = spectral_field._workspace
+            for a in (nl.coef, prod):
+                assert not np.shares_memory(a, ws.padded)
+                assert not np.shares_memory(a, ws.prods)
+        assert np.array_equal(nl.coef, kept[0])
+        assert np.array_equal(prod, kept[1])
+
+    def test_interleaved_grids_match_reference(self):
+        # grid X, grid Y, then X again with other data and with the first data
+        for n, k, seed in ((32, None, 3), (16, 7, 3), (32, None, 11), (32, None, 3)):
+            TestTransformReference.assert_exact(random_divfree(1.5, seed, 6.0, GridSpec(n, k)))
+
+    def test_thread_stress(self):
+        # more threads than cores; two threads share a grid value, so a
+        # workspace shared between threads would mix their products
+        cases = [(GridSpec(16), 0), (GridSpec(16), 1), (GridSpec(16, 7), 2), (GridSpec(12), 3)]
+        data = [random_divfree(1.5, seed, 2.0, grid) for grid, seed in cases]
+        want = [nonlinear_term(u).coef for u in data]
+        rounds = 40
+        got = [[] for _ in data]
+        errors = []
+
+        def loop(i):
+            try:
+                for _ in range(rounds):
+                    got[i].append(nonlinear_term(data[i]).coef)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=loop, args=(i,)) for i in range(len(data))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for results, expected in zip(got, want):
+            assert len(results) == rounds
+            assert all(np.array_equal(r, expected) for r in results)
+
+
 class TestRandomDivfree:
     def test_postconditions(self, grid16):
         f = random_divfree(1.0, 7, 2.0, grid16)
@@ -256,6 +317,16 @@ class TestRandomDivfree:
         assert hermitian_residual(f) == 0.0
         K = grid16.cutoff
         assert np.all(f.coef[:, K, K, 0] == 0.0)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("slope", [2.0, 6.0])
+    def test_h1_equals_amplitude_to_rounding(self, n, slope):
+        # the rescale hits A only to rounding, and may land below it
+        eps = np.finfo(np.float64).eps
+        for A in (1e-3, 0.5, 1.0, 16.0):
+            for seed in range(5):
+                h1 = hs_norm(random_divfree(A, seed, slope, GridSpec(n)), 1.0)
+                assert abs(h1 - A) <= 8 * eps * A
 
     def test_deterministic(self, grid16):
         a = random_divfree(1.0, 7, 2.0, grid16)
