@@ -114,8 +114,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("dt", "horizon", "c", "picard_tol", "slope", "ceiling"):
-            if not getattr(self, key) > 0:  # NaN fails too
+            value = getattr(self, key)
+            if not value > 0:  # NaN fails too
                 raise ConfigError(key, "must be positive")
+            if math.isinf(value) and key != "ceiling":  # an infinite ceiling means none
+                raise ConfigError(key, "must be finite")
         for key in ("grid_n", "samples_per_a", "store_every"):
             if getattr(self, key) < 1:
                 raise ConfigError(key, "must be a positive integer")
@@ -129,8 +132,8 @@ class ExperimentConfig:
             raise ConfigError("horizon", "short-term mode requires horizon <= 1")
         if len(self.a_list) == 0:
             raise ConfigError("a_list", "must not be empty")
-        if any(a <= 0 for a in self.a_list):
-            raise ConfigError("a_list", "amplitudes must be positive")
+        if not all(0 < a < math.inf for a in self.a_list):  # NaN fails too
+            raise ConfigError("a_list", "amplitudes must be positive and finite")
         if any(b <= a for a, b in zip(self.a_list, self.a_list[1:])):
             raise ConfigError("a_list", "amplitudes must be strictly increasing")
         names = [ensemble_csv_name(a) for a in self.a_list]
@@ -174,7 +177,7 @@ class ExperimentConfig:
             "store_every": int, "out_dir": str,
         }
         values = {}
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -539,7 +542,8 @@ def _flag_type(convert, what, ok=lambda value: True):
 
 _worker_count = _flag_type(int, "a positive integer", lambda n: n >= 1)
 _seed = _flag_type(int, "a nonnegative integer", lambda n: n >= 0)
-_amplitude = _flag_type(float, "a nonnegative number", lambda a: a >= 0)
+_amplitude = _flag_type(float, "a finite nonnegative number", lambda a: 0 <= a < math.inf)
+_finite = _flag_type(float, "a finite number", math.isfinite)
 _resolution = _flag_type(lambda text: GridSpec(int(text)).n, "an even integer >= 4")
 _frequencies = _flag_type(lambda text: [int(v) for v in text.split(",")],
                           "increasing positive integers separated by commas",
@@ -572,7 +576,7 @@ def _initial_field(args, cfg: ExperimentConfig) -> SpectralField:
 
 def _add_field_flags(p: argparse.ArgumentParser):
     p.add_argument("--flow", choices=FLOW_NAMES + ("random",), default="random")
-    p.add_argument("--amplitude", type=float, default=1.0,
+    p.add_argument("--amplitude", type=_finite, default=1.0,
                    help="amplitude for named flows")
     p.add_argument("--A", type=_amplitude, default=1.0,
                    help="target H1 norm for random data")

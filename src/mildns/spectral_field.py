@@ -214,24 +214,46 @@ def _blocks(K: int, P: int):
 
 def _to_physical(coef: np.ndarray, K: int, half: np.ndarray) -> np.ndarray:
     """Evaluate components on P uniform collocation points per axis (real
-    values), P = half.shape[1].  ``half`` is the rfft-layout input, shape
-    (nb, P, P, P//2+1): the retained blocks are overwritten, every other
-    entry must be zero and is left untouched."""
+    values), P = half.shape[1].  ``half`` is scratch space in the rfft
+    layout, shape (nb, P, P, P//2+1); it is zeroed and overwritten.
+
+    The inverse runs one axis at a time and skips the lines that are still
+    all zero: c2c along axis 1 over the 2K+1 retained k2 columns of the
+    k3 <= K slab, along axis 2 over that slab, then c2r along axis 3.  This
+    is the axis order and scaling of pocketfft's own whole-cube irfftn, so
+    the values are bitwise the same."""
     P = half.shape[1]
+    half.fill(0.0)
+    slab = half[..., : K + 1]
     for c1, c2, f1, f2 in _blocks(K, P):
-        half[:, f1, f2, : K + 1] = coef[:, c1, c2]
-    return _fft.irfftn(half, s=(P, P, P), axes=(1, 2, 3), norm="forward")
+        slab[:, f1, f2] = coef[:, c1, c2]
+    for cols in (slice(None, K + 1), slice(P - K, None)):
+        _fft.ifft(slab[:, :, cols], axis=1, norm="forward", overwrite_x=True)
+    _fft.ifft(slab, axis=2, norm="forward", overwrite_x=True)
+    return _fft.irfftn(half, s=(P,), axes=(3,), norm="forward")
 
 
 def _from_padded_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Fourier coefficients of real collocation data in the field layout:
     shape (nb, M, M, K+1), last axis index = k3.  The k3=0 plane is
-    symmetrized, so it is exactly Hermitian."""
-    K, m = grid.cutoff, grid.modes_per_axis
-    spec = _fft.rfftn(values, axes=(1, 2, 3), norm="forward")
+    symmetrized, so it is exactly Hermitian.
+
+    The mirror image of :func:`_to_physical`: r2c along axis 3, the 1/P^3
+    scale on its real and imaginary parts (where pocketfft's whole-cube
+    rfftn applies it), then c2c along axis 1 over the k3 <= K slab and along
+    axis 2 over the 2K+1 retained k1 rows of it, so the retained modes are
+    bitwise those of a whole-cube rfftn."""
+    K, m, P = grid.cutoff, grid.modes_per_axis, grid.pad_size
+    spec = _fft.rfftn(values, axes=(3,))
+    re_im = spec.view(np.float64)
+    re_im *= np.float64(1 / np.longdouble(P) ** 3)
+    slab = spec[..., : K + 1]
+    _fft.fft(slab, axis=1, overwrite_x=True)
+    for rows in (slice(None, K + 1), slice(P - K, None)):
+        _fft.fft(slab[:, rows], axis=2, overwrite_x=True)
     half = np.empty((values.shape[0], m, m, K + 1), dtype=np.complex128)
-    for c1, c2, f1, f2 in _blocks(K, grid.pad_size):
-        half[:, c1, c2] = spec[:, f1, f2, : K + 1]
+    for c1, c2, f1, f2 in _blocks(K, P):
+        half[:, c1, c2] = slab[:, f1, f2]
     half[..., 0] = 0.5 * (half[..., 0] + np.conj(half[:, ::-1, ::-1, 0]))
     return half
 
@@ -250,14 +272,14 @@ _workspace = _Workspace()
 
 
 def _buffers(grid: GridSpec):
-    """This thread's zero-padded rfft input (3, P, P, P//2+1) and six-product
-    array (6, P, P, P) for ``grid``, rebuilt only when the grid changes.
-    Only the :func:`_blocks` slices of the padded input are ever written, so
-    the rest of it stays zero across calls."""
+    """This thread's padded rfft-layout scratch (3, P, P, P//2+1) and
+    six-product array (6, P, P, P) for ``grid``, rebuilt only when the grid
+    changes.  :func:`_to_physical` zeroes the padded scratch on every call
+    and transforms it in place, so nothing carries over between calls."""
     ws = _workspace
     if ws.grid != grid:
         P = grid.pad_size
-        ws.padded = np.zeros((3, P, P, P // 2 + 1), dtype=np.complex128)
+        ws.padded = np.empty((3, P, P, P // 2 + 1), dtype=np.complex128)
         ws.prods = np.empty((6, P, P, P), dtype=np.float64)
         ws.grid = grid
     return ws.padded, ws.prods
@@ -286,7 +308,7 @@ def sample_on_grid(f: SpectralField, points: int | None = None) -> np.ndarray:
     p = f.grid.n if points is None else int(points)
     if p < f.grid.modes_per_axis:
         raise ValueError(f"need at least {f.grid.modes_per_axis} points per axis, got {p}")
-    half = np.zeros((3, p, p, p // 2 + 1), dtype=np.complex128)
+    half = np.empty((3, p, p, p // 2 + 1), dtype=np.complex128)
     return _to_physical(f.coef, f.grid.cutoff, half)
 
 

@@ -4,12 +4,14 @@ Everything here deliberately avoids the package's transform pipeline:
 the convolution oracle is a direct O(M^6) sum over retained mode pairs,
 and the convective-form oracle uses plain full-complex numpy FFTs.
 
-The one exception is ``reference_nonlinearity`` / ``reference_tensor_product``:
-a frozen copy of an earlier form of that pipeline (index-array gathers and
-scatters between the mode cube and the padded rfft layout, the full 3x3
-product tensor, einsum contractions on the whole cube).  It performs the
-same floating-point operations as the current pipeline in a different
-layout, so the two must agree exactly, not just to rounding.
+The exceptions are ``reference_nonlinearity`` / ``reference_tensor_product``
+and ``reference_sample_on_grid``: frozen copies of an earlier form of that
+pipeline (index-array gathers and scatters between the mode cube and the
+padded rfft layout, whole-cube rfftn/irfftn, the full 3x3 product tensor,
+einsum contractions on the whole cube).  They perform the same
+floating-point operations on the retained modes as the current pipeline,
+which prunes its FFT passes to the lines holding those modes, so the two
+must agree exactly, not just to rounding.
 
 A field stores only the k3 >= 0 half of its mode cube; every oracle reads
 and returns whole (.., M, M, M) cubes, built by :func:`full_cube`.
@@ -143,6 +145,16 @@ def _ref_from_padded_physical(values, grid):
     plane = cube[:, :, :, K]
     cube[:, :, :, K] = 0.5 * (plane + np.conj(plane[:, ::-1, ::-1]))
     return cube
+
+
+def reference_sample_on_grid(f, points):
+    """Field values on ``points`` uniform points per axis by one whole-cube
+    irfftn of a fresh zero-padded rfft-layout array, filled by index arrays."""
+    K = f.grid.cutoff
+    pos, _ = _ref_embed_indices(K, points)
+    half = np.zeros((3, points, points, points // 2 + 1), dtype=np.complex128)
+    half[np.ix_(range(3), pos, pos, range(K + 1))] = f.coef
+    return _fft.irfftn(half, s=(points,) * 3, axes=(1, 2, 3), norm="forward")
 
 
 def reference_tensor_product(u):

@@ -2,9 +2,12 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mildns import (
     BlowupError,
@@ -98,6 +101,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(horizon=2.0, mode="short")
         ExperimentConfig(horizon=2.0, mode="long")  # allowed long-term
+
+    @pytest.mark.parametrize("key", ["dt", "horizon", "c", "picard_tol", "slope"])
+    def test_infinite_value_named(self, key):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{key: math.inf, "mode": "long"})
+        assert exc.value.key == key
+
+    def test_infinite_ceiling_means_none(self):
+        assert ExperimentConfig(ceiling=math.inf).ceiling == math.inf
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(ceiling=math.nan)
+        assert exc.value.key == "ceiling"
 
     def test_negative_base_seed_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -534,6 +549,12 @@ class TestCli:
           "--eps-window", "5"], "--eps-window"),
         (["compactness", "--flow", "shear", "--N", "8", "--freqs", "1,2",
           "--eps-window", "-0.1"], "--eps-window"),
+        (["simulate", "--flow", "random", "--A", "inf", "--N", "8", "--T", "0.01"],
+         "argument --A:"),
+        (["simulate", "--dt", "inf"], "'dt'"),
+        (["picard", "--c", "inf"], "'c'"),
+        (["simulate", "--flow", "shear", "--amplitude", "inf", "--N", "8", "--T", "0.01"],
+         "argument --amplitude:"),
     ])
     def test_bad_value_exits_2_naming_it(self, argv, named, tmp_path, capsys):
         out = tmp_path / "o"
@@ -553,6 +574,20 @@ class TestCli:
         out = tmp_path / "o"
         assert cli_main(["ensemble", "--config", str(cfgfile), "--out-dir", str(out)]) == 2
         assert "'base_seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, key", [
+        ("dt = inf", "'dt'"),
+        ("a_list = 0.1, inf", "'a_list'"),
+        ("a_list = nan", "'a_list'"),
+        ("mode = long\nhorizon = inf", "'horizon'"),
+    ])
+    def test_non_finite_config_value_exits_2(self, lines, key, tmp_path, capsys):
+        cfgfile = tmp_path / "e.cfg"
+        cfgfile.write_text(f"grid_n = 8\na_list = 0.5\nsamples_per_a = 1\n{lines}\n")
+        out = tmp_path / "o"
+        assert cli_main(["ensemble", "--config", str(cfgfile), "--out-dir", str(out)]) == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_compactness_blowup_exit_code(self, tmp_path, monkeypatch, capsys):
@@ -577,3 +612,32 @@ class TestCli:
         assert rc == 0
         obj = json.loads((out / "compactness.json").read_text())
         assert obj["distances"][1] < obj["distances"][0]
+
+
+_KEYS = [f.name for f in fields(ExperimentConfig)]
+_NUMBERS = st.one_of(st.floats().map(repr), st.integers(-2, 40).map(str),
+                     st.sampled_from(["1e999", "-1e999", "NaN", "Infinity", " inf"]))
+_VALUES = st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=1, max_size=3).map(",".join),
+                    st.sampled_from(["", "long", "short", "hybrid", "simulate"]), st.text())
+_KEYED = st.builds("{}{}={}{}".format, st.sampled_from(_KEYS), st.sampled_from(["", " "]),
+                   st.sampled_from(["", " "]), _VALUES)
+
+
+class TestConfigProperties:
+    """ExperimentConfig.from_file turns any UTF-8 text into a config whose
+    float settings (bar the ceiling, where inf means none) are finite, or into
+    a ConfigError; no other exception escapes."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.one_of(_KEYED, _KEYED, _KEYED, st.text()), max_size=6))
+    def test_parse_or_config_error(self, tmp_path, lines):
+        path = tmp_path / "x.cfg"
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        try:
+            cfg = ExperimentConfig.from_file(path)
+        except ConfigError:
+            return
+        for key in ("dt", "horizon", "c", "picard_tol", "slope"):
+            assert math.isfinite(getattr(cfg, key))
+        assert all(math.isfinite(a) for a in cfg.a_list)

@@ -33,6 +33,7 @@ from oracles import (
     full_cube,
     quadrature_rms,
     reference_nonlinearity,
+    reference_sample_on_grid,
     reference_tensor_product,
     torus_mesh,
 )
@@ -230,8 +231,9 @@ class TestNonlinearTerm:
 
 
 class TestTransformReference:
-    """The block-slice, half-spectrum transform path reproduces the
-    gather/scatter reference exactly (K=1 and K=n/2-1 are the edge cases)."""
+    """The block-slice, half-spectrum transform path with its pruned FFT
+    passes reproduces the gather/scatter whole-cube reference exactly (K=1
+    and K=n/2-1 are the edge cases; N=48 pads to P=50, not a power of 2)."""
 
     @staticmethod
     def assert_exact(u):
@@ -241,7 +243,7 @@ class TestTransformReference:
         assert np.array_equal(full_cube(_product_half(u)), want)
 
     @pytest.mark.parametrize("n, k", [(8, None), (12, None), (16, None), (16, 3),
-                                      (16, 7), (10, 1), (32, None)])
+                                      (16, 7), (10, 1), (32, None), (48, None)])
     @pytest.mark.parametrize("seed, slope", [(3, 2.0), (11, 6.0)])
     def test_random_data_exact(self, n, k, seed, slope):
         self.assert_exact(random_divfree(1.5, seed, slope, GridSpec(n, k)))
@@ -249,6 +251,15 @@ class TestTransformReference:
     @pytest.mark.parametrize("name", ["shear", "taylor_green", "abc"])
     def test_named_flows_exact(self, name, grid16):
         self.assert_exact(named_flow(name, 1.3, grid16))
+
+    @pytest.mark.parametrize("n, k", [(8, None), (10, 1), (16, 7), (32, None), (48, None)])
+    def test_sample_on_grid_exact(self, n, k):
+        # 2K+1 is the odd minimal grid, where the k and -k blocks abut
+        grid = GridSpec(n, k)
+        fields = [random_divfree(1.5, 3, 2.0, grid), named_flow("abc", 1.3, grid)]
+        for f in fields:
+            for p in (grid.modes_per_axis, n, n + 1):
+                assert np.array_equal(sample_on_grid(f, p), reference_sample_on_grid(f, p))
 
 
 class TestTransformWorkspace:
