@@ -26,7 +26,6 @@ from .spectral_field import (
 from .semigroup_flow import (
     BlowupError,
     NormSeries,
-    StepConfig,
     Trajectory,
     galilean_reduce,
     galilean_restore,

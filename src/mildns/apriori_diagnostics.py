@@ -213,7 +213,7 @@ def compactness_experiment(
         raise ValueError(f"eps_window must lie in [0, T) with T={T:.6g}")
     perturbed = [u0 + single_mode_field(u0.grid, (n, 0, 0), (0.0, 1.0, 0.0), perturbation_h1)
                  for n in freqs]
-    sups = sup_distances(u0, perturbed, T, dt, t_min=eps_window, s=1.0)
+    sups = sup_distances(u0, perturbed, T, dt, t_min=eps_window)
     return CompactnessReport(freqs, [d for d, _ in sups], eps_window, T, c)
 
 

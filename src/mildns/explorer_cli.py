@@ -40,7 +40,6 @@ from .spectral_field import (
 )
 from .semigroup_flow import (
     BlowupError,
-    StepConfig,
     heat_propagate,
     norms_to_csv,
     simulate,
@@ -87,6 +86,11 @@ def ensemble_csv_name(a: float) -> str:
     return f"ensemble_A{a:g}.csv"
 
 
+# The most steps horizon / dt may plan: a longer run would not finish in
+# reasonable time, so it is a configuration error rather than a hang.
+MAX_STEPS = 10**7
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Ensemble and solver settings, loadable from flat key=value files.
@@ -119,6 +123,9 @@ class ExperimentConfig:
                 raise ConfigError(key, "must be positive")
             if math.isinf(value) and key != "ceiling":  # an infinite ceiling means none
                 raise ConfigError(key, "must be finite")
+        if self.horizon / self.dt > MAX_STEPS:
+            raise ConfigError("dt", f"horizon / dt = {self.horizon / self.dt:.6g} steps "
+                                    f"exceeds the limit of {MAX_STEPS}")
         for key in ("grid_n", "samples_per_a", "store_every"):
             if getattr(self, key) < 1:
                 raise ConfigError(key, "must be a positive integer")
@@ -250,8 +257,6 @@ def _run_sample(cfg: ExperimentConfig, grid: GridSpec, j: int, i: int, generator
     a = cfg.a_list[j]
     seed = sample_seed(cfg.base_seed, j, i)
     u0 = generator(a, seed, grid)
-    # a sample reads only norms, so it stores no fields between the first and last
-    step_cfg = StepConfig(dt=cfg.dt, store_every=10**9, ceiling=cfg.ceiling)
     sup, t_at = -math.inf, 0.0
     t_offset = 0.0
     if cfg.method == "hybrid":
@@ -271,7 +276,8 @@ def _run_sample(cfg: ExperimentConfig, grid: GridSpec, j: int, i: int, generator
     s = None
     if remaining > 1e-12:
         try:
-            traj = simulate(u0, remaining, step_cfg)
+            # a sample reads only norms, so it stores no fields between the first and last
+            traj = simulate(u0, remaining, cfg.dt, store_every=10**9, ceiling=cfg.ceiling)
         except BlowupError:
             return SampleRecord(j, a, i, seed, math.nan, math.nan, True)
         s = traj.norm_series
@@ -467,20 +473,20 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
     _report(checks, "smoothing_bound", worst <= sup_bound + 1e-6,
             f"max ratio {worst:.6f} <= {sup_bound + 1e-6:.6f}")
 
-    cfg = StepConfig(dt=1e-3)
-    traj = simulate(named_flow("shear", 1.0, grid), 1.0, cfg)
+    dt = 1e-3
+    traj = simulate(named_flow("shear", 1.0, grid), 1.0, dt)
     s = traj.norm_series
     exact = (1.0 / math.sqrt(2.0)) * np.exp(-s.times)
     rel = float(np.max(np.abs(s.h1 - exact) / exact))
     _report(checks, "shear_regression", rel <= 1e-10, f"max rel err {rel:.3e} <= 1e-10")
 
     tg = named_flow("taylor_green", 1.0, grid)
-    traj_tg = simulate(tg, 1.0, cfg)
+    traj_tg = simulate(tg, 1.0, dt)
     err = hs_norm(traj_tg.fields[-1] - math.exp(-2.0) * tg, 1.0) / (math.exp(-2.0) * hs_norm(tg, 1.0))
     _report(checks, "taylor_green_regression", err <= 1e-8,
             f"rel H1 err {err:.3e} <= 1e-8")
 
-    traj_r = simulate(u, 0.25, cfg)
+    traj_r = simulate(u, 0.25, dt)
     res = energy_identity_residual(traj_r).max_residual
     tol = 1e-6 * max(1.0, traj_r.norm_series.l2[0] ** 2)
     _report(checks, "energy_identity", res <= tol, f"max residual {res:.3e} <= {tol:.3e}")
@@ -493,8 +499,8 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
     _report(checks, "momentum_conservation", mom == 0.0, f"|k=0 coef| = {mom:.3e}")
 
     inc = float(np.max(np.diff(traj_r.norm_series.l2)))
-    _report(checks, "l2_monotonicity", inc <= 1e-10 * cfg.dt,
-            f"max per-step increase {inc:.3e} <= {1e-10 * cfg.dt:.1e}")
+    _report(checks, "l2_monotonicity", inc <= 1e-10 * dt,
+            f"max per-step increase {inc:.3e} <= {1e-10 * dt:.1e}")
 
     dvmax = float(np.max(traj_r.norm_series.div_linf))
     _report(checks, "divergence_along_trajectory", dvmax <= 1e-10,
@@ -505,7 +511,7 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
     fixed, rep = picard_solve(u_small, c=0.01, tol=1e-10, max_iter=40)
     worst = 0.0
     if rep.converged:
-        sim = simulate(u_small, rep.T_used, StepConfig(dt=rep.T_used / 256, store_every=4))
+        sim = simulate(u_small, rep.T_used, rep.T_used / 256, store_every=4)
         for target, f_pic in zip(fixed.tgrid.nodes, fixed.fields):
             for ft, f_sim in zip(sim.field_times, sim.fields):
                 if abs(ft - target) <= 1e-12:
@@ -589,12 +595,11 @@ def _cmd_simulate(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     u0 = _initial_field(args, cfg)
-    step_cfg = StepConfig(dt=cfg.dt, store_every=cfg.store_every, ceiling=cfg.ceiling)
     files = ["u_initial.nsf1", "norms.csv"]
     save_nsf1(u0, out / "u_initial.nsf1")
     status = 0
     try:
-        traj = simulate(u0, cfg.horizon, step_cfg)
+        traj = simulate(u0, cfg.horizon, cfg.dt, cfg.store_every, cfg.ceiling)
     except BlowupError as exc:
         print(f"blowup: {exc}", file=sys.stderr)
         traj = exc.trajectory

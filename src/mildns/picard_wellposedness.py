@@ -41,28 +41,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Nodes 0 = t_0 < ... < t_M = T with trapezoid quadrature weights."""
+    """Uniform nodes t_j = j T / intervals on [0, T], j = 0..intervals, with
+    trapezoid quadrature weights."""
 
-    nodes: np.ndarray
+    T: float
+    intervals: int
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.size < 9:
+        if not 0 < self.T < math.inf:  # NaN fails too
+            raise ValueError("time grid horizon T must be positive and finite")
+        if self.intervals < 8:
             raise ValueError("time grid needs at least 8 sub-intervals")
-        if nodes[0] != 0.0:
-            raise ValueError("time grid must start at 0")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("time grid nodes must be strictly increasing")
-        nodes.setflags(write=False)
-
-    @classmethod
-    def uniform(cls, T: float, n_intervals: int) -> "TimeGrid":
-        return cls(np.linspace(0.0, T, n_intervals + 1))
 
     @property
-    def T(self) -> float:
-        return float(self.nodes[-1])
+    def nodes(self) -> np.ndarray:
+        return np.linspace(0.0, self.T, self.intervals + 1)
 
     @property
     def widths(self) -> np.ndarray:
@@ -71,16 +64,10 @@ class TimeGrid:
     @property
     def trapezoid_weights(self) -> np.ndarray:
         h = self.widths
-        w = np.zeros_like(self.nodes)
+        w = np.zeros(self.intervals + 1)
         w[:-1] += 0.5 * h
         w[1:] += 0.5 * h
         return w
-
-    def __eq__(self, other):
-        return isinstance(other, TimeGrid) and np.array_equal(self.nodes, other.nodes)
-
-    def __hash__(self):
-        return hash((self.nodes.size, float(self.nodes[-1])))
 
 
 @dataclass
@@ -92,7 +79,7 @@ class TrajectoryX:
     fields: list
 
     def __post_init__(self):
-        if len(self.fields) != self.tgrid.nodes.size:
+        if len(self.fields) != self.tgrid.intervals + 1:
             raise ValueError("need exactly one field per time node")
 
     def __sub__(self, other: "TrajectoryX") -> "TrajectoryX":
@@ -170,13 +157,11 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
     The heat factor is applied exactly mode-wise; the nonlinearity is
     evaluated at every node and interpolated linearly in time inside the
     per-interval exponential quadrature.  Output at t=0 is exactly u0.  The
-    quadrature weights are computed once, so the time grid must be uniform.
+    time grid is uniform, so the quadrature weights are computed once.
     """
     if u0.grid != u.grid:
         raise ValueError("initial datum and trajectory use different grids")
     widths = u.tgrid.widths
-    if not np.allclose(widths, widths[0], rtol=1e-12, atol=0.0):
-        raise ValueError("phi_map needs a uniform time grid")
     _, k2, _ = _wavenumbers(u.grid)
     g = [nonlinear_term(f).coef for f in u.fields]
     decay, a0, a1 = _duhamel_weights(k2, float(widths[0]))
@@ -198,44 +183,35 @@ def picard_solve(
     tol: float = 1e-10,
     max_iter: int = 40,
     auto_shrink: bool = False,
-    seed_trajectory: str = "heat",
 ) -> tuple[TrajectoryX, PicardReport]:
-    """Iterate the Duhamel map to its fixed point on [0, c A^-4].
+    """Iterate the Duhamel map to its fixed point on [0, min(c A^-4, 1)].
 
-    Starts from the heat flow of u0 (or the zero trajectory, for uniqueness
-    cross-checks) and stops once successive iterates are within ``tol`` in
-    the space-time norm.  Non-convergence within ``max_iter`` returns
-    converged=False (the chosen c is too large for this datum); with
-    ``auto_shrink`` the horizon constant is halved and the solve retried, up
-    to 6 times.  Iterates that leave a generous ball or whose successive
-    differences double are aborted with the diverged flag.
+    Works on a uniform 64-interval time grid, starts from the heat flow of
+    u0 and stops once successive iterates are within ``tol`` in the
+    space-time norm; every iterate equals u0 exactly at t = 0.
+    Non-convergence within ``max_iter`` returns converged=False (the
+    chosen c is too large for this datum); with ``auto_shrink`` the horizon
+    constant is halved and the solve retried, up to 6 times.  Iterates that
+    leave a generous ball or whose successive differences double are
+    aborted with the diverged flag.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if seed_trajectory not in ("heat", "zero"):
-        raise ValueError("seed_trajectory must be 'heat' or 'zero'")
     A = hs_norm(u0, 1.0)
     retries = 6 if auto_shrink else 0
     c_try = c
     result = None
     for _ in range(retries + 1):
-        result = _picard_attempt(u0, A, c_try, tol, max_iter, seed_trajectory)
+        result = _picard_attempt(u0, A, c_try, tol, max_iter)
         if result[1].converged:
             return result
         c_try *= 0.5
     return result
 
 
-def _picard_attempt(u0, A, c, tol, max_iter, seed_trajectory="heat"):
+def _picard_attempt(u0, A, c, tol, max_iter):
     T = local_time(A, c)
-    tgrid = TimeGrid.uniform(T, 64)
-
-    if seed_trajectory == "zero":
-        current = TrajectoryX(
-            u0.grid, tgrid, [SpectralField.zero(u0.grid) for _ in tgrid.nodes]
-        )
-    else:
-        current = heat_trajectory(u0, tgrid)
+    current = heat_trajectory(u0, TimeGrid(T, 64))
     x1_norms = [xt_norm(current, 1.0)]
     diff_norms: list[float] = []
     factors: list[float] = []

@@ -21,7 +21,6 @@ from .spectral_field import (
 
 __all__ = [
     "NormSeries",
-    "StepConfig",
     "Trajectory",
     "BlowupError",
     "heat_propagate",
@@ -61,30 +60,6 @@ class NormSeries:
             raise ValueError("sample times must be strictly increasing")
         if any(np.any(a < 0) for a in arrays[1:]):
             raise ValueError("norm values must be nonnegative")
-
-
-@dataclass(frozen=True)
-class StepConfig:
-    """Time stepper settings.  ``ceiling`` aborts the run (as a blowup signal)
-    once the H^1 norm exceeds it.
-
-    The step size is taken as given and never adapted (reproducibility of
-    seeded ensembles).  Guidance, not enforced: with cutoff K the stiffest
-    retained modes relax on the 1/(3K^2) scale, so dt <= 1/(2K^2) keeps the
-    nonlinear stages accurate at desk resolutions.
-    """
-
-    dt: float
-    store_every: int = 1
-    ceiling: float = 1e6
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.store_every < 1:
-            raise ValueError("store_every must be >= 1")
-        if self.ceiling <= 0:
-            raise ValueError("ceiling must be positive")
 
 
 @dataclass
@@ -191,6 +166,8 @@ def march(states, T: float, dt: float):
         raise ValueError("horizon T must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not np.isfinite(T / dt):
+        raise ValueError("the step count T / dt must be finite")
     if not states:
         raise ValueError("nothing to march")
     grid = states[0].grid
@@ -221,21 +198,31 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
         yield t, states
 
 
-def step(u: SpectralField, cfg: StepConfig) -> SpectralField:
-    """Advance one time step of size cfg.dt; raises BlowupError on overflow."""
-    _, (out,) = next(march([u], cfg.dt, cfg.dt))
+def step(u: SpectralField, dt: float) -> SpectralField:
+    """Advance one IF-RK4 step of size dt; raises BlowupError on overflow."""
+    _, (out,) = next(march([u], dt, dt))
     return out
 
 
-def simulate(u0: SpectralField, T: float, cfg: StepConfig) -> Trajectory:
+def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1,
+             ceiling: float = 1e6) -> Trajectory:
     """March the mild evolution from 0 to T, recording norms every step.
 
-    Fields are stored every ``cfg.store_every`` steps plus the final state.
+    Fields are stored every ``store_every`` steps plus the final state.
     Raises :class:`BlowupError` with the partial trajectory attached if
-    coefficients go non-finite or H^1 exceeds ``cfg.ceiling``, the initial
-    datum included.
+    coefficients go non-finite or H^1 exceeds ``ceiling`` (``math.inf``
+    means none), the initial datum included.
+
+    The step size is taken as given and never adapted (reproducibility of
+    seeded ensembles).  Guidance, not enforced: with cutoff K the stiffest
+    retained modes relax on the 1/(3K^2) scale, so dt <= 1/(2K^2) keeps the
+    nonlinear stages accurate at desk resolutions.
     """
-    steps = march([u0], T, cfg.dt)  # checks the arguments
+    if store_every < 1:
+        raise ValueError("store_every must be >= 1")
+    if not ceiling > 0:  # NaN fails too
+        raise ValueError("ceiling must be positive")
+    steps = march([u0], T, dt)  # checks T and dt
     grid = u0.grid
     times = [0.0]
     l2s = [hs_norm(u0, 0.0)]
@@ -252,9 +239,9 @@ def simulate(u0: SpectralField, T: float, cfg: StepConfig) -> Trajectory:
         return Trajectory(grid, series, np.asarray(field_times), fields)
 
     try:
-        if h1s[0] > cfg.ceiling:
+        if h1s[0] > ceiling:
             raise BlowupError(
-                f"initial H1 norm {h1s[0]:.6g} exceeds ceiling {cfg.ceiling:.6g}",
+                f"initial H1 norm {h1s[0]:.6g} exceeds ceiling {ceiling:.6g}",
                 time=0.0, last_field=u0,
             )
         for i, (t, (u,)) in enumerate(steps, 1):
@@ -262,12 +249,12 @@ def simulate(u0: SpectralField, T: float, cfg: StepConfig) -> Trajectory:
             l2s.append(hs_norm(u, 0.0))
             h1s.append(hs_norm(u, 1.0))
             divs.append(divergence_linf(u))
-            if i % cfg.store_every == 0 or t == T:
+            if i % store_every == 0 or t == T:
                 fields.append(u.copy())
                 field_times.append(t)
-            if h1s[-1] > cfg.ceiling:
+            if h1s[-1] > ceiling:
                 raise BlowupError(
-                    f"H1 norm {h1s[-1]:.6g} exceeded ceiling {cfg.ceiling:.6g} at t={t:.6g}",
+                    f"H1 norm {h1s[-1]:.6g} exceeded ceiling {ceiling:.6g} at t={t:.6g}",
                     time=t, last_field=u,
                 )
     except BlowupError as exc:
@@ -282,10 +269,9 @@ def sup_distances(
     T: float,
     dt: float,
     t_min: float = 0.0,
-    s: float = 1.0,
 ) -> list[tuple[float, float]]:
-    """Largest H^s distance from the base run to each other run, over step
-    times >= t_min.
+    """Largest H^1 distance from the base run to each other run, over step
+    times >= t_min (t = 0 included when t_min is 0).
 
     The base and every other datum march once, in lockstep on one step
     plan, so the result is independent of any field-storage thinning.
@@ -300,7 +286,7 @@ def sup_distances(
     def update(t, states):
         if t >= t_min - eps:
             for j, u in enumerate(states[1:]):
-                d = hs_norm(u - states[0], s)
+                d = hs_norm(u - states[0], 1.0)
                 if d > best[j][0]:
                     best[j] = (d, t)
 

@@ -13,7 +13,6 @@ import pytest
 
 from mildns import (
     GridSpec,
-    StepConfig,
     TimeGrid,
     cli_main,
     compactness_experiment,
@@ -57,7 +56,7 @@ def grid32():
 @pytest.fixture(scope="module")
 def taylor_green_run(grid16):
     u0 = named_flow("taylor_green", 1.0, grid16)
-    return u0, simulate(u0, 1.0, StepConfig(dt=1e-3, store_every=250))
+    return u0, simulate(u0, 1.0, 1e-3, store_every=250)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +64,7 @@ def random32_run(grid32):
     # slope 3.5 keeps the fast high-mode transient resolved at dt = 1e-3,
     # which the energy-identity tolerance presumes
     u0 = random_divfree(1.0, 7, 3.5, grid32)
-    return u0, simulate(u0, 0.5, StepConfig(dt=1e-3, store_every=100))
+    return u0, simulate(u0, 0.5, 1e-3, store_every=100)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +163,7 @@ def test_criterion_6_picard_contraction_and_orders(grid16):
     assert rep.converged
     assert all(f <= 0.5 for f in rep.contraction_factors)
 
-    sim = simulate(u0, rep.T_used, StepConfig(dt=rep.T_used / 256, store_every=4))
+    sim = simulate(u0, rep.T_used, rep.T_used / 256, store_every=4)
     gap = 0.0
     for t_node, f in zip(fixed.tgrid.nodes, fixed.fields):
         for ft, fs in zip(sim.field_times, sim.fields):
@@ -178,7 +177,7 @@ def test_criterion_6_picard_contraction_and_orders(grid16):
     T = local_time(hs_norm(up, 1.0), 0.01)
 
     def phi_final(n):
-        tg = TimeGrid.uniform(T, n)
+        tg = TimeGrid(T, n)
         return phi_map(heat_trajectory(up, tg), up).fields[-1]
 
     ref = phi_final(2048)
@@ -188,8 +187,8 @@ def test_criterion_6_picard_contraction_and_orders(grid16):
 
     us = random_divfree(1.5, 5, 2.0, g8)
     Ts = 0.25
-    ref = simulate(us, Ts, StepConfig(dt=Ts / 1024)).fields[-1]
-    errs = [hs_norm(simulate(us, Ts, StepConfig(dt=Ts / n)).fields[-1] - ref, 1.0)
+    ref = simulate(us, Ts, Ts / 1024).fields[-1]
+    errs = [hs_norm(simulate(us, Ts, Ts / n).fields[-1] - ref, 1.0)
             for n in (16, 32, 64)]
     step_orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(abs(p - 4.0) <= 0.3 for p in step_orders)

@@ -10,7 +10,6 @@ from mildns import (
     GridSpec,
     NormSeries,
     SpectralField,
-    StepConfig,
     compactness_experiment,
     decay_envelope,
     energy_budget,
@@ -38,24 +37,24 @@ def heat_series(rate, h1_0, times):
 
 class TestEnergyIdentity:
     def test_shear_flow_trapezoid_only(self, grid8):
-        traj = simulate(named_flow("shear", 1.0, grid8), 0.5, StepConfig(dt=5e-4))
+        traj = simulate(named_flow("shear", 1.0, grid8), 0.5, 5e-4)
         res = energy_identity_residual(traj)
         assert res.max_residual <= 1e-10
 
     def test_zero_trajectory(self, grid8):
-        traj = simulate(SpectralField.zero(grid8), 0.1, StepConfig(dt=1e-2))
+        traj = simulate(SpectralField.zero(grid8), 0.1, 1e-2)
         res = energy_identity_residual(traj)
         assert np.all(res.residuals == 0.0)
 
     def test_random_run_within_default_tolerance(self, grid16):
         u0 = random_divfree(1.0, 3, 2.0, grid16)
-        traj = simulate(u0, 0.25, StepConfig(dt=1e-3))
+        traj = simulate(u0, 0.25, 1e-3)
         res = energy_identity_residual(traj)
         tol = 1e-6 * max(1.0, traj.norm_series.l2[0] ** 2)
         assert res.max_residual <= tol
 
     def test_csv_export(self, tmp_path, grid8):
-        traj = simulate(named_flow("shear", 1.0, grid8), 0.05, StepConfig(dt=1e-2))
+        traj = simulate(named_flow("shear", 1.0, grid8), 0.05, 1e-2)
         res = energy_identity_residual(traj)
         path = tmp_path / "residuals.csv"
         residuals_to_csv(res, path)
@@ -67,19 +66,19 @@ class TestEnergyIdentity:
 class TestEnergyBudget:
     def test_heat_flow_closed_form(self, grid8):
         # single-rate decay: dissipation^2 = l2(0)^2 (1 - e^-10) at T=5
-        traj = simulate(named_flow("shear", 1.0, grid8), 5.0, StepConfig(dt=2.5e-3))
+        traj = simulate(named_flow("shear", 1.0, grid8), 5.0, 2.5e-3)
         sup, dissip = energy_budget(traj)
         l20 = traj.norm_series.l2[0]
         assert sup == pytest.approx(l20, rel=1e-12)
         assert dissip**2 == pytest.approx(l20**2 * (1 - math.exp(-10.0)), rel=1e-5)
 
     def test_zero_field(self, grid8):
-        traj = simulate(SpectralField.zero(grid8), 0.1, StepConfig(dt=1e-2))
+        traj = simulate(SpectralField.zero(grid8), 0.1, 1e-2)
         assert energy_budget(traj) == (0.0, 0.0)
 
     def test_random_run_contracts(self, grid8):
         u0 = random_divfree(1.0, 5, 2.0, grid8)
-        traj = simulate(u0, 0.5, StepConfig(dt=1e-3))
+        traj = simulate(u0, 0.5, 1e-3)
         sup, dissip = energy_budget(traj)
         l20 = traj.norm_series.l2[0]
         assert sup <= l20 * (1 + 1e-6)
@@ -106,7 +105,7 @@ class TestPigeonholeTime:
 
     def test_mean_value_bound_on_ns_run(self, grid8):
         u0 = random_divfree(1.0, 5, 2.0, grid8)
-        traj = simulate(u0, 4.0, StepConfig(dt=2e-3))
+        traj = simulate(u0, 4.0, 2e-3)
         eps = 0.5
         out = pigeonhole_time(traj.norm_series, eps)  # window = 4
         assert not out.partial
@@ -141,18 +140,18 @@ class TestPigeonholeTime:
 
 class TestDecayEnvelope:
     def test_heat_flow_rate_one(self, grid8):
-        traj = simulate(named_flow("shear", 1.0, grid8), 1.0, StepConfig(dt=1e-3))
+        traj = simulate(named_flow("shear", 1.0, grid8), 1.0, 1e-3)
         rate = decay_envelope(traj.norm_series, 0.0)
         assert rate == pytest.approx(-1.0, abs=1e-6)
 
     def test_taylor_green_rate_two(self, grid8):
-        traj = simulate(named_flow("taylor_green", 1.0, grid8), 1.0, StepConfig(dt=1e-3))
+        traj = simulate(named_flow("taylor_green", 1.0, grid8), 1.0, 1e-3)
         rate = decay_envelope(traj.norm_series, 0.0)
         assert rate == pytest.approx(-2.0, abs=1e-6)
 
     def test_small_data_decays_at_least_unit_rate(self, grid8):
         u0 = random_divfree(0.1, 6, 2.0, grid8)
-        traj = simulate(u0, 2.0, StepConfig(dt=2e-3))
+        traj = simulate(u0, 2.0, 2e-3)
         rate = decay_envelope(traj.norm_series, 0.5)
         assert rate <= -0.9
 
@@ -184,7 +183,7 @@ class TestUnitTimeContraction:
 
     def test_small_data_ns_contracts(self, grid8):
         u0 = random_divfree(0.2, 9, 2.0, grid8)
-        traj = simulate(u0, 2.5, StepConfig(dt=2.5e-3))
+        traj = simulate(u0, 2.5, 2.5e-3)
         _, ratios = unit_time_contraction(traj.norm_series)
         assert np.all(ratios <= 1.0)
 
@@ -261,7 +260,7 @@ class TestCompactness:
 
 class TestExplosionScan:
     def test_no_crossing_on_decay(self, grid8):
-        traj = simulate(named_flow("shear", 1.0, grid8), 0.2, StepConfig(dt=1e-2))
+        traj = simulate(named_flow("shear", 1.0, grid8), 0.2, 1e-2)
         scan = norm_explosion_scan(traj, 10.0)
         assert scan.crossed is False and scan.time is None
 
@@ -277,5 +276,5 @@ class TestExplosionScan:
 class TestPoincare:
     def test_holds_along_trajectories(self, grid8):
         u0 = random_divfree(1.0, 4, 2.0, grid8)
-        traj = simulate(u0, 0.2, StepConfig(dt=2e-3))
+        traj = simulate(u0, 0.2, 2e-3)
         assert poincare_violation(traj) <= 1e-12

@@ -26,7 +26,8 @@ from mildns import (
     random_divfree,
     run_verify,
 )
-from mildns.explorer_cli import sample_seed
+from mildns.explorer_cli import MAX_STEPS, sample_seed
+from mildns.semigroup_flow import _plan_steps
 
 
 SMALL = dict(grid_n=8, dt=0.02, horizon=0.5, a_list=(0.1, 0.2), samples_per_a=2,
@@ -107,6 +108,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(**{key: math.inf, "mode": "long"})
         assert exc.value.key == key
+
+    def test_step_count_limit(self):
+        ExperimentConfig(horizon=10.0, dt=1e-6, mode="long")  # exactly MAX_STEPS steps
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(horizon=10.0, dt=0.99e-6, mode="long")
+        assert exc.value.key == "dt"
 
     def test_infinite_ceiling_means_none(self):
         assert ExperimentConfig(ceiling=math.inf).ceiling == math.inf
@@ -279,9 +286,9 @@ class TestEstimateF:
         import mildns.explorer_cli as cli
         seen = []
 
-        def recording(u0, T, cfg):
-            seen.append(cfg.store_every)
-            return simulate(u0, T, cfg)
+        def recording(u0, T, dt, store_every=1, ceiling=1e6):
+            seen.append(store_every)
+            return simulate(u0, T, dt, store_every, ceiling)
 
         simulate = cli.simulate
         monkeypatch.setattr(cli, "simulate", recording)
@@ -565,6 +572,8 @@ class TestCli:
         except SystemExit as exc:
             rc = exc.code
         assert rc == 2
+        if named.startswith("--"):  # argparse's usage line lists every flag
+            named = f"argument {named}:"
         assert named in capsys.readouterr().err
         assert not out.exists()
 
@@ -588,6 +597,19 @@ class TestCli:
         out = tmp_path / "o"
         assert cli_main(["ensemble", "--config", str(cfgfile), "--out-dir", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["simulate", "--flow", "shear"], ["ensemble"]])
+    @pytest.mark.parametrize("lines", [
+        "grid_n = 8\nmode = long\nhorizon = 1e300\ndt = 1e-10",  # T / dt overflows
+        "grid_n = 8\nmode = long\nhorizon = 1e6\ndt = 1e-9",     # 10^15 steps
+    ])
+    def test_run_length_bounded(self, command, lines, tmp_path, capsys):
+        cfgfile = tmp_path / "e.cfg"
+        cfgfile.write_text(lines + "\n")
+        out = tmp_path / "o"
+        assert cli_main([*command, "--config", str(cfgfile), "--out-dir", str(out)]) == 2
+        assert "'dt'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_compactness_blowup_exit_code(self, tmp_path, monkeypatch, capsys):
@@ -641,3 +663,4 @@ class TestConfigProperties:
         for key in ("dt", "horizon", "c", "picard_tol", "slope"):
             assert math.isfinite(getattr(cfg, key))
         assert all(math.isfinite(a) for a in cfg.a_list)
+        assert _plan_steps(cfg.horizon, cfg.dt) <= MAX_STEPS

@@ -9,7 +9,6 @@ import pytest
 from mildns import (
     GridSpec,
     SpectralField,
-    StepConfig,
     TimeGrid,
     TrajectoryX,
     heat_propagate,
@@ -34,29 +33,24 @@ def constant_trajectory(f, tgrid):
 
 class TestTimeGrid:
     def test_uniform(self):
-        tg = TimeGrid.uniform(0.5, 10)
+        tg = TimeGrid(0.5, 10)
         assert tg.nodes[0] == 0.0 and tg.nodes[-1] == 0.5
         assert tg.nodes.size == 11
         assert np.sum(tg.trapezoid_weights) == pytest.approx(0.5, rel=1e-15)
 
     def test_too_few_intervals(self):
         with pytest.raises(ValueError):
-            TimeGrid.uniform(1.0, 4)
+            TimeGrid(1.0, 4)
 
-    def test_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            TimeGrid(np.linspace(0.1, 1.0, 12))
-
-    def test_monotone(self):
-        nodes = np.linspace(0.0, 1.0, 12)
-        nodes[5] = nodes[4]
-        with pytest.raises(ValueError):
-            TimeGrid(nodes)
+    @pytest.mark.parametrize("T", [0.0, math.nan, math.inf])
+    def test_horizon_positive_and_finite(self, T):
+        with pytest.raises(ValueError, match="horizon"):
+            TimeGrid(T, 16)
 
 
 class TestXtNorm:
     def test_zero_trajectory(self, grid16):
-        tg = TimeGrid.uniform(1.0, 16)
+        tg = TimeGrid(1.0, 16)
         z = constant_trajectory(SpectralField.zero(grid16), tg)
         assert xt_norm(z, 1.0) == 0.0
 
@@ -66,7 +60,7 @@ class TestXtNorm:
         # the quadrature is exact for a constant integrand
         f = single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), math.sqrt(2.0))
         assert hs_norm(f, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        tg = TimeGrid.uniform(1.0, 64)
+        tg = TimeGrid(1.0, 64)
         u = constant_trajectory(f, tg)
         assert xt_norm(u, 1.0) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-13)
 
@@ -78,7 +72,7 @@ class TestXtNorm:
         want = math.sqrt(2.0) + math.sqrt(1.0 - math.exp(-2.0))
         errs = []
         for n in (64, 128, 256):
-            u = heat_trajectory(f, TimeGrid.uniform(1.0, n))
+            u = heat_trajectory(f, TimeGrid(1.0, n))
             errs.append(abs(xt_norm(u, 1.0) - want))
         assert errs[0] <= 1e-4 * want
         order = math.log2(errs[0] / errs[1])
@@ -104,7 +98,7 @@ class TestLocalTime:
 class TestPhiMap:
     def test_zero_input_gives_heat_flow(self, grid8):
         u0 = random_divfree(1.0, 3, 2.0, grid8)
-        tg = TimeGrid.uniform(0.05, 32)
+        tg = TimeGrid(0.05, 32)
         zero = constant_trajectory(SpectralField.zero(grid8), tg)
         out = phi_map(zero, u0)
         want = heat_trajectory(u0, tg)
@@ -112,36 +106,30 @@ class TestPhiMap:
 
     def test_shear_heat_flow_is_fixed_point(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
-        tg = TimeGrid.uniform(0.1, 32)
+        tg = TimeGrid(0.1, 32)
         u = heat_trajectory(u0, tg)
         out = phi_map(u, u0)
         assert xt_norm(out - u, 1.0) <= 1e-13
 
     def test_initial_node_exact(self, grid8):
         u0 = random_divfree(0.7, 5, 2.0, grid8)
-        tg = TimeGrid.uniform(0.02, 16)
+        tg = TimeGrid(0.02, 16)
         out = phi_map(heat_trajectory(u0, tg), u0)
         assert np.array_equal(out.fields[0].coef, u0.coef)
 
     def test_grid_mismatch_rejected(self, grid8, grid16):
         u0 = random_divfree(1.0, 3, 2.0, grid16)
-        tg = TimeGrid.uniform(0.05, 16)
+        tg = TimeGrid(0.05, 16)
         u = heat_trajectory(random_divfree(1.0, 3, 2.0, grid8), tg)
         with pytest.raises(ValueError, match="grid"):
             phi_map(u, u0)
-
-    def test_nonuniform_time_grid_rejected(self, grid8):
-        u0 = random_divfree(1.0, 3, 2.0, grid8)
-        tg = TimeGrid(np.linspace(0.0, 0.05, 17) ** 2 / 0.05)
-        with pytest.raises(ValueError, match="uniform"):
-            phi_map(heat_trajectory(u0, tg), u0)
 
     def test_second_order_refinement(self, grid8):
         u0 = random_divfree(1.0, 9, 2.0, grid8)
         T = local_time(hs_norm(u0, 1.0), 0.01)
 
         def final(n):
-            tg = TimeGrid.uniform(T, n)
+            tg = TimeGrid(T, n)
             return phi_map(heat_trajectory(u0, tg), u0).fields[-1]
 
         ref = final(2048)
@@ -170,7 +158,7 @@ class TestPicardSolve:
     def test_matches_simulate(self, grid8):
         u0 = random_divfree(0.5, 11, 2.0, grid8)
         traj, rep = picard_solve(u0, c=0.01, tol=1e-10)
-        sim = simulate(u0, rep.T_used, StepConfig(dt=rep.T_used / 256, store_every=4))
+        sim = simulate(u0, rep.T_used, rep.T_used / 256, store_every=4)
         worst = 0.0
         for t_node, f in zip(traj.tgrid.nodes, traj.fields):
             for ft, fs in zip(sim.field_times, sim.fields):
@@ -182,8 +170,16 @@ class TestPicardSolve:
         u0 = random_divfree(0.6, 4, 2.0, grid8)
         tol = 1e-11
         a, ra = picard_solve(u0, c=0.01, tol=tol)
-        b, rb = picard_solve(u0, c=0.01, tol=tol, seed_trajectory="zero")
-        assert ra.converged and rb.converged
+        # the same iteration started from the zero trajectory instead of the heat flow
+        b = constant_trajectory(SpectralField.zero(grid8), a.tgrid)
+        converged = False
+        for _ in range(40):
+            nxt = phi_map(b, u0)
+            converged = xt_norm(nxt - b, 1.0) <= tol
+            b = nxt
+            if converged:
+                break
+        assert ra.converged and converged
         assert xt_norm(a - b, 1.0) <= 10 * tol
 
     def test_contraction_scaling_under_amplitude_doubling(self, grid8):
@@ -248,7 +244,7 @@ class TestPicardSolve:
 class TestTailDecayProfile:
     def test_heat_flow_monotone_and_bounded(self, grid16):
         u0 = random_divfree(1.0, 6, 2.0, grid16)
-        tg = TimeGrid.uniform(0.2, 32)
+        tg = TimeGrid(0.2, 32)
         prof = tail_decay_profile(heat_trajectory(u0, tg))
         K = grid16.cutoff
         for s in (1.0, 1.5):
@@ -262,19 +258,18 @@ class TestTailDecayProfile:
 
     def test_shear_has_no_tail(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
-        tg = TimeGrid.uniform(0.2, 16)
+        tg = TimeGrid(0.2, 16)
         prof = tail_decay_profile(heat_trajectory(u0, tg))
         for s in (1.0, 1.5):
             assert np.all(prof.ratios[s] == 0.0)
 
     def test_zero_field_all_zero(self, grid8):
-        tg = TimeGrid.uniform(0.2, 16)
+        tg = TimeGrid(0.2, 16)
         prof = tail_decay_profile(constant_trajectory(SpectralField.zero(grid8), tg))
         for s in (1.0, 1.5):
             assert np.all(prof.ratios[s] == 0.0)
 
     def test_accepts_simulated_trajectory(self, grid8):
-        traj = simulate(random_divfree(0.5, 3, 2.0, grid8), 0.1,
-                        StepConfig(dt=1e-2, store_every=2))
+        traj = simulate(random_divfree(0.5, 3, 2.0, grid8), 0.1, 1e-2, store_every=2)
         prof = tail_decay_profile(traj)
         assert prof.times.size == len(traj.fields)

@@ -10,7 +10,6 @@ from mildns import (
     GridSpec,
     NormSeries,
     SpectralField,
-    StepConfig,
     divergence_linf,
     galilean_reduce,
     galilean_restore,
@@ -85,16 +84,15 @@ class TestSmoothingRatio:
 class TestStep:
     def test_shear_step_is_pure_heat(self, grid16):
         u = named_flow("shear", 1.0, grid16)
-        out = step(u, StepConfig(dt=1e-2))
+        out = step(u, 1e-2)
         want = heat_propagate(u, 1e-2)
         assert np.max(np.abs(out.coef - want.coef)) <= 1e-15
 
     def test_taylor_green_exact_decay(self, grid8):
         u = named_flow("taylor_green", 1.0, grid8)
         cur = u
-        cfg = StepConfig(dt=1e-3)
         for _ in range(200):
-            cur = step(cur, cfg)
+            cur = step(cur, 1e-3)
         want = math.exp(-0.4) * u
         rel = hs_norm(cur - want, 1.0) / hs_norm(want, 1.0)
         assert rel <= 1e-10
@@ -102,9 +100,9 @@ class TestStep:
     def test_fourth_order_convergence(self, grid8):
         u0 = random_divfree(1.5, 5, 2.0, grid8)
         T = 0.25
-        ref = simulate(u0, T, StepConfig(dt=T / 1024)).fields[-1]
+        ref = simulate(u0, T, T / 1024).fields[-1]
         errs = [
-            hs_norm(simulate(u0, T, StepConfig(dt=T / n)).fields[-1] - ref, 1.0)
+            hs_norm(simulate(u0, T, T / n).fields[-1] - ref, 1.0)
             for n in (16, 32, 64)
         ]
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -115,37 +113,37 @@ class TestStep:
         # reference at dt/8 of the coarse step
         u0 = random_divfree(1.0, 3, 2.0, grid8)
         T, dt = 0.2, 0.02
-        ref = simulate(u0, T, StepConfig(dt=dt / 8)).fields[-1]
-        e1 = hs_norm(simulate(u0, T, StepConfig(dt=dt)).fields[-1] - ref, 1.0)
-        e2 = hs_norm(simulate(u0, T, StepConfig(dt=dt / 2)).fields[-1] - ref, 1.0)
+        ref = simulate(u0, T, dt / 8).fields[-1]
+        e1 = hs_norm(simulate(u0, T, dt).fields[-1] - ref, 1.0)
+        e2 = hs_norm(simulate(u0, T, dt / 2).fields[-1] - ref, 1.0)
         assert e1 / e2 == pytest.approx(16.0, rel=0.25)
 
     def test_overflow_raises_blowup(self, grid8):
         u = random_divfree(1e200, 1, 2.0, grid8)
         with pytest.raises(BlowupError):
-            step(u, StepConfig(dt=1e-3))
+            step(u, 1e-3)
 
 
 class TestSimulate:
     def test_shear_h1_series_exact(self, grid8):
-        traj = simulate(named_flow("shear", 1.0, grid8), 1.0, StepConfig(dt=1e-3))
+        traj = simulate(named_flow("shear", 1.0, grid8), 1.0, 1e-3)
         s = traj.norm_series
         want = (1.0 / math.sqrt(2.0)) * np.exp(-s.times)
         assert np.max(np.abs(s.h1 - want) / want) <= 1e-10
 
     def test_zero_data_zero_trajectory(self, grid8):
-        traj = simulate(SpectralField.zero(grid8), 0.1, StepConfig(dt=1e-2))
+        traj = simulate(SpectralField.zero(grid8), 0.1, 1e-2)
         assert np.all(traj.norm_series.h1 == 0.0)
         assert np.all(traj.norm_series.l2 == 0.0)
 
     def test_time_grid_and_final_time(self, grid8):
-        traj = simulate(named_flow("shear", 1.0, grid8), 0.105, StepConfig(dt=1e-2))
+        traj = simulate(named_flow("shear", 1.0, grid8), 0.105, 1e-2)
         assert traj.norm_series.times[-1] == 0.105
         assert len(traj.norm_series.times) == 12  # 10 full steps + shortened last
 
     def test_store_every_thinning(self, grid8):
         u0 = random_divfree(0.5, 2, 2.0, grid8)
-        traj = simulate(u0, 0.1, StepConfig(dt=1e-2, store_every=4))
+        traj = simulate(u0, 0.1, 1e-2, store_every=4)
         assert list(traj.field_times) == [0.0, 0.04, 0.08, 0.1]
         # stored fields consistent with the norm series
         for t, f in zip(traj.field_times, traj.fields):
@@ -156,7 +154,7 @@ class TestSimulate:
 
     def test_momentum_pinned_and_divergence(self, grid8):
         u0 = random_divfree(1.0, 9, 2.0, grid8)
-        traj = simulate(u0, 0.2, StepConfig(dt=2e-3, store_every=10))
+        traj = simulate(u0, 0.2, 2e-3, store_every=10)
         K = grid8.cutoff
         for f in traj.fields:
             assert np.all(f.coef[:, K, K, 0] == 0.0)
@@ -164,7 +162,7 @@ class TestSimulate:
 
     def test_l2_monotone(self, grid8):
         u0 = random_divfree(1.0, 9, 2.0, grid8)
-        traj = simulate(u0, 0.2, StepConfig(dt=2e-3))
+        traj = simulate(u0, 0.2, 2e-3)
         assert np.max(np.diff(traj.norm_series.l2)) <= 1e-10 * 2e-3
 
     def test_ceiling_blowup_carries_partial_trajectory(self, grid8):
@@ -172,7 +170,7 @@ class TestSimulate:
         # third step (24 -> 23.95 -> 24.06 -> 24.32)
         u0 = random_divfree(24.0, 2, 6.0, grid8)
         with pytest.raises(BlowupError) as exc:
-            simulate(u0, 0.1, StepConfig(dt=1e-2, ceiling=24.1))
+            simulate(u0, 0.1, 1e-2, ceiling=24.1)
         traj = exc.value.trajectory
         assert traj is not None
         assert traj.norm_series.times == pytest.approx([0.0, 0.01, 0.02, 0.03])
@@ -183,7 +181,7 @@ class TestSimulate:
     def test_ceiling_checked_at_time_zero(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
         with pytest.raises(BlowupError) as exc:
-            simulate(u0, 0.1, StepConfig(dt=1e-2, ceiling=1e-3))
+            simulate(u0, 0.1, 1e-2, ceiling=1e-3)
         assert exc.value.time == 0.0
         assert np.array_equal(exc.value.last_field.coef, u0.coef)
         traj = exc.value.trajectory
@@ -194,7 +192,7 @@ class TestSimulate:
         # no ceiling, so the run stops on overflow rather than at t=0
         u0 = random_divfree(1e150, 1, 2.0, grid8)
         with pytest.raises(BlowupError) as exc:
-            simulate(u0, 0.05, StepConfig(dt=1e-2, ceiling=math.inf))
+            simulate(u0, 0.05, 1e-2, ceiling=math.inf)
         assert exc.value.time == pytest.approx(0.01)
         assert np.array_equal(exc.value.last_field.coef, u0.coef)
         assert np.all(np.isfinite(exc.value.last_field.coef))
@@ -202,7 +200,16 @@ class TestSimulate:
 
     def test_invalid_horizon(self, grid8):
         with pytest.raises(ValueError):
-            simulate(named_flow("shear", 1.0, grid8), 0.0, StepConfig(dt=1e-2))
+            simulate(named_flow("shear", 1.0, grid8), 0.0, 1e-2)
+
+    @pytest.mark.parametrize("kw, named", [
+        ({"store_every": 0}, "store_every"),
+        ({"ceiling": 0.0}, "ceiling"),
+        ({"ceiling": math.nan}, "ceiling"),
+    ])
+    def test_invalid_storage_and_ceiling(self, grid8, kw, named):
+        with pytest.raises(ValueError, match=named):
+            simulate(named_flow("shear", 1.0, grid8), 0.1, 1e-2, **kw)
 
 
 class TestSupDistances:
@@ -248,6 +255,8 @@ class TestMarch:
             march([u0], 0.0, 1e-2)
         with pytest.raises(ValueError, match="dt"):
             march([u0], 0.1, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            march([u0], 1e300, 1e-10)  # T / dt overflows
         with pytest.raises(ValueError, match="grid"):
             march([u0, SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
         with pytest.raises(ValueError, match="grid"):
@@ -274,7 +283,7 @@ class TestViscosityNormalize:
         u0 = named_flow("shear", a, grid8)
         out = viscosity_normalize(u0, nu)
         assert hs_norm(out, 1.0) == pytest.approx(nu * a / math.sqrt(2.0), rel=1e-13)
-        traj = simulate(u0, 1.0, StepConfig(dt=1e-3))
+        traj = simulate(u0, 1.0, 1e-3)
         s = traj.norm_series
         t_eval = 0.5
         # nu * u(nu t) at t_eval, read off the unit run at nu * t_eval = 1.0
@@ -309,7 +318,7 @@ class TestGalilean:
         reduced, drift = galilean_reduce(full0)
         assert drift == pytest.approx(m)
         t_end = 0.5
-        traj = simulate(reduced, t_end, StepConfig(dt=1e-3))
+        traj = simulate(reduced, t_end, 1e-3)
         restored = galilean_restore(traj.fields[-1], drift, t_end)
         vals = sample_on_grid(restored)
         x1, x2, x3 = torus_mesh(8)
@@ -321,7 +330,7 @@ class TestGalilean:
 
 class TestNormSeriesCsv:
     def test_round_trip(self, tmp_path, grid8):
-        traj = simulate(named_flow("shear", 1.0, grid8), 0.05, StepConfig(dt=1e-2))
+        traj = simulate(named_flow("shear", 1.0, grid8), 0.05, 1e-2)
         path = tmp_path / "norms.csv"
         norms_to_csv(traj.norm_series, path)
         header = path.read_text().splitlines()[0]
