@@ -1,7 +1,8 @@
 """Energy, decay, and compactness diagnostics over completed trajectories.
 
-Everything here is read-only: diagnostics consume norm series or stored
-fields and never feed back into the dynamics.
+Everything here is read-only: the series diagnostics take a
+:class:`NormSeries` (a trajectory's ``norm_series``, t = 0 included) and
+never feed back into the dynamics.
 """
 
 import csv
@@ -11,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral_field import SpectralField, _write_json, hs_norm, single_mode_field
-from .semigroup_flow import NormSeries, Trajectory, sup_distances
+from .semigroup_flow import NormSeries, sup_distances
 from .picard_wellposedness import local_time
 
 __all__ = [
@@ -32,14 +33,6 @@ __all__ = [
 ]
 
 
-def _series_of(obj) -> NormSeries:
-    if isinstance(obj, NormSeries):
-        return obj
-    if isinstance(obj, Trajectory):
-        return obj.norm_series
-    raise TypeError("expected a Trajectory or NormSeries")
-
-
 @dataclass
 class EnergyResiduals:
     """Per-interval defect of the energy identity d/dt |u|^2 = -2 int |grad u|^2.
@@ -56,9 +49,8 @@ class EnergyResiduals:
         return float(np.max(self.residuals)) if self.residuals.size else 0.0
 
 
-def energy_identity_residual(traj) -> EnergyResiduals:
+def energy_identity_residual(s: NormSeries) -> EnergyResiduals:
     """Check the discrete energy balance interval by interval."""
-    s = _series_of(traj)
     dt = np.diff(s.times)
     d_l2sq = np.diff(s.l2**2)
     dissip = 0.5 * (s.enstrophy[:-1] + s.enstrophy[1:]) * dt
@@ -66,13 +58,12 @@ def energy_identity_residual(traj) -> EnergyResiduals:
     return EnergyResiduals(s.times[1:].copy(), res)
 
 
-def energy_budget(traj) -> tuple[float, float]:
+def energy_budget(s: NormSeries) -> tuple[float, float]:
     """Return (sup_t L^2 norm, sqrt(2 * int enstrophy dt)).
 
     For dissipative runs the supremum is the initial L^2 norm and the total
     dissipation never exceeds it.
     """
-    s = _series_of(traj)
     sup_l2 = float(np.max(s.l2)) if s.l2.size else 0.0
     total = float(np.sqrt(2.0 * np.trapezoid(s.enstrophy, s.times))) if s.times.size > 1 else 0.0
     return sup_l2, total
@@ -190,12 +181,11 @@ def compactness_experiment(
     eps_window: float,
     c: float,
     dt: float = 1e-3,
-    perturbation_h1: float = 1.0,
 ) -> CompactnessReport:
     """Measure sup-H^1 distances between perturbed and base solutions.
 
     For each frequency n the datum is u0 plus a divergence-free pair at
-    wavevector (n, 0, 0) with y-polarization and H^1 size ``perturbation_h1``.
+    wavevector (n, 0, 0) with y-polarization and H^1 size 1.
     The base run and all perturbed runs march once, in lockstep, to the
     horizon T = compactness_horizon(u0, c), and every step time in
     [eps_window, T] enters the supremum, so the result does not depend on
@@ -211,7 +201,7 @@ def compactness_experiment(
     T = compactness_horizon(u0, c)
     if eps_window < 0 or eps_window >= T:
         raise ValueError(f"eps_window must lie in [0, T) with T={T:.6g}")
-    perturbed = [u0 + single_mode_field(u0.grid, (n, 0, 0), (0.0, 1.0, 0.0), perturbation_h1)
+    perturbed = [u0 + single_mode_field(u0.grid, (n, 0, 0), (0.0, 1.0, 0.0), 1.0)
                  for n in freqs]
     sups = sup_distances(u0, perturbed, T, dt, t_min=eps_window)
     return CompactnessReport(freqs, [d for d, _ in sups], eps_window, T, c)
@@ -222,22 +212,20 @@ class ExplosionScan(NamedTuple):
     time: float | None
 
 
-def norm_explosion_scan(traj, ceiling: float) -> ExplosionScan:
+def norm_explosion_scan(s: NormSeries, ceiling: float) -> ExplosionScan:
     """First time the H^1 series exceeds the ceiling, if any."""
-    s = _series_of(traj)
     above = np.nonzero(s.h1 > ceiling)[0]
     if above.size == 0:
         return ExplosionScan(False, None)
     return ExplosionScan(True, float(s.times[above[0]]))
 
 
-def poincare_violation(traj) -> float:
+def poincare_violation(s: NormSeries) -> float:
     """Largest violation of l2 <= h1 over the series (<= 0 when it holds).
 
     On mean-zero fields every active mode has |k| >= 1, so the inequality is
     exact up to roundoff.
     """
-    s = _series_of(traj)
     if s.times.size == 0:
         return 0.0
     return float(np.max(s.l2 - s.h1))

@@ -257,6 +257,7 @@ def _run_sample(cfg: ExperimentConfig, grid: GridSpec, j: int, i: int, generator
     a = cfg.a_list[j]
     seed = sample_seed(cfg.base_seed, j, i)
     u0 = generator(a, seed, grid)
+    censored = SampleRecord(j, a, i, seed, math.nan, math.nan, True)
     sup, t_at = -math.inf, 0.0
     t_offset = 0.0
     if cfg.method == "hybrid":
@@ -268,6 +269,8 @@ def _run_sample(cfg: ExperimentConfig, grid: GridSpec, j: int, i: int, generator
             )
         for t, f in zip(fixed.tgrid.nodes, fixed.fields):
             h = hs_norm(f, 1.0)
+            if h > cfg.ceiling:  # t = 0 included, as in simulate
+                return censored
             if h > sup:
                 sup, t_at = h, float(t)
         u0 = fixed.fields[-1]
@@ -279,7 +282,7 @@ def _run_sample(cfg: ExperimentConfig, grid: GridSpec, j: int, i: int, generator
             # a sample reads only norms, so it stores no fields between the first and last
             traj = simulate(u0, remaining, cfg.dt, store_every=10**9, ceiling=cfg.ceiling)
         except BlowupError:
-            return SampleRecord(j, a, i, seed, math.nan, math.nan, True)
+            return censored
         s = traj.norm_series
         idx = int(np.argmax(s.h1))
         if s.h1[idx] > sup:
@@ -368,20 +371,19 @@ def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> Ensem
     )
 
 
-def lipschitz_probe(u0: SpectralField, deltas, cfg: ExperimentConfig,
-                    direction: SpectralField | None = None) -> list[float]:
+def lipschitz_probe(u0: SpectralField, deltas, cfg: ExperimentConfig) -> list[float]:
     """Measured data-to-solution Lipschitz quotients sup_t |u' - u|_H1 / delta.
 
-    Perturbs u0 along a fixed divergence-free direction at each size delta
+    Perturbs u0 at each size delta along one fixed divergence-free
+    direction, the unit-H^1 pair at wavevector (1, 0, 0) polarized along z,
     and runs the base and all perturbed solutions once, in lockstep, over
     the horizon.  Stable quotients under halving delta indicate the linear
     response regime.
     """
-    if direction is None:
-        direction = single_mode_field(u0.grid, (1, 0, 0), (0.0, 0.0, 1.0), 1.0)
     deltas = list(deltas)
     if any(d <= 0 for d in deltas):
         raise ValueError("perturbation sizes must be positive")
+    direction = single_mode_field(u0.grid, (1, 0, 0), (0.0, 0.0, 1.0), 1.0)
     perturbed = [u0 + float(d) * direction for d in deltas]
     sups = sup_distances(u0, perturbed, cfg.horizon, cfg.dt)
     return [sup / d for (sup, _), d in zip(sups, deltas)]
@@ -487,11 +489,11 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
             f"rel H1 err {err:.3e} <= 1e-8")
 
     traj_r = simulate(u, 0.25, dt)
-    res = energy_identity_residual(traj_r).max_residual
+    res = energy_identity_residual(traj_r.norm_series).max_residual
     tol = 1e-6 * max(1.0, traj_r.norm_series.l2[0] ** 2)
     _report(checks, "energy_identity", res <= tol, f"max residual {res:.3e} <= {tol:.3e}")
 
-    v = poincare_violation(traj_r)
+    v = poincare_violation(traj_r.norm_series)
     _report(checks, "poincare_series", v <= 1e-12, f"max l2-h1 {v:.3e} <= 1e-12")
 
     K = grid.cutoff
@@ -528,7 +530,8 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value experiment config file")
-    p.add_argument("--seed", type=int, help="seed for random data (overrides base_seed)")
+    p.add_argument("--seed", type=int, dest="base_seed",
+                   help="seed for random data (overrides base_seed)")
     p.add_argument("--out-dir", help="output directory (overrides out_dir)")
 
 
@@ -546,7 +549,7 @@ def _flag_type(convert, what, ok=lambda value: True):
     return parse
 
 
-_worker_count = _flag_type(int, "a positive integer", lambda n: n >= 1)
+_positive_int = _flag_type(int, "a positive integer", lambda n: n >= 1)
 _seed = _flag_type(int, "a nonnegative integer", lambda n: n >= 0)
 _amplitude = _flag_type(float, "a finite nonnegative number", lambda a: 0 <= a < math.inf)
 _finite = _flag_type(float, "a finite number", math.isfinite)
@@ -555,20 +558,18 @@ _frequencies = _flag_type(lambda text: [int(v) for v in text.split(",")],
                           "increasing positive integers separated by commas",
                           lambda f: f[0] >= 1 and all(a < b for a, b in zip(f, f[1:])))
 
-# Command-line flags (argparse dest) that override config keys.
-_FLAG_KEYS = {"N": "grid_n", "K": "grid_k", "dt": "dt", "T": "horizon", "c": "c",
-              "tol": "picard_tol", "store_every": "store_every", "seed": "base_seed",
-              "out_dir": "out_dir"}
-
 
 def _load_config(args) -> ExperimentConfig:
-    """The config file (or the defaults) with every given flag applied over it."""
+    """The config file (or the defaults) with every given flag applied over it.
+
+    A flag that overrides a config key has that key as its argparse dest.
+    """
     try:
         cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
-    over = {key: getattr(args, dest) for dest, key in _FLAG_KEYS.items()
-            if getattr(args, dest, None) is not None}
+    over = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+            if getattr(args, f.name, None) is not None}
     if "grid_n" in over:
         over.setdefault("grid_k", None)  # a new resolution takes the default cutoff
     return replace(cfg, **over)
@@ -586,8 +587,8 @@ def _add_field_flags(p: argparse.ArgumentParser):
                    help="amplitude for named flows")
     p.add_argument("--A", type=_amplitude, default=1.0,
                    help="target H1 norm for random data")
-    p.add_argument("--N", type=int, help="grid resolution (overrides grid_n)")
-    p.add_argument("--K", type=int, help="dealias cutoff (overrides grid_k)")
+    p.add_argument("--N", type=int, dest="grid_n", help="grid resolution (overrides grid_n)")
+    p.add_argument("--K", type=int, dest="grid_k", help="dealias cutoff (overrides grid_k)")
 
 
 def _cmd_simulate(args) -> int:
@@ -605,8 +606,13 @@ def _cmd_simulate(args) -> int:
         traj = exc.trajectory
         status = 3
     norms_to_csv(traj.norm_series, out / "norms.csv")
+    # snapshot times get 6 decimals, or more when snapshots lie closer than
+    # 1e-5 apart, so consecutive names differ by at least 10 in the last digit
+    digits = 6
+    while cfg.store_every * cfg.dt * (1 + 1e-9) < 10.0 ** (1 - digits):
+        digits += 1
     for ft, f in zip(traj.field_times[1:-1], traj.fields[1:-1]):
-        name = f"snapshot_t{ft:.6f}.nsf1"
+        name = f"snapshot_t{ft:.{digits}f}.nsf1"
         save_nsf1(f, out / name)
         files.append(name)
     save_nsf1(traj.fields[-1], out / "u_final.nsf1")
@@ -702,7 +708,7 @@ def cli_main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run one trajectory; write NSF1 + CSV")
     _common_flags(p_sim)
     _add_field_flags(p_sim)
-    p_sim.add_argument("--T", type=float, help="horizon (overrides horizon)")
+    p_sim.add_argument("--T", type=float, dest="horizon", help="horizon (overrides horizon)")
     p_sim.add_argument("--dt", type=float, help="time step (overrides dt)")
     p_sim.add_argument("--store-every", type=int, dest="store_every",
                        help="also write intermediate snapshots every this many steps "
@@ -713,8 +719,9 @@ def cli_main(argv=None) -> int:
     _common_flags(p_pic)
     _add_field_flags(p_pic)
     p_pic.add_argument("--c", type=float, help="local horizon constant (overrides c)")
-    p_pic.add_argument("--tol", type=float, help="stopping tolerance (overrides picard_tol)")
-    p_pic.add_argument("--max-iter", type=int, default=40, dest="max_iter")
+    p_pic.add_argument("--tol", type=float, dest="picard_tol",
+                       help="stopping tolerance (overrides picard_tol)")
+    p_pic.add_argument("--max-iter", type=_positive_int, default=40, dest="max_iter")
     p_pic.add_argument("--auto-shrink", action="store_true", dest="auto_shrink",
                        help="halve c and retry on non-convergence")
     p_pic.set_defaults(func=_cmd_picard)
@@ -727,7 +734,7 @@ def cli_main(argv=None) -> int:
 
     p_ens = sub.add_parser("ensemble", help="estimate the growth envelope F_hat(A)")
     _common_flags(p_ens)
-    p_ens.add_argument("--threads", type=_worker_count, default=1,
+    p_ens.add_argument("--threads", type=_positive_int, default=1,
                        help="worker processes that run the samples")
     p_ens.set_defaults(func=_cmd_ensemble)
 

@@ -197,6 +197,8 @@ def picard_solve(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     A = hs_norm(u0, 1.0)
     retries = 6 if auto_shrink else 0
     c_try = c

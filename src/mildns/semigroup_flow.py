@@ -71,10 +71,6 @@ class Trajectory:
     field_times: np.ndarray
     fields: list = field(default_factory=list)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.norm_series.times
-
 
 class BlowupError(RuntimeError):
     """Raised when a run leaves the resolvable regime (non-finite coefficients
@@ -154,12 +150,13 @@ def _plan_steps(T: float, dt: float):
 def march(states, T: float, dt: float):
     """Advance several states in lockstep from 0 to T with IF-RK4 steps.
 
-    Returns a generator yielding ``(t, states)`` after every step.  All
-    states share one step plan: steps of size dt, the last one shortened to
-    land exactly on T, so only the final yield has ``t == T``.  Arguments
-    are checked before the first step.  A step that leaves some state
-    non-finite raises :class:`BlowupError` carrying the step's end time and
-    that state as it was before the step.
+    Returns a generator yielding ``(t, states)``: first ``(0.0, states)``
+    with the data as given, then once after every step.  All states share
+    one step plan: steps of size dt, the last one shortened to land exactly
+    on T, so only the final yield has ``t == T``.  Arguments are checked
+    before the first yield.  A step that leaves some state non-finite
+    raises :class:`BlowupError` carrying the step's end time and that state
+    as it was before the step.
     """
     states = list(states)
     if T <= 0:
@@ -177,6 +174,7 @@ def march(states, T: float, dt: float):
 
 
 def _lockstep(states, grid: GridSpec, T: float, dt: float):
+    yield 0.0, states
     n = _plan_steps(T, dt)
     full = _decay_factors(grid, dt) if n > 1 else None
     for i in range(n):
@@ -200,15 +198,17 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
 
 def step(u: SpectralField, dt: float) -> SpectralField:
     """Advance one IF-RK4 step of size dt; raises BlowupError on overflow."""
-    _, (out,) = next(march([u], dt, dt))
+    for _, (out,) in march([u], dt, dt):
+        pass
     return out
 
 
 def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1,
              ceiling: float = 1e6) -> Trajectory:
-    """March the mild evolution from 0 to T, recording norms every step.
+    """March the mild evolution from 0 to T, recording norms at t = 0 and
+    after every step.
 
-    Fields are stored every ``store_every`` steps plus the final state.
+    Fields are stored at t = 0, every ``store_every`` steps and at T.
     Raises :class:`BlowupError` with the partial trajectory attached if
     coefficients go non-finite or H^1 exceeds ``ceiling`` (``math.inf``
     means none), the initial datum included.
@@ -223,28 +223,17 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1,
     if not ceiling > 0:  # NaN fails too
         raise ValueError("ceiling must be positive")
     steps = march([u0], T, dt)  # checks T and dt
-    grid = u0.grid
-    times = [0.0]
-    l2s = [hs_norm(u0, 0.0)]
-    h1s = [hs_norm(u0, 1.0)]
-    divs = [divergence_linf(u0)]
-    fields = [u0.copy()]
-    field_times = [0.0]
+    times, l2s, h1s, divs, fields, field_times = [], [], [], [], [], []
 
     def partial() -> Trajectory:
         series = NormSeries(
             np.asarray(times), np.asarray(l2s), np.asarray(h1s),
             np.asarray(h1s) ** 2, np.asarray(divs),
         )
-        return Trajectory(grid, series, np.asarray(field_times), fields)
+        return Trajectory(u0.grid, series, np.asarray(field_times), fields)
 
     try:
-        if h1s[0] > ceiling:
-            raise BlowupError(
-                f"initial H1 norm {h1s[0]:.6g} exceeds ceiling {ceiling:.6g}",
-                time=0.0, last_field=u0,
-            )
-        for i, (t, (u,)) in enumerate(steps, 1):
+        for i, (t, (u,)) in enumerate(steps):
             times.append(t)
             l2s.append(hs_norm(u, 0.0))
             h1s.append(hs_norm(u, 1.0))
@@ -282,17 +271,12 @@ def sup_distances(
     if T < t_min - eps:
         raise ValueError("no step times fall inside the comparison window")
     best = [(-1.0, 0.0)] * len(others)
-
-    def update(t, states):
+    for t, states in march([base, *others], T, dt):
         if t >= t_min - eps:
             for j, u in enumerate(states[1:]):
                 d = hs_norm(u - states[0], 1.0)
                 if d > best[j][0]:
                     best[j] = (d, t)
-
-    update(0.0, [base, *others])
-    for t, states in march([base, *others], T, dt):
-        update(t, states)
     return best
 
 

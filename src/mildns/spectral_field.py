@@ -163,9 +163,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return SpectralField(self.grid, -self.coef)
-
 
 def hermitian_residual(f: SpectralField) -> float:
     """Max deviation from coef(-k) = conj(coef(k)) on the k3=0 plane, the

@@ -114,7 +114,7 @@ def test_criterion_2_taylor_green_regression(taylor_green_run):
 
 def test_criterion_3_energy_identity(random32_run):
     _, traj = random32_run
-    res = energy_identity_residual(traj)
+    res = energy_identity_residual(traj.norm_series)
     tol = 1e-6 * traj.norm_series.l2[0] ** 2
     assert res.max_residual <= tol
     report(3, "energy_identity", f"max residual {res.max_residual:.2e} <= "

@@ -276,6 +276,17 @@ class TestEstimateF:
         assert hybrid.f_hat[0] == pytest.approx(plain.f_hat[0], abs=1e-4)
         assert hybrid.censored == [0]
 
+    @pytest.mark.parametrize("over", [
+        dict(a_list=(0.2,), ceiling=0.1),
+        dict(a_list=(2.0,), ceiling=1.9, c=0.5),
+    ])
+    def test_hybrid_censors_like_simulate(self, over):
+        # both data start above the ceiling, so the t = 0 Picard node censors
+        plain = estimate_F(small_cfg(**over))
+        hybrid = estimate_F(small_cfg(method="hybrid", **over))
+        assert plain.censored == hybrid.censored == [2]
+        assert math.isinf(plain.f_hat[0]) and math.isinf(hybrid.f_hat[0])
+
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(method="magic")
@@ -305,13 +316,6 @@ class TestLipschitzProbe:
         base = named_flow("shear", 1.0, grid8)
         ratios = lipschitz_probe(base, [1e-2, 1e-3, 1e-4], cfg)
         assert max(ratios) / min(ratios) <= 1.2
-
-    def test_zero_direction_gives_zero(self, grid8):
-        cfg = ExperimentConfig(grid_n=8, dt=1e-2, horizon=0.1)
-        base = named_flow("shear", 1.0, grid8)
-        ratios = lipschitz_probe(base, [1e-3], cfg,
-                                 direction=SpectralField.zero(grid8))
-        assert ratios == [0.0]
 
     def test_heat_only_linear_response(self, grid8):
         # zero base: the default perturbation direction has no
@@ -515,6 +519,17 @@ class TestCli:
             assert (by_flag / name).read_bytes() == (by_key / name).read_bytes()
         assert json.loads((by_key / "manifest.json").read_text())["seeds"] == [4]
 
+    def test_close_snapshots_keep_distinct_names(self, tmp_path):
+        # snapshots 1e-7 apart would all read snapshot_t0.000000.nsf1
+        out = tmp_path / "o"
+        assert cli_main(["simulate", "--flow", "shear", "--N", "8", "--dt", "1e-7",
+                         "--T", "5e-7", "--store-every", "1", "--out-dir", str(out)]) == 0
+        snaps = sorted(p.name for p in out.glob("snapshot_t*.nsf1"))
+        assert len(snaps) == 4
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert len(set(files)) == len(files)
+        assert sorted(f for f in files if f.startswith("snapshot_t")) == snaps
+
     def test_config_hash_covers_flags(self, tmp_path):
         hashes = []
         for dt in ("0.01", "0.005"):
@@ -562,6 +577,8 @@ class TestCli:
         (["picard", "--c", "inf"], "'c'"),
         (["simulate", "--flow", "shear", "--amplitude", "inf", "--N", "8", "--T", "0.01"],
          "argument --amplitude:"),
+        (["picard", "--max-iter", "0"], "--max-iter"),
+        (["picard", "--max-iter", "-3"], "--max-iter"),
     ])
     def test_bad_value_exits_2_naming_it(self, argv, named, tmp_path, capsys):
         out = tmp_path / "o"
@@ -643,6 +660,9 @@ _VALUES = st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=1, max_size=3).map(","
                     st.sampled_from(["", "long", "short", "hybrid", "simulate"]), st.text())
 _KEYED = st.builds("{}{}={}{}".format, st.sampled_from(_KEYS), st.sampled_from(["", " "]),
                    st.sampled_from(["", " "]), _VALUES)
+# long-mode runs of about MAX_STEPS steps: only the step limit rejects the longer ones
+_LONG_RUN = st.tuples(st.floats(1e-9, 1e-2), st.floats(0.5 * MAX_STEPS, 2.0 * MAX_STEPS)).map(
+    lambda p: f"mode = long\ndt = {p[0]!r}\nhorizon = {p[0] * p[1]!r}")
 
 
 class TestConfigProperties:
@@ -652,7 +672,7 @@ class TestConfigProperties:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(lines=st.lists(st.one_of(_KEYED, _KEYED, _KEYED, st.text()), max_size=6))
+    @given(lines=st.lists(st.one_of(_KEYED, _KEYED, _KEYED, st.text(), _LONG_RUN), max_size=6))
     def test_parse_or_config_error(self, tmp_path, lines):
         path = tmp_path / "x.cfg"
         path.write_bytes("\n".join(lines).encode("utf-8"))

@@ -208,6 +208,15 @@ class TestPicardSolve:
             ls.append(worst / delta)
         assert abs(ls[0] - ls[1]) <= 0.2 * ls[1]
 
+    @pytest.mark.parametrize("kw, named", [
+        ({"tol": 0.0}, "tolerance"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": -3}, "max_iter"),
+    ])
+    def test_bad_tolerance_or_iteration_count_rejected(self, grid8, kw, named):
+        with pytest.raises(ValueError, match=named):
+            picard_solve(random_divfree(0.5, 2, 2.0, grid8), **kw)
+
     def test_nonconvergence_reported(self, grid8):
         u0 = random_divfree(5.0, 2, 2.0, grid8)
         _, rep = picard_solve(u0, c=1e5, tol=1e-10, max_iter=8)

@@ -245,7 +245,8 @@ class TestMarch:
     def test_plan_lands_on_horizon(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
         times = [t for t, _ in march([u0], 0.105, 1e-2)]
-        assert len(times) == 11
+        assert len(times) == 12  # t = 0, 10 full steps, shortened last
+        assert times[0] == 0.0
         assert times[-1] == 0.105
         assert all(t < 0.105 for t in times[:-1])
 

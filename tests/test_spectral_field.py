@@ -497,7 +497,7 @@ class TestFieldArithmetic:
     def test_linear_ops(self, rand16):
         s = rand16 + rand16 - 2.0 * rand16
         assert np.max(np.abs(s.coef)) == 0.0
-        assert np.array_equal((-rand16).coef, -rand16.coef)
+        assert np.array_equal((-1.0 * rand16).coef, -rand16.coef)
 
 
 class TestSnapshotProperties:
