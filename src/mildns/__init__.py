@@ -27,8 +27,6 @@ from .semigroup_flow import (
     BlowupError,
     NormSeries,
     Trajectory,
-    galilean_reduce,
-    galilean_restore,
     heat_propagate,
     march,
     norms_from_csv,
@@ -37,7 +35,6 @@ from .semigroup_flow import (
     smoothing_ratio,
     step,
     sup_distances,
-    viscosity_normalize,
 )
 from .picard_wellposedness import (
     PicardReport,
@@ -47,7 +44,6 @@ from .picard_wellposedness import (
     local_time,
     phi_map,
     picard_solve,
-    tail_decay_profile,
     xt_norm,
 )
 from .apriori_diagnostics import (
@@ -57,7 +53,6 @@ from .apriori_diagnostics import (
     decay_envelope,
     energy_budget,
     energy_identity_residual,
-    norm_explosion_scan,
     pigeonhole_time,
     poincare_violation,
     unit_time_contraction,
@@ -68,7 +63,6 @@ from .explorer_cli import (
     ExperimentConfig,
     cli_main,
     estimate_F,
-    lipschitz_probe,
     monotone_envelope,
     run_verify,
 )

@@ -5,9 +5,7 @@ Everything here is read-only: the series diagnostics take a
 never feed back into the dynamics.
 """
 
-import csv
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +17,6 @@ __all__ = [
     "EnergyResiduals",
     "PigeonholeResult",
     "CompactnessReport",
-    "ExplosionScan",
     "energy_identity_residual",
     "energy_budget",
     "pigeonhole_time",
@@ -27,9 +24,7 @@ __all__ = [
     "unit_time_contraction",
     "compactness_horizon",
     "compactness_experiment",
-    "norm_explosion_scan",
     "poincare_violation",
-    "residuals_to_csv",
 ]
 
 
@@ -38,7 +33,7 @@ class EnergyResiduals:
     """Per-interval defect of the energy identity d/dt |u|^2 = -2 int |grad u|^2.
 
     ``times`` holds the right endpoint of each interval; ``residuals`` the
-    absolute defect |delta(l2^2) + 2 * trapz(enstrophy)| over that interval.
+    absolute defect |delta(l2^2) + 2 * trapz(h1^2)| over that interval.
     """
 
     times: np.ndarray
@@ -53,7 +48,7 @@ def energy_identity_residual(s: NormSeries) -> EnergyResiduals:
     """Check the discrete energy balance interval by interval."""
     dt = np.diff(s.times)
     d_l2sq = np.diff(s.l2**2)
-    dissip = 0.5 * (s.enstrophy[:-1] + s.enstrophy[1:]) * dt
+    dissip = 0.5 * (s.h1[:-1] ** 2 + s.h1[1:] ** 2) * dt
     res = np.abs(d_l2sq + 2.0 * dissip)
     return EnergyResiduals(s.times[1:].copy(), res)
 
@@ -65,7 +60,7 @@ def energy_budget(s: NormSeries) -> tuple[float, float]:
     dissipation never exceeds it.
     """
     sup_l2 = float(np.max(s.l2)) if s.l2.size else 0.0
-    total = float(np.sqrt(2.0 * np.trapezoid(s.enstrophy, s.times))) if s.times.size > 1 else 0.0
+    total = float(np.sqrt(2.0 * np.trapezoid(s.h1**2, s.times))) if s.times.size > 1 else 0.0
     return sup_l2, total
 
 
@@ -99,14 +94,11 @@ def pigeonhole_time(series: NormSeries, eps: float) -> PigeonholeResult:
     if not np.any(in_window):
         raise ValueError("series does not cover any of the pigeonhole window")
     partial = bool(series.times[-1] < window * (1.0 - 1e-12))
-    ens = series.enstrophy[in_window]
+    ens = series.h1[in_window] ** 2
     t_in = series.times[in_window]
     idx = int(np.argmin(ens))  # argmin returns the earliest minimizer
     budget = float(np.trapezoid(ens, t_in)) if t_in.size > 1 else 0.0
     h1_here = float(series.h1[in_window][idx])
-    l2_here = float(series.l2[in_window][idx])
-    if h1_here**2 > 2.0 * (l2_here**2 + ens[idx]) * (1.0 + 1e-9) + 1e-300:
-        raise ValueError("stored H1 series inconsistent with enstrophy/L2")
     return PigeonholeResult(
         T_prime=float(t_in[idx]),
         gradient_l2_at_T_prime=float(np.sqrt(ens[idx])),
@@ -207,19 +199,6 @@ def compactness_experiment(
     return CompactnessReport(freqs, [d for d, _ in sups], eps_window, T, c)
 
 
-class ExplosionScan(NamedTuple):
-    crossed: bool
-    time: float | None
-
-
-def norm_explosion_scan(s: NormSeries, ceiling: float) -> ExplosionScan:
-    """First time the H^1 series exceeds the ceiling, if any."""
-    above = np.nonzero(s.h1 > ceiling)[0]
-    if above.size == 0:
-        return ExplosionScan(False, None)
-    return ExplosionScan(True, float(s.times[above[0]]))
-
-
 def poincare_violation(s: NormSeries) -> float:
     """Largest violation of l2 <= h1 over the series (<= 0 when it holds).
 
@@ -229,11 +208,3 @@ def poincare_violation(s: NormSeries) -> float:
     if s.times.size == 0:
         return 0.0
     return float(np.max(s.l2 - s.h1))
-
-
-def residuals_to_csv(res: EnergyResiduals, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t", "residual"))
-        for t, r in zip(res.times, res.residuals):
-            writer.writerow([f"{t:.17g}", f"{r:.17g}"])

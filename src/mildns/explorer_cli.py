@@ -44,9 +44,8 @@ from .semigroup_flow import (
     norms_to_csv,
     simulate,
     smoothing_ratio,
-    sup_distances,
 )
-from .picard_wellposedness import picard_solve, report_to_json
+from .picard_wellposedness import picard_solve
 from .apriori_diagnostics import (
     compactness_experiment,
     compactness_horizon,
@@ -61,7 +60,6 @@ __all__ = [
     "EnsembleSummary",
     "estimate_F",
     "monotone_envelope",
-    "lipschitz_probe",
     "run_verify",
     "write_manifest",
     "cli_main",
@@ -371,24 +369,6 @@ def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> Ensem
     )
 
 
-def lipschitz_probe(u0: SpectralField, deltas, cfg: ExperimentConfig) -> list[float]:
-    """Measured data-to-solution Lipschitz quotients sup_t |u' - u|_H1 / delta.
-
-    Perturbs u0 at each size delta along one fixed divergence-free
-    direction, the unit-H^1 pair at wavevector (1, 0, 0) polarized along z,
-    and runs the base and all perturbed solutions once, in lockstep, over
-    the horizon.  Stable quotients under halving delta indicate the linear
-    response regime.
-    """
-    deltas = list(deltas)
-    if any(d <= 0 for d in deltas):
-        raise ValueError("perturbation sizes must be positive")
-    direction = single_mode_field(u0.grid, (1, 0, 0), (0.0, 0.0, 1.0), 1.0)
-    perturbed = [u0 + float(d) * direction for d in deltas]
-    sups = sup_distances(u0, perturbed, cfg.horizon, cfg.dt)
-    return [sup / d for (sup, _), d in zip(sups, deltas)]
-
-
 def write_manifest(out_dir, cfg_hash: str, seeds, file_names) -> Path:
     """Record provenance for one run: config hash, code version, seeds, files.
 
@@ -629,7 +609,7 @@ def _cmd_picard(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _, report = picard_solve(_initial_field(args, cfg), c=cfg.c, tol=cfg.picard_tol,
                              max_iter=args.max_iter, auto_shrink=args.auto_shrink)
-    report_to_json(report, out / "picard.json")
+    report.to_json(out / "picard.json")
     write_manifest(out, cfg.config_hash(), [cfg.base_seed], ["picard.json", "manifest.json"])
     print(f"picard: converged={report.converged} iterates={report.iterate_count} "
           f"T={report.T_used:.6g} c={report.c_used:.6g}")

@@ -9,20 +9,19 @@ H^1 size A, capped at 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .spectral_field import (
     GridSpec,
     SpectralField,
-    _norm_weights,
     _wavenumbers,
     _write_json,
     hs_norm,
     nonlinear_term,
 )
-from .semigroup_flow import Trajectory, heat_propagate
+from .semigroup_flow import heat_propagate
 
 __all__ = [
     "TimeGrid",
@@ -33,9 +32,6 @@ __all__ = [
     "heat_trajectory",
     "phi_map",
     "picard_solve",
-    "tail_decay_profile",
-    "TailDecayProfile",
-    "report_to_json",
 ]
 
 
@@ -101,14 +97,9 @@ class PicardReport:
     diff_norms: list[float]
     contraction_factors: list[float]
     converged: bool
-    diverged: bool = False
 
-    @property
-    def bound_constant(self) -> float:
-        """Measured ratio of the final space-time norm to the data's H^1 size."""
-        if self.A_measured == 0.0:
-            return 0.0
-        return self.x1_norms[-1] / self.A_measured
+    def to_json(self, path=None) -> str:
+        return _write_json(asdict(self), path)
 
 
 def xt_norm(u: TrajectoryX, s: float) -> float:
@@ -193,7 +184,7 @@ def picard_solve(
     chosen c is too large for this datum); with ``auto_shrink`` the horizon
     constant is halved and the solve retried, up to 6 times.  Iterates that
     leave a generous ball or whose successive differences double are
-    aborted with the diverged flag.
+    aborted early, unconverged.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -219,7 +210,6 @@ def _picard_attempt(u0, A, c, tol, max_iter):
     factors: list[float] = []
     ball = 10.0 * max(x1_norms[0], A, 1e-300)
     converged = False
-    diverged = False
     for _ in range(max_iter):
         nxt = phi_map(current, u0)
         x1 = xt_norm(nxt, 1.0)
@@ -236,7 +226,6 @@ def _picard_attempt(u0, A, c, tol, max_iter):
         if not np.isfinite(d) or x1 > ball or (
             factors and factors[-1] > 2.0 and d > 100.0 * tol
         ):
-            diverged = True
             break
     report = PicardReport(
         iterate_count=len(x1_norms),
@@ -247,61 +236,5 @@ def _picard_attempt(u0, A, c, tol, max_iter):
         diff_norms=diff_norms,
         contraction_factors=factors,
         converged=converged,
-        diverged=diverged,
     )
     return current, report
-
-
-@dataclass
-class TailDecayProfile:
-    """High-frequency mass ratios (|k| > K/2 over all modes) per time node."""
-
-    times: np.ndarray
-    ratios: dict = field(default_factory=dict)  # s -> array of ratios
-
-
-def _tail_ratio(f: SpectralField, s: float, k2_thresh: float) -> float:
-    w = _norm_weights(f.grid, float(s))
-    _, k2, _ = _wavenumbers(f.grid)
-    mag2 = np.einsum("cxyz->xyz", f.coef.real**2 + f.coef.imag**2)
-    total = float(np.sum(w * mag2))
-    if total == 0.0:
-        return 0.0
-    tail = float(np.sum((w * mag2)[k2 > k2_thresh]))
-    return math.sqrt(tail / total)
-
-
-def tail_decay_profile(u, s_values=(1.0, 1.5)) -> TailDecayProfile:
-    """Spectral-tail report for a discrete trajectory.
-
-    Accepts a fixed-point trajectory (fields at every node) or a simulated
-    one (thinned fields).  For smoothing flows the ratios shrink in time,
-    which is the computable face of instantaneous interior regularity.
-    """
-    if isinstance(u, TrajectoryX):
-        times, fields = u.tgrid.nodes, u.fields
-    elif isinstance(u, Trajectory):
-        times, fields = u.field_times, u.fields
-    else:
-        raise TypeError("expected a TrajectoryX or Trajectory")
-    grid = fields[0].grid
-    thresh = (grid.cutoff / 2.0) ** 2
-    profile = TailDecayProfile(np.asarray(times, dtype=np.float64))
-    for s in s_values:
-        profile.ratios[s] = np.array([_tail_ratio(f, s, thresh) for f in fields])
-    return profile
-
-
-def report_to_json(report: PicardReport, path=None) -> str:
-    """Serialize a PicardReport; returns the JSON text, optionally writing it."""
-    obj = {
-        "iterate_count": report.iterate_count,
-        "T_used": report.T_used,
-        "c_used": report.c_used,
-        "A_measured": report.A_measured,
-        "x1_norms": list(report.x1_norms),
-        "diff_norms": list(report.diff_norms),
-        "contraction_factors": list(report.contraction_factors),
-        "converged": report.converged,
-    }
-    return _write_json(obj, path)

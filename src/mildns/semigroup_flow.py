@@ -1,4 +1,4 @@
-"""Heat semigroup, integrating-factor RK4 time stepping, and flow reductions.
+"""Heat semigroup and integrating-factor RK4 time stepping.
 
 The evolution integrated here is the mean-zero, unit-viscosity system
 du/dt = Laplace(u) + D(u (x) u) in Fourier space, where the linear part is
@@ -29,9 +29,6 @@ __all__ = [
     "step",
     "simulate",
     "sup_distances",
-    "viscosity_normalize",
-    "galilean_reduce",
-    "galilean_restore",
     "norms_to_csv",
     "norms_from_csv",
 ]
@@ -41,18 +38,17 @@ CSV_COLUMNS = ("t", "l2", "h1", "enstrophy", "div_linf")
 
 @dataclass
 class NormSeries:
-    """Sampled norm history of one solution: L^2, H^1, enstrophy, divergence."""
+    """Sampled norm history of one solution: L^2, H^1, divergence."""
 
     times: np.ndarray
     l2: np.ndarray
     h1: np.ndarray
-    enstrophy: np.ndarray
     div_linf: np.ndarray
 
     def __post_init__(self):
         arrays = [np.asarray(a, dtype=np.float64) for a in
-                  (self.times, self.l2, self.h1, self.enstrophy, self.div_linf)]
-        self.times, self.l2, self.h1, self.enstrophy, self.div_linf = arrays
+                  (self.times, self.l2, self.h1, self.div_linf)]
+        self.times, self.l2, self.h1, self.div_linf = arrays
         n = self.times.size
         if any(a.size != n for a in arrays):
             raise ValueError("norm series arrays must have equal length")
@@ -208,7 +204,8 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1,
     """March the mild evolution from 0 to T, recording norms at t = 0 and
     after every step.
 
-    Fields are stored at t = 0, every ``store_every`` steps and at T.
+    Fields are stored at t = 0, every ``store_every`` steps and at the time
+    the run ended, so ``fields[-1]`` is the state of the last norms row.
     Raises :class:`BlowupError` with the partial trajectory attached if
     coefficients go non-finite or H^1 exceeds ``ceiling`` (``math.inf``
     means none), the initial datum included.
@@ -228,7 +225,7 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1,
     def partial() -> Trajectory:
         series = NormSeries(
             np.asarray(times), np.asarray(l2s), np.asarray(h1s),
-            np.asarray(h1s) ** 2, np.asarray(divs),
+            np.asarray(divs),
         )
         return Trajectory(u0.grid, series, np.asarray(field_times), fields)
 
@@ -247,6 +244,9 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1,
                     time=t, last_field=u,
                 )
     except BlowupError as exc:
+        if field_times[-1] != times[-1]:
+            fields.append(exc.last_field)
+            field_times.append(times[-1])
         exc.trajectory = partial()
         raise
     return partial()
@@ -280,54 +280,20 @@ def sup_distances(
     return best
 
 
-def viscosity_normalize(u0: SpectralField, nu: float) -> SpectralField:
-    """Initial data for the unit-viscosity twin of a viscosity-nu problem.
-
-    Returns nu * u0.  The change of variables is exact: if u(t) is the
-    unit-viscosity evolution of u0, then v(t) := nu * u(nu t) is the
-    viscosity-nu evolution of the returned data nu * u0.  Norms scale
-    linearly in nu; nu = 1 is the identity.
-    """
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
-    return SpectralField(u0.grid, u0.coef * float(nu))
-
-
-def galilean_reduce(f: SpectralField) -> tuple[SpectralField, np.ndarray]:
-    """Split off the conserved mean velocity: returns (mean-zero part, drift)."""
-    K = f.grid.cutoff
-    drift = f.mean_vector()
-    out = f.coef.copy()
-    out[:, K, K, 0] = 0.0
-    return SpectralField(f.grid, out), drift
-
-
-def galilean_restore(f: SpectralField, drift: np.ndarray, t: float) -> SpectralField:
-    """Undo the mean reduction at output time t.
-
-    Translates by the accumulated drift (phase exp(-i k . drift t) per mode)
-    and restores the mean as the k=0 coefficient.
-    """
-    kv, _, _ = _wavenumbers(f.grid)
-    d = np.asarray(drift, dtype=np.float64)
-    phase = np.exp(-1j * t * np.einsum("cxyz,c->xyz", kv, d))
-    out = f.coef * phase
-    K = f.grid.cutoff
-    out[:, K, K, 0] = d.astype(np.complex128)
-    return SpectralField(f.grid, out)
-
-
 def norms_to_csv(series: NormSeries, path) -> None:
-    """Write the norm series as CSV with 17-significant-digit floats."""
+    """Write the norm series as CSV with 17-significant-digit floats; the
+    enstrophy column is h1**2."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in zip(series.times, series.l2, series.h1,
-                       series.enstrophy, series.div_linf):
+                       series.h1**2, series.div_linf):
             writer.writerow([f"{v:.17g}" for v in row])
 
 
 def norms_from_csv(path) -> NormSeries:
+    """Read a norm series written by :func:`norms_to_csv`, dropping the
+    enstrophy column (it is h1**2)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -338,4 +304,4 @@ def norms_from_csv(path) -> NormSeries:
             for c, v in zip(cols, row):
                 c.append(float(v))
     arrays = [np.asarray(c) for c in cols]
-    return NormSeries(arrays[0], arrays[1], arrays[2], arrays[3], arrays[4])
+    return NormSeries(arrays[0], arrays[1], arrays[2], arrays[4])

@@ -138,11 +138,6 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coef.copy())
 
-    def mean_vector(self) -> np.ndarray:
-        """Value of the k=0 coefficient (the spatial mean), as a real 3-vector."""
-        K = self.grid.cutoff
-        return self.coef[:, K, K, 0].real.copy()
-
     def _combine(self, other, op):
         if not isinstance(other, SpectralField):
             return NotImplemented

@@ -1,4 +1,4 @@
-"""Heat semigroup, IF-RK4 stepping, and the flow reductions."""
+"""Heat semigroup, IF-RK4 stepping, and the norm series."""
 
 import math
 
@@ -11,8 +11,6 @@ from mildns import (
     NormSeries,
     SpectralField,
     divergence_linf,
-    galilean_reduce,
-    galilean_restore,
     heat_propagate,
     hs_norm,
     march,
@@ -20,16 +18,13 @@ from mildns import (
     norms_from_csv,
     norms_to_csv,
     random_divfree,
-    sample_on_grid,
     simulate,
     single_mode_field,
     smoothing_ratio,
     step,
     sup_distances,
-    viscosity_normalize,
 )
-
-from oracles import torus_mesh
+from mildns import semigroup_flow
 
 
 class TestHeatPropagate:
@@ -198,6 +193,24 @@ class TestSimulate:
         assert np.all(np.isfinite(exc.value.last_field.coef))
         assert list(exc.value.trajectory.norm_series.times) == [0.0]
 
+    def test_nonfinite_stop_stores_last_finite_state(self, grid8, monkeypatch):
+        # the fourth step goes non-finite after three steps that stored no field
+        real, calls = semigroup_flow._if_rk4_step, []
+
+        def fails_fourth(u, h, e_half, e_full):
+            calls.append(h)
+            return None if len(calls) == 4 else real(u, h, e_half, e_full)
+
+        monkeypatch.setattr(semigroup_flow, "_if_rk4_step", fails_fourth)
+        u0 = random_divfree(0.5, 2, 2.0, grid8)
+        with pytest.raises(BlowupError) as exc:
+            simulate(u0, 0.1, 1e-2, store_every=10)
+        traj = exc.value.trajectory
+        assert traj.norm_series.times == pytest.approx([0.0, 0.01, 0.02, 0.03])
+        assert traj.fields[-1] is exc.value.last_field
+        assert traj.field_times[-1] == traj.norm_series.times[-1]
+        assert hs_norm(traj.fields[-1], 1.0) == traj.norm_series.h1[-1]
+
     def test_invalid_horizon(self, grid8):
         with pytest.raises(ValueError):
             simulate(named_flow("shear", 1.0, grid8), 0.0, 1e-2)
@@ -264,84 +277,21 @@ class TestMarch:
             sup_distances(u0, [SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
 
 
-class TestViscosityNormalize:
-    def test_identity_at_one(self, rand16):
-        assert np.array_equal(viscosity_normalize(rand16, 1.0).coef, rand16.coef)
-
-    def test_norm_scales_linearly(self, rand16):
-        out = viscosity_normalize(rand16, 2.5)
-        assert hs_norm(out, 1.0) == pytest.approx(2.5 * hs_norm(rand16, 1.0), rel=1e-14)
-
-    def test_nonpositive_rejected(self, rand16):
-        for nu in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                viscosity_normalize(rand16, nu)
-
-    def test_shear_time_rescaling_contract(self, grid8):
-        # the viscosity-nu evolution of nu*u0 is nu * u(nu t) with u the
-        # unit-viscosity run of u0; for shear both sides have closed forms
-        nu, a = 2.0, 1.0
-        u0 = named_flow("shear", a, grid8)
-        out = viscosity_normalize(u0, nu)
-        assert hs_norm(out, 1.0) == pytest.approx(nu * a / math.sqrt(2.0), rel=1e-13)
-        traj = simulate(u0, 1.0, 1e-3)
-        s = traj.norm_series
-        t_eval = 0.5
-        # nu * u(nu t) at t_eval, read off the unit run at nu * t_eval = 1.0
-        i = int(np.argmin(np.abs(s.times - nu * t_eval)))
-        lhs = nu * s.h1[i]
-        want = nu * a * math.exp(-nu * t_eval) / math.sqrt(2.0)  # closed form
-        assert lhs == pytest.approx(want, rel=1e-9)
-
-
-class TestGalilean:
-    def test_mean_zero_passthrough(self, rand16):
-        out, drift = galilean_reduce(rand16)
-        assert np.array_equal(out.coef, rand16.coef)
-        assert np.all(drift == 0.0)
-
-    def test_constant_field(self, grid8):
-        f = SpectralField.zero(grid8)
-        K = grid8.cutoff
-        f.coef[0, K, K, 0] = 0.7
-        out, drift = galilean_reduce(f)
-        assert np.max(np.abs(out.coef)) == 0.0
-        assert drift == pytest.approx(np.array([0.7, 0.0, 0.0]))
-
-    def test_drifting_shear_reconstruction(self, grid8):
-        # data: shear + constant mean m; exact lab-frame solution is
-        # e^-t sin(x2 - m2 t) + m
-        m = np.array([0.0, 0.3, 0.0])
-        u0 = named_flow("shear", 1.0, grid8)
-        full0 = u0.copy()
-        K = grid8.cutoff
-        full0.coef[:, K, K, 0] = m
-        reduced, drift = galilean_reduce(full0)
-        assert drift == pytest.approx(m)
-        t_end = 0.5
-        traj = simulate(reduced, t_end, 1e-3)
-        restored = galilean_restore(traj.fields[-1], drift, t_end)
-        vals = sample_on_grid(restored)
-        x1, x2, x3 = torus_mesh(8)
-        want0 = math.exp(-t_end) * np.sin(x2 - m[1] * t_end)
-        assert np.max(np.abs(vals[0] - want0)) <= 1e-9
-        assert np.max(np.abs(vals[1] - m[1])) <= 1e-9
-        assert np.max(np.abs(vals[2])) <= 1e-12
-
-
 class TestNormSeriesCsv:
     def test_round_trip(self, tmp_path, grid8):
         traj = simulate(named_flow("shear", 1.0, grid8), 0.05, 1e-2)
         path = tmp_path / "norms.csv"
         norms_to_csv(traj.norm_series, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,l2,h1,enstrophy,div_linf"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,l2,h1,enstrophy,div_linf"
+        for row in lines[1:]:
+            _, _, h1, enstrophy, _ = row.split(",")
+            assert enstrophy == f"{float(h1) ** 2:.17g}"
         back = norms_from_csv(path)
         for a, b in (
             (back.times, traj.norm_series.times),
             (back.l2, traj.norm_series.l2),
             (back.h1, traj.norm_series.h1),
-            (back.enstrophy, traj.norm_series.enstrophy),
             (back.div_linf, traj.norm_series.div_linf),
         ):
             assert np.array_equal(a, b)  # 17 significant digits round-trip doubles
@@ -349,10 +299,10 @@ class TestNormSeriesCsv:
     def test_validation(self):
         with pytest.raises(ValueError, match="length"):
             NormSeries(np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0]),
-                       np.array([1.0]), np.array([0.0]))
+                       np.array([0.0]))
         with pytest.raises(ValueError, match="increasing"):
             NormSeries(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2),
-                       np.zeros(2), np.zeros(2))
+                       np.zeros(2))
         with pytest.raises(ValueError, match="nonnegative"):
             NormSeries(np.array([0.0, 1.0]), np.array([1.0, -1.0]), np.zeros(2),
-                       np.zeros(2), np.zeros(2))
+                       np.zeros(2))
