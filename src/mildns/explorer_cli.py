@@ -45,7 +45,7 @@ from .semigroup_flow import (
     simulate,
     smoothing_ratio,
 )
-from .picard_wellposedness import picard_solve
+from .picard_wellposedness import local_time, picard_solve
 from .apriori_diagnostics import (
     compactness_experiment,
     compactness_horizon,
@@ -91,12 +91,7 @@ MAX_STEPS = 10**7
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Ensemble and solver settings, loadable from flat key=value files.
-
-    ``method`` picks how each sample is advanced: plain time stepping
-    ("simulate") or a fixed-point solve on the short local horizon chained
-    into time stepping for the remainder ("hybrid").
-    """
+    """Ensemble and solver settings, loadable from flat key=value files."""
 
     grid_n: int = 16
     grid_k: int | None = None
@@ -110,7 +105,6 @@ class ExperimentConfig:
     slope: float = 2.0
     ceiling: float = 1e6
     mode: str = "short"
-    method: str = "simulate"
     store_every: int = 10**9
     out_dir: str = "."
 
@@ -131,8 +125,6 @@ class ExperimentConfig:
             raise ConfigError("base_seed", "must be a nonnegative integer")
         if self.mode not in ("short", "long"):
             raise ConfigError("mode", "must be 'short' or 'long'")
-        if self.method not in ("simulate", "hybrid"):
-            raise ConfigError("method", "must be 'simulate' or 'hybrid'")
         if self.mode == "short" and self.horizon > 1.0:
             raise ConfigError("horizon", "short-term mode requires horizon <= 1")
         if len(self.a_list) == 0:
@@ -174,13 +166,9 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         """Parse a flat key=value file with # comments."""
-        converters = {
-            "grid_n": int, "grid_k": lambda text: int(text) if text else None,
-            "dt": float, "horizon": float, "c": float, "picard_tol": float,
-            "a_list": _parse_a_list, "samples_per_a": int, "base_seed": int,
-            "slope": float, "ceiling": float, "mode": str, "method": str,
-            "store_every": int, "out_dir": str,
-        }
+        converters = {f.name: type(f.default) for f in fields(cls)}
+        converters["grid_k"] = lambda text: int(text) if text else None
+        converters["a_list"] = _parse_a_list
         values = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -255,41 +243,18 @@ def _run_sample(cfg: ExperimentConfig, grid: GridSpec, j: int, i: int, generator
     a = cfg.a_list[j]
     seed = sample_seed(cfg.base_seed, j, i)
     u0 = generator(a, seed, grid)
-    censored = SampleRecord(j, a, i, seed, math.nan, math.nan, True)
-    sup, t_at = -math.inf, 0.0
-    t_offset = 0.0
-    if cfg.method == "hybrid":
-        fixed, rep = picard_solve(u0, c=cfg.c, tol=cfg.picard_tol, auto_shrink=True)
-        if not rep.converged:
-            raise RuntimeError(
-                f"hybrid sample (A={a}, seed={seed}) has no fixed point even "
-                f"after shrinking c to {rep.c_used}"
-            )
-        for t, f in zip(fixed.tgrid.nodes, fixed.fields):
-            h = hs_norm(f, 1.0)
-            if h > cfg.ceiling:  # t = 0 included, as in simulate
-                return censored
-            if h > sup:
-                sup, t_at = h, float(t)
-        u0 = fixed.fields[-1]
-        t_offset = rep.T_used
-    remaining = cfg.horizon - t_offset
-    s = None
-    if remaining > 1e-12:
-        try:
-            # a sample reads only norms, so it stores no fields between the first and last
-            traj = simulate(u0, remaining, cfg.dt, store_every=10**9, ceiling=cfg.ceiling)
-        except BlowupError:
-            return censored
-        s = traj.norm_series
-        idx = int(np.argmax(s.h1))
-        if s.h1[idx] > sup:
-            sup, t_at = float(s.h1[idx]), t_offset + float(s.times[idx])
+    try:
+        # a sample reads only norms, so it stores no fields between the first and last
+        traj = simulate(u0, cfg.horizon, cfg.dt, store_every=10**9, ceiling=cfg.ceiling)
+    except BlowupError:
+        return SampleRecord(j, a, i, seed, math.nan, math.nan, True)
+    s = traj.norm_series
+    idx = int(np.argmax(s.h1))
     unit_max = None
-    if cfg.mode == "long" and s is not None and s.times[-1] >= 2.0:
+    if cfg.mode == "long" and s.times[-1] >= 2.0:
         _, ratios = unit_time_contraction(s)
         unit_max = float(np.max(ratios))
-    return SampleRecord(j, a, i, seed, sup, t_at, False, unit_max)
+    return SampleRecord(j, a, i, seed, float(s.h1[idx]), float(s.times[idx]), False, unit_max)
 
 
 # The ensemble a pool worker runs: bound once per forked worker by the pool
@@ -605,9 +570,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_picard(args) -> int:
     cfg = _load_config(args)
+    u0 = _initial_field(args, cfg)
+    A = hs_norm(u0, 1.0)
+    if not local_time(A, cfg.c) > 0:  # argparse's usage error, exit code 2
+        args.parser.error(f"the local horizon c A^-4 underflows to 0 at c={cfg.c:g}, "
+                          f"A={A:g}; raise --c or lower the amplitude")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, report = picard_solve(_initial_field(args, cfg), c=cfg.c, tol=cfg.picard_tol,
+    _, report = picard_solve(u0, c=cfg.c, tol=cfg.picard_tol,
                              max_iter=args.max_iter, auto_shrink=args.auto_shrink)
     report.to_json(out / "picard.json")
     write_manifest(out, cfg.config_hash(), [cfg.base_seed], ["picard.json", "manifest.json"])
@@ -704,7 +674,7 @@ def cli_main(argv=None) -> int:
     p_pic.add_argument("--max-iter", type=_positive_int, default=40, dest="max_iter")
     p_pic.add_argument("--auto-shrink", action="store_true", dest="auto_shrink",
                        help="halve c and retry on non-convergence")
-    p_pic.set_defaults(func=_cmd_picard)
+    p_pic.set_defaults(func=_cmd_picard, parser=p_pic)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--seed", type=_seed, help="seed for the suite's random field")

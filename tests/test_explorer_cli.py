@@ -266,29 +266,25 @@ class TestEstimateF:
         assert s.samples[0].unit_ratio_max is not None
         assert s.samples[0].unit_ratio_max <= 1.0
 
-    def test_hybrid_method_agrees_with_simulate(self):
-        plain = estimate_F(small_cfg(a_list=(0.2,), samples_per_a=2))
-        hybrid = estimate_F(small_cfg(a_list=(0.2,), samples_per_a=2,
-                                      method="hybrid"))
-        # same supremum up to the fixed-point/stepper discretization gap
-        assert hybrid.f_hat[0] == pytest.approx(plain.f_hat[0], abs=1e-4)
-        assert hybrid.censored == [0]
-
     @pytest.mark.parametrize("over", [
         dict(a_list=(0.2,), ceiling=0.1),
         dict(a_list=(2.0,), ceiling=1.9, c=0.5),
     ])
-    def test_hybrid_censors_like_simulate(self, over):
-        # both data start above the ceiling, so the t = 0 Picard node censors
-        plain = estimate_F(small_cfg(**over))
-        hybrid = estimate_F(small_cfg(method="hybrid", **over))
-        assert plain.censored == hybrid.censored == [2]
-        assert math.isinf(plain.f_hat[0]) and math.isinf(hybrid.f_hat[0])
+    def test_data_above_ceiling_censored(self, over):
+        # both data start above the ceiling, so the t = 0 norm censors
+        s = estimate_F(small_cfg(**over))
+        assert s.censored == [2]
+        assert math.isinf(s.f_hat[0])
 
-    def test_bad_method_rejected(self):
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig(method="magic")
-        assert exc.value.key == "method"
+    def test_tiny_horizon_runs_every_sample(self):
+        cfg = ExperimentConfig(grid_n=8, horizon=1e-13, dt=1e-13, a_list=(0.5,),
+                               samples_per_a=2)
+        s = estimate_F(cfg)
+        h1_at_0 = [hs_norm(random_divfree(0.5, rec.seed, cfg.slope, cfg.grid()), 1.0)
+                   for rec in s.samples]
+        assert s.censored == [0]
+        assert s.f_hat == [max(h1_at_0)]
+        assert all(math.isfinite(rec.sup_h1) for rec in s.samples)
 
     def test_samples_store_no_fields(self, monkeypatch):
         # store_every sets simulate's snapshots; a sample reads only norms
@@ -576,6 +572,8 @@ class TestCli:
          "argument --amplitude:"),
         (["picard", "--max-iter", "0"], "--max-iter"),
         (["picard", "--max-iter", "-3"], "--max-iter"),
+        (["picard", "--flow", "random", "--A", "1e100", "--N", "8", "--c", "1"],
+         "local horizon c A^-4 underflows to 0"),
     ])
     def test_bad_value_exits_2_naming_it(self, argv, named, tmp_path, capsys):
         out = tmp_path / "o"
