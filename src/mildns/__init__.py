@@ -38,7 +38,6 @@ from .semigroup_flow import (
 )
 from .picard_wellposedness import (
     PicardReport,
-    TimeGrid,
     TrajectoryX,
     heat_trajectory,
     local_time,

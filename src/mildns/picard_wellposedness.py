@@ -9,6 +9,7 @@ H^1 size A, capped at 1.
 """
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ from .spectral_field import (
 from .semigroup_flow import heat_propagate
 
 __all__ = [
-    "TimeGrid",
     "TrajectoryX",
     "PicardReport",
     "xt_norm",
@@ -34,55 +34,47 @@ __all__ = [
     "picard_solve",
 ]
 
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform nodes t_j = j T / intervals on [0, T], j = 0..intervals, with
-    trapezoid quadrature weights."""
-
-    T: float
-    intervals: int
-
-    def __post_init__(self):
-        if not 0 < self.T < math.inf:  # NaN fails too
-            raise ValueError("time grid horizon T must be positive and finite")
-        if self.intervals < 8:
-            raise ValueError("time grid needs at least 8 sub-intervals")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.intervals + 1)
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    @property
-    def trapezoid_weights(self) -> np.ndarray:
-        h = self.widths
-        w = np.zeros(self.intervals + 1)
-        w[:-1] += 0.5 * h
-        w[1:] += 0.5 * h
-        return w
+INTERVALS = 64  # of picard_solve's time grid
+SHRINK_RETRIES = 6  # halvings of c that picard_solve(auto_shrink=True) may try
 
 
 @dataclass
 class TrajectoryX:
-    """A discrete space-time field: one spectral field per time node."""
+    """A discrete space-time field: one spectral field per uniform node
+    t_j = j T / (len(fields) - 1) on [0, T], at least 8 sub-intervals, with
+    trapezoid quadrature weights."""
 
-    grid: GridSpec
-    tgrid: TimeGrid
+    T: float
     fields: list
 
     def __post_init__(self):
-        if len(self.fields) != self.tgrid.intervals + 1:
-            raise ValueError("need exactly one field per time node")
+        if not 0 < self.T < math.inf:  # NaN fails too
+            raise ValueError("trajectory horizon T must be positive and finite")
+        if len(self.fields) < 9:
+            raise ValueError("trajectory needs at least 8 sub-intervals")
+        if any(f.grid != self.grid for f in self.fields[1:]):
+            raise ValueError("trajectory fields lie on different grids")
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.fields[0].grid
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return np.linspace(0.0, self.T, len(self.fields))
+
+    @property
+    def trapezoid_weights(self) -> np.ndarray:
+        h = np.diff(self.nodes)
+        w = np.zeros(len(self.fields))
+        w[:-1] += 0.5 * h
+        w[1:] += 0.5 * h
+        return w
 
     def __sub__(self, other: "TrajectoryX") -> "TrajectoryX":
-        if self.grid != other.grid or self.tgrid != other.tgrid:
+        if (self.T, len(self.fields), self.grid) != (other.T, len(other.fields), other.grid):
             raise ValueError("trajectory grids do not match")
-        diffs = [a - b for a, b in zip(self.fields, other.fields)]
-        return TrajectoryX(self.grid, self.tgrid, diffs)
+        return TrajectoryX(self.T, [a - b for a, b in zip(self.fields, other.fields)])
 
 
 @dataclass
@@ -106,7 +98,7 @@ def xt_norm(u: TrajectoryX, s: float) -> float:
     """Space-time norm: sup-in-time H^s plus the L^2-in-time H^(s+1) integral,
     the latter by trapezoid quadrature over the trajectory's nodes."""
     sup = max(hs_norm(f, s) for f in u.fields)
-    w = u.tgrid.trapezoid_weights
+    w = u.trapezoid_weights
     sq = sum(wi * hs_norm(f, s + 1.0) ** 2 for wi, f in zip(w, u.fields))
     return sup + math.sqrt(sq)
 
@@ -122,10 +114,11 @@ def local_time(A: float, c: float) -> float:
     return min(c * A**-4, 1.0)
 
 
-def heat_trajectory(u0: SpectralField, tgrid: TimeGrid) -> TrajectoryX:
-    """Exact heat flow of u0 sampled on a time grid (the canonical seed)."""
-    fields = [heat_propagate(u0, float(t)) for t in tgrid.nodes]
-    return TrajectoryX(u0.grid, tgrid, fields)
+def heat_trajectory(u0: SpectralField, T: float, intervals: int) -> TrajectoryX:
+    """Exact heat flow of u0 sampled on ``intervals`` uniform sub-intervals
+    of [0, T] (the canonical seed)."""
+    nodes = np.linspace(0.0, T, intervals + 1)
+    return TrajectoryX(T, [heat_propagate(u0, float(t)) for t in nodes])
 
 
 def _duhamel_weights(k2: np.ndarray, h: float):
@@ -152,7 +145,7 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
     """
     if u0.grid != u.grid:
         raise ValueError("initial datum and trajectory use different grids")
-    widths = u.tgrid.widths
+    widths = np.diff(u.nodes)
     _, k2, _ = _wavenumbers(u.grid)
     g = [nonlinear_term(f).coef for f in u.fields]
     decay, a0, a1 = _duhamel_weights(k2, float(widths[0]))
@@ -165,7 +158,7 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
         integral = decay * integral + a0 * g[j] + a1 * slope
         homog = decay * homog
         out.append(SpectralField(u.grid, homog + integral))
-    return TrajectoryX(u.grid, u.tgrid, out)
+    return TrajectoryX(u.T, out)
 
 
 def picard_solve(
@@ -184,14 +177,16 @@ def picard_solve(
     chosen c is too large for this datum); with ``auto_shrink`` the horizon
     constant is halved and the solve retried, up to 6 times.  Iterates that
     leave a generous ball or whose successive differences double are
-    aborted early, unconverged.
+    aborted early, unconverged.  Raises ValueError if a horizon it may try
+    underflows.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     A = hs_norm(u0, 1.0)
-    retries = 6 if auto_shrink else 0
+    _check_horizon(A, c, auto_shrink)
+    retries = SHRINK_RETRIES if auto_shrink else 0
     c_try = c
     result = None
     for _ in range(retries + 1):
@@ -202,9 +197,17 @@ def picard_solve(
     return result
 
 
+def _check_horizon(A: float, c: float, auto_shrink: bool) -> None:
+    """Reject a shortest horizon picard_solve may try whose node spacing h is
+    below the smallest normal float: phi_map divides by h, and 1/h overflows."""
+    c *= 0.5**SHRINK_RETRIES if auto_shrink else 1.0
+    if not local_time(A, c) / INTERVALS >= sys.float_info.min:
+        raise ValueError(f"the local horizon c A^-4 underflows to 0 at c={c:g}, A={A:g}")
+
+
 def _picard_attempt(u0, A, c, tol, max_iter):
     T = local_time(A, c)
-    current = heat_trajectory(u0, TimeGrid(T, 64))
+    current = heat_trajectory(u0, T, INTERVALS)
     x1_norms = [xt_norm(current, 1.0)]
     diff_norms: list[float] = []
     factors: list[float] = []

@@ -62,7 +62,6 @@ class NormSeries:
 class Trajectory:
     """One simulated solution: norm series every step, fields thinned."""
 
-    grid: GridSpec
     norm_series: NormSeries
     field_times: np.ndarray
     fields: list = field(default_factory=list)
@@ -227,7 +226,7 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1,
             np.asarray(times), np.asarray(l2s), np.asarray(h1s),
             np.asarray(divs),
         )
-        return Trajectory(u0.grid, series, np.asarray(field_times), fields)
+        return Trajectory(series, np.asarray(field_times), fields)
 
     try:
         for i, (t, (u,)) in enumerate(steps):

@@ -574,6 +574,14 @@ class TestCli:
         (["picard", "--max-iter", "-3"], "--max-iter"),
         (["picard", "--flow", "random", "--A", "1e100", "--N", "8", "--c", "1"],
          "local horizon c A^-4 underflows to 0"),
+        # 0 only at the smallest c that --auto-shrink tries
+        (["picard", "--flow", "random", "--A", "1e80", "--N", "8", "--c", "1e-3",
+          "--auto-shrink"], "local horizon c A^-4 underflows to 0"),
+        # subnormal horizon; normal horizon whose node spacing is subnormal
+        (["picard", "--flow", "random", "--A", "1e80", "--N", "8", "--c", "1"],
+         "local horizon c A^-4 underflows to 0"),
+        (["picard", "--flow", "random", "--A", "7e76", "--N", "8", "--c", "1"],
+         "local horizon c A^-4 underflows to 0"),
     ])
     def test_bad_value_exits_2_naming_it(self, argv, named, tmp_path, capsys):
         out = tmp_path / "o"

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ import pytest
 from mildns import (
     GridSpec,
     SpectralField,
-    TimeGrid,
     TrajectoryX,
     heat_propagate,
     heat_trajectory,
@@ -25,31 +26,42 @@ from mildns import (
 )
 
 
-def constant_trajectory(f, tgrid):
-    return TrajectoryX(f.grid, tgrid, [f.copy() for _ in tgrid.nodes])
+def constant_trajectory(f, T, n):
+    """f at each of the n + 1 nodes of [0, T]."""
+    return TrajectoryX(T, [f.copy() for _ in range(n + 1)])
 
 
-class TestTimeGrid:
-    def test_uniform(self):
-        tg = TimeGrid(0.5, 10)
-        assert tg.nodes[0] == 0.0 and tg.nodes[-1] == 0.5
-        assert tg.nodes.size == 11
-        assert np.sum(tg.trapezoid_weights) == pytest.approx(0.5, rel=1e-15)
+class TestTrajectoryX:
+    def test_uniform(self, grid8):
+        u = constant_trajectory(SpectralField.zero(grid8), 0.5, 10)
+        assert np.array_equal(u.nodes, np.linspace(0.0, 0.5, 11))
+        assert u.grid == grid8
+        assert np.sum(u.trapezoid_weights) == pytest.approx(0.5, rel=1e-15)
 
-    def test_too_few_intervals(self):
-        with pytest.raises(ValueError):
-            TimeGrid(1.0, 4)
+    def test_too_few_intervals(self, grid8):
+        with pytest.raises(ValueError, match="8 sub-intervals"):
+            constant_trajectory(SpectralField.zero(grid8), 1.0, 7)
 
     @pytest.mark.parametrize("T", [0.0, math.nan, math.inf])
-    def test_horizon_positive_and_finite(self, T):
+    def test_horizon_positive_and_finite(self, grid8, T):
         with pytest.raises(ValueError, match="horizon"):
-            TimeGrid(T, 16)
+            constant_trajectory(SpectralField.zero(grid8), T, 16)
+
+    def test_fields_on_two_grids_rejected(self, grid8, grid16):
+        fields = [SpectralField.zero(grid8) for _ in range(16)] + [SpectralField.zero(grid16)]
+        with pytest.raises(ValueError, match="different grids"):
+            TrajectoryX(1.0, fields)
+
+    @pytest.mark.parametrize("T, n", [(0.5, 16), (1.0, 32)])
+    def test_subtracting_another_time_grid_rejected(self, grid8, T, n):
+        u = constant_trajectory(SpectralField.zero(grid8), 1.0, 16)
+        with pytest.raises(ValueError, match="do not match"):
+            u - constant_trajectory(SpectralField.zero(grid8), T, n)
 
 
 class TestXtNorm:
     def test_zero_trajectory(self, grid16):
-        tg = TimeGrid(1.0, 16)
-        z = constant_trajectory(SpectralField.zero(grid16), tg)
+        z = constant_trajectory(SpectralField.zero(grid16), 1.0, 16)
         assert xt_norm(z, 1.0) == 0.0
 
     def test_constant_unit_pair(self, grid16):
@@ -58,8 +70,7 @@ class TestXtNorm:
         # the quadrature is exact for a constant integrand
         f = single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), math.sqrt(2.0))
         assert hs_norm(f, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        tg = TimeGrid(1.0, 64)
-        u = constant_trajectory(f, tg)
+        u = constant_trajectory(f, 1.0, 64)
         assert xt_norm(u, 1.0) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-13)
 
     def test_heat_flow_closed_form(self, grid16):
@@ -70,7 +81,7 @@ class TestXtNorm:
         want = math.sqrt(2.0) + math.sqrt(1.0 - math.exp(-2.0))
         errs = []
         for n in (64, 128, 256):
-            u = heat_trajectory(f, TimeGrid(1.0, n))
+            u = heat_trajectory(f, 1.0, n)
             errs.append(abs(xt_norm(u, 1.0) - want))
         assert errs[0] <= 1e-4 * want
         order = math.log2(errs[0] / errs[1])
@@ -96,29 +107,25 @@ class TestLocalTime:
 class TestPhiMap:
     def test_zero_input_gives_heat_flow(self, grid8):
         u0 = random_divfree(1.0, 3, 2.0, grid8)
-        tg = TimeGrid(0.05, 32)
-        zero = constant_trajectory(SpectralField.zero(grid8), tg)
+        zero = constant_trajectory(SpectralField.zero(grid8), 0.05, 32)
         out = phi_map(zero, u0)
-        want = heat_trajectory(u0, tg)
+        want = heat_trajectory(u0, 0.05, 32)
         assert xt_norm(out - want, 1.0) <= 1e-13
 
     def test_shear_heat_flow_is_fixed_point(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
-        tg = TimeGrid(0.1, 32)
-        u = heat_trajectory(u0, tg)
+        u = heat_trajectory(u0, 0.1, 32)
         out = phi_map(u, u0)
         assert xt_norm(out - u, 1.0) <= 1e-13
 
     def test_initial_node_exact(self, grid8):
         u0 = random_divfree(0.7, 5, 2.0, grid8)
-        tg = TimeGrid(0.02, 16)
-        out = phi_map(heat_trajectory(u0, tg), u0)
+        out = phi_map(heat_trajectory(u0, 0.02, 16), u0)
         assert np.array_equal(out.fields[0].coef, u0.coef)
 
     def test_grid_mismatch_rejected(self, grid8, grid16):
         u0 = random_divfree(1.0, 3, 2.0, grid16)
-        tg = TimeGrid(0.05, 16)
-        u = heat_trajectory(random_divfree(1.0, 3, 2.0, grid8), tg)
+        u = heat_trajectory(random_divfree(1.0, 3, 2.0, grid8), 0.05, 16)
         with pytest.raises(ValueError, match="grid"):
             phi_map(u, u0)
 
@@ -127,8 +134,7 @@ class TestPhiMap:
         T = local_time(hs_norm(u0, 1.0), 0.01)
 
         def final(n):
-            tg = TimeGrid(T, n)
-            return phi_map(heat_trajectory(u0, tg), u0).fields[-1]
+            return phi_map(heat_trajectory(u0, T, n), u0).fields[-1]
 
         ref = final(2048)
         errs = [hs_norm(final(n) - ref, 1.0) for n in (32, 64, 128)]
@@ -157,11 +163,10 @@ class TestPicardSolve:
         u0 = random_divfree(0.5, 11, 2.0, grid8)
         traj, rep = picard_solve(u0, c=0.01, tol=1e-10)
         sim = simulate(u0, rep.T_used, rep.T_used / 256, store_every=4)
-        worst = 0.0
-        for t_node, f in zip(traj.tgrid.nodes, traj.fields):
-            for ft, fs in zip(sim.field_times, sim.fields):
-                if abs(ft - t_node) < 1e-13:
-                    worst = max(worst, hs_norm(f - fs, 1.0))
+        # the IF-RK4 run stores a field at every Picard node, in order
+        assert len(sim.field_times) == len(traj.fields)
+        assert np.all(np.abs(sim.field_times - traj.nodes) <= 1e-12)
+        worst = max(hs_norm(f - fs, 1.0) for f, fs in zip(traj.fields, sim.fields))
         assert worst <= 1e-4
 
     def test_two_seed_uniqueness_surrogate(self, grid8):
@@ -169,7 +174,7 @@ class TestPicardSolve:
         tol = 1e-11
         a, ra = picard_solve(u0, c=0.01, tol=tol)
         # the same iteration started from the zero trajectory instead of the heat flow
-        b = constant_trajectory(SpectralField.zero(grid8), a.tgrid)
+        b = constant_trajectory(SpectralField.zero(grid8), a.T, len(a.fields) - 1)
         converged = False
         for _ in range(40):
             nxt = phi_map(b, u0)
@@ -199,7 +204,7 @@ class TestPicardSolve:
             u, _ = picard_solve(u0, c=0.01, tol=1e-12)
             up, _ = picard_solve(u0 + delta * direction, c=0.01, tol=1e-12)
             # compare on the common time grid (same measured horizon scale)
-            n = min(up.tgrid.nodes.size, u.tgrid.nodes.size)
+            n = min(len(up.fields), len(u.fields))
             worst = max(
                 hs_norm(a - b, 1.0) for a, b in zip(up.fields[:n], u.fields[:n])
             )
@@ -232,6 +237,25 @@ class TestPicardSolve:
         _, rep = picard_solve(u0, c=8.0, tol=1e-10, max_iter=10, auto_shrink=True)
         assert rep.converged
         assert rep.c_used < 8.0
+
+    @pytest.mark.parametrize("A, c, auto_shrink", [
+        (1e80, 1e-3, True),  # c A^-4 is subnormal at c and 0 at c / 2^6
+        (1e80, 1.0, False),  # subnormal
+        (7e76, 1.0, False),  # normal, but its node spacing is subnormal
+    ])
+    def test_underflowing_horizon_rejected(self, grid8, A, c, auto_shrink):
+        u0 = random_divfree(A, 2, 2.0, grid8)
+        with pytest.raises(ValueError, match="underflows to 0"):
+            picard_solve(u0, c=c, auto_shrink=auto_shrink)
+
+    def test_shortest_accepted_horizon_solves_cleanly(self, grid8):
+        # twice the threshold: node spacing 2 * sys.float_info.min, no overflow
+        u0 = random_divfree(7e76, 2, 2.0, grid8)
+        c = 128 * sys.float_info.min * hs_norm(u0, 1.0) ** 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, rep = picard_solve(u0, c=c)
+        assert rep.converged
 
     def test_report_invariant_and_json(self, grid8, tmp_path):
         u0 = random_divfree(0.5, 11, 2.0, grid8)

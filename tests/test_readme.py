@@ -1,11 +1,14 @@
-"""The README's library example runs against the current API, and its
-configuration block lists the config keys."""
+"""The README's library example runs against the current API, its
+configuration block lists the config keys, and its flag table matches each
+subcommand's flags."""
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
-from mildns import ExperimentConfig
+import pytest
+
+from mildns import ExperimentConfig, cli_main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +26,23 @@ def test_config_block_lists_every_key_in_order():
     [block] = re.findall(r"^```\n(.*?)^```", section, re.MULTILINE | re.DOTALL)[:1]
     keys = [line.split("=", 1)[0].strip() for line in block.splitlines()]
     assert keys == [f.name for f in fields(ExperimentConfig)]
+
+
+def _flag_table():
+    """(flag, key, subcommand) for every subcommand of every flag-table row."""
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(--[\w-]+)` +\| `(\w+)` +\| ([\w ,]+?) +\|$", text, re.MULTILINE)
+    return [(flag, key, cmd) for flag, key, cmds in rows for cmd in cmds.split(", ")]
+
+
+def test_flag_table_parses():
+    assert len({flag for flag, _, _ in _flag_table()}) == 9
+
+
+@pytest.mark.parametrize("flag, key, command", _flag_table())
+def test_flag_table_row_matches_help(flag, key, command, capsys):
+    # argparse's default metavar is the dest, so "--N GRID_N" shows that the
+    # flag exists and that it writes the config key grid_n
+    with pytest.raises(SystemExit):
+        cli_main([command, "--help"])
+    assert f"{flag} {key.upper()}" in capsys.readouterr().out
