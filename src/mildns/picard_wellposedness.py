@@ -42,7 +42,8 @@ SHRINK_RETRIES = 6  # halvings of c that picard_solve(auto_shrink=True) may try
 class TrajectoryX:
     """A discrete space-time field: one spectral field per uniform node
     t_j = j T / (len(fields) - 1) on [0, T], at least 8 sub-intervals, with
-    trapezoid quadrature weights."""
+    trapezoid quadrature weights.  The node spacing must be a normal float:
+    :func:`phi_map` divides by it, and 1 / spacing overflows below that."""
 
     T: float
     fields: list
@@ -52,6 +53,9 @@ class TrajectoryX:
             raise ValueError("trajectory horizon T must be positive and finite")
         if len(self.fields) < 9:
             raise ValueError("trajectory needs at least 8 sub-intervals")
+        if _spacing_underflows(self.T, len(self.fields) - 1):
+            raise ValueError("trajectory node spacing T / intervals underflows "
+                             "below the smallest normal float")
         if any(f.grid != self.grid for f in self.fields[1:]):
             raise ValueError("trajectory fields lie on different grids")
 
@@ -197,11 +201,16 @@ def picard_solve(
     return result
 
 
+def _spacing_underflows(T: float, intervals: int) -> bool:
+    return not T / intervals >= sys.float_info.min
+
+
 def _check_horizon(A: float, c: float, auto_shrink: bool) -> None:
-    """Reject a shortest horizon picard_solve may try whose node spacing h is
-    below the smallest normal float: phi_map divides by h, and 1/h overflows."""
+    """Reject, before any attempt, the shortest horizon picard_solve may try
+    (c / 2^6 with auto_shrink) when TrajectoryX would refuse its node
+    spacing, with a diagnostic naming c and A."""
     c *= 0.5**SHRINK_RETRIES if auto_shrink else 1.0
-    if not local_time(A, c) / INTERVALS >= sys.float_info.min:
+    if _spacing_underflows(local_time(A, c), INTERVALS):
         raise ValueError(f"the local horizon c A^-4 underflows to 0 at c={c:g}, A={A:g}")
 
 

@@ -6,6 +6,7 @@ diagonal (-|k|^2 per mode) and handled exactly by the integrating factor.
 """
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("t", "l2", "h1", "enstrophy", "div_linf")
+# Smallest padded grid on which a lockstep march steps its states on several
+# threads.  The FFT and array kernels release the GIL, but below P = 24 the
+# Python glue between them, which holds it, outweighs the overlap.
+THREADED_PAD_SIZE = 24
 
 
 @dataclass
@@ -124,10 +129,12 @@ def _if_rk4_step(u: SpectralField, h: float, e_half, e_full):
         if not np.all(np.isfinite(u2.coef)):
             return None
         n2 = nonlinear_term(u2).coef
+        del u2  # stages are dropped as soon as they are used: less peak memory
         u3 = SpectralField(grid, e_half * u.coef + (0.5 * h) * n2)
         if not np.all(np.isfinite(u3.coef)):
             return None
         n3 = nonlinear_term(u3).coef
+        del u3
         u4 = SpectralField(grid, e_full * u.coef + h * (e_half * n3))
         if not np.all(np.isfinite(u4.coef)):
             return None
@@ -150,8 +157,13 @@ def march(states, T: float, dt: float):
     one step plan: steps of size dt, the last one shortened to land exactly
     on T, so only the final yield has ``t == T``.  Arguments are checked
     before the first yield.  A step that leaves some state non-finite
-    raises :class:`BlowupError` carrying the step's end time and that state
-    as it was before the step.
+    raises :class:`BlowupError` carrying the step's end time and the first
+    such state in list order as it was before the step.
+
+    Two or more states on a grid with ``pad_size >= THREADED_PAD_SIZE`` are
+    stepped on up to one thread per usable core; each state's arithmetic is
+    unchanged, so the results are bitwise those of a serial march.  The
+    helper threads end when the generator finishes or is closed.
     """
     states = list(states)
     if T <= 0:
@@ -172,23 +184,52 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
     yield 0.0, states
     n = _plan_steps(T, dt)
     full = _decay_factors(grid, dt) if n > 1 else None
-    for i in range(n):
-        last = i == n - 1
-        if last:
-            h = T - i * dt
-            e_half, e_full = _decay_factors(grid, h)
-        else:
-            h, (e_half, e_full) = dt, full
-        t = T if last else (i + 1) * dt
-        advanced = []
-        for u in states:
-            v = _if_rk4_step(u, h, e_half, e_full)
-            if v is None:
-                raise BlowupError(f"non-finite coefficients at t={t:.6g}",
-                                  time=t, last_field=u)
-            advanced.append(v)
-        states = advanced
-        yield t, states
+    w = _worker_count(len(states), grid)
+    pool = None
+    if w > 1:
+        # imported here so that only threaded marches pay for the import; made
+        # after the t = 0 yield and shut down when the generator finishes or
+        # is closed, so no helper thread outlives the march
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(w - 1, thread_name_prefix="lockstep")
+    try:
+        for i in range(n):
+            last = i == n - 1
+            if last:
+                h = T - i * dt
+                e_half, e_full = _decay_factors(grid, h)
+            else:
+                h, (e_half, e_full) = dt, full
+            t = T if last else (i + 1) * dt
+            helpers = [pool.submit(_advance, states[r::w], h, e_half, e_full)
+                       for r in range(1, w)]
+            advanced = [None] * len(states)
+            advanced[0::w] = _advance(states[0::w], h, e_half, e_full)
+            for r, future in enumerate(helpers, start=1):
+                advanced[r::w] = future.result()
+            for u, v in zip(states, advanced):
+                if v is None:
+                    raise BlowupError(f"non-finite coefficients at t={t:.6g}",
+                                      time=t, last_field=u)
+            states = advanced
+            yield t, states
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _worker_count(count: int, grid: GridSpec) -> int:
+    """Threads that step a lockstep march: one per state up to the usable
+    cores, on grids of at least THREADED_PAD_SIZE points per axis."""
+    if count < 2 or grid.pad_size < THREADED_PAD_SIZE:
+        return 1
+    return min(count, len(os.sched_getaffinity(0)))
+
+
+def _advance(states, h, e_half, e_full):
+    """One IF-RK4 step of each state (None where it went non-finite)."""
+    return [_if_rk4_step(u, h, e_half, e_full) for u in states]
 
 
 def step(u: SpectralField, dt: float) -> SpectralField:

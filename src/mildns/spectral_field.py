@@ -287,6 +287,7 @@ def _product_half(u: SpectralField) -> np.ndarray:
     phys = _to_physical(u.coef, u.grid.cutoff, padded)
     for c, (l, m) in enumerate(_PAIRS):
         np.multiply(phys[l], phys[m], out=prods[c])
+    del phys  # freed before the forward transform allocates its own arrays
     return _from_padded_physical(prods, u.grid)
 
 

@@ -47,6 +47,15 @@ class TestTrajectoryX:
         with pytest.raises(ValueError, match="horizon"):
             constant_trajectory(SpectralField.zero(grid8), T, 16)
 
+    def test_underflowing_node_spacing_rejected(self, grid8):
+        # 1e-307 / 64 is subnormal, so phi_map's 1 / spacing would overflow
+        u0 = random_divfree(7e76, 2, 2.0, grid8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="node spacing"):
+                phi_map(heat_trajectory(u0, 1e-307, 64), u0)
+        heat_trajectory(u0, 64 * sys.float_info.min, 64)  # the smallest accepted
+
     def test_fields_on_two_grids_rejected(self, grid8, grid16):
         fields = [SpectralField.zero(grid8) for _ in range(16)] + [SpectralField.zero(grid16)]
         with pytest.raises(ValueError, match="different grids"):

@@ -1,6 +1,9 @@
 """Heat semigroup, IF-RK4 stepping, and the norm series."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -244,14 +247,18 @@ class TestSupDistances:
         with pytest.raises(ValueError, match="window"):
             sup_distances(u0, [u0], 0.05, 1e-2, t_min=1.0)
 
-    def test_lockstep_matches_single_runs(self, grid8):
-        base = random_divfree(0.8, 2, 2.0, grid8)
-        a = base + random_divfree(0.1, 3, 2.0, grid8)
-        b = base + single_mode_field(grid8, (2, 0, 0), (0.0, 1.0, 0.0), 0.3)
-        both = sup_distances(base, [a, b], 0.055, 1e-2, t_min=0.02)
-        single = (sup_distances(base, [a], 0.055, 1e-2, t_min=0.02)
-                  + sup_distances(base, [b], 0.055, 1e-2, t_min=0.02))
-        assert both == single
+    # N=24 (P=26) steps the four states on several threads; three
+    # perturbations split unevenly between them
+    @pytest.mark.parametrize("grid", [GridSpec(8), GridSpec(24)], ids=["N8", "N24"])
+    def test_lockstep_matches_single_runs(self, grid):
+        base = random_divfree(0.8, 2, 2.0, grid)
+        others = [base + random_divfree(0.1, 3, 2.0, grid),
+                  base + single_mode_field(grid, (2, 0, 0), (0.0, 1.0, 0.0), 0.3),
+                  base + single_mode_field(grid, (0, 1, 1), (1.0, 0.0, 0.0), 0.2)]
+        together = sup_distances(base, others, 0.055, 1e-2, t_min=0.02)
+        single = [d for u in others
+                  for d in sup_distances(base, [u], 0.055, 1e-2, t_min=0.02)]
+        assert together == single
 
 
 class TestMarch:
@@ -275,6 +282,72 @@ class TestMarch:
             march([u0, SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
         with pytest.raises(ValueError, match="grid"):
             sup_distances(u0, [SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
+
+
+class TestThreadedMarch:
+    """A march of 2 or more states on a grid with P >= 24 steps them on
+    several threads; each state's arithmetic is that of a serial march."""
+
+    def test_every_state_matches_its_single_march(self):
+        grid = GridSpec(32)
+        states = [random_divfree(1.0, seed, 2.0, grid) for seed in (1, 2, 3)]
+        together = list(march(states, 2.5e-3, 1e-3))
+        for j, u in enumerate(states):
+            alone = list(march([u], 2.5e-3, 1e-3))
+            assert [t for t, _ in together] == [t for t, _ in alone]
+            for (_, step_states), (_, (v,)) in zip(together, alone):
+                assert np.array_equal(step_states[j].coef, v.coef)
+
+    def test_more_threads_than_cores_match_single_marches(self, monkeypatch):
+        # five workers with a tiny switch interval: a workspace shared between
+        # threads would mix their transforms
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
+        grid = GridSpec(24)
+        states = [random_divfree(0.5, seed, 2.0, grid) for seed in range(5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            [*_, (_, together)] = march(states, 2e-2, 1e-2)
+        finally:
+            sys.setswitchinterval(interval)
+        for u, v in zip(states, together):
+            [*_, (_, (alone,))] = march([u], 2e-2, 1e-2)
+            assert np.array_equal(v.coef, alone.coef)
+
+    @staticmethod
+    def run(states):
+        for _ in march(states, 0.05, 1e-2):
+            pass
+
+    def test_blowup_matches_single_march(self):
+        grid = GridSpec(24)
+        # on a helper thread: finite for two steps, then not
+        bad = random_divfree(1e3, 1, 2.0, grid)
+        states = [random_divfree(0.5, 2, 2.0, grid), bad, random_divfree(0.5, 3, 2.0, grid)]
+        with pytest.raises(BlowupError) as together:
+            self.run(states)
+        with pytest.raises(BlowupError) as alone:
+            self.run([bad])
+        assert together.value.time == alone.value.time == pytest.approx(0.03)
+        assert np.array_equal(together.value.last_field.coef, alone.value.last_field.coef)
+
+    def test_helper_threads_end_with_the_march(self):
+        grid = GridSpec(24)
+        good = [random_divfree(0.5, seed, 2.0, grid) for seed in (2, 3, 4)]
+        start = threading.active_count()
+        self.run(good)
+        assert threading.active_count() == start
+        with pytest.raises(BlowupError):
+            self.run([good[0], random_divfree(1e3, 1, 2.0, grid), good[1]])
+        assert threading.active_count() == start
+        steps = march(good, 0.05, 1e-2)
+        next(steps)  # t = 0: no thread yet
+        assert threading.active_count() == start
+        next(steps)  # the first step, on one helper per usable core beyond the first
+        helpers = min(len(good), len(os.sched_getaffinity(0))) - 1
+        assert threading.active_count() == start + helpers
+        steps.close()
+        assert threading.active_count() == start
 
 
 class TestNormSeriesCsv:
