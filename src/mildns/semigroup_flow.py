@@ -39,6 +39,10 @@ CSV_COLUMNS = ("t", "l2", "h1", "enstrophy", "div_linf")
 # threads.  The FFT and array kernels release the GIL, but below P = 24 the
 # Python glue between them, which holds it, outweighs the overlap.
 THREADED_PAD_SIZE = 24
+# Most threads a lockstep march uses.  The gain and the memory cost (the extra
+# thread's transform workspace and temporaries, about 6 MB at N = 32) were
+# measured at two.
+LOCKSTEP_THREADS = 2
 
 
 @dataclass
@@ -161,9 +165,10 @@ def march(states, T: float, dt: float):
     such state in list order as it was before the step.
 
     Two or more states on a grid with ``pad_size >= THREADED_PAD_SIZE`` are
-    stepped on up to one thread per usable core; each state's arithmetic is
-    unchanged, so the results are bitwise those of a serial march.  The
-    helper threads end when the generator finishes or is closed.
+    stepped on up to LOCKSTEP_THREADS threads, one per usable core; each
+    state's arithmetic is unchanged, so the results are bitwise those of a
+    serial march.  The helper threads end when the generator finishes or is
+    closed.
     """
     states = list(states)
     if T <= 0:
@@ -220,11 +225,19 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
 
 
 def _worker_count(count: int, grid: GridSpec) -> int:
-    """Threads that step a lockstep march: one per state up to the usable
-    cores, on grids of at least THREADED_PAD_SIZE points per axis."""
-    if count < 2 or grid.pad_size < THREADED_PAD_SIZE:
+    """Threads that step a lockstep march of ``count`` states: one per state
+    and usable core, at most LOCKSTEP_THREADS, on grids of at least
+    THREADED_PAD_SIZE points per axis."""
+    if grid.pad_size < THREADED_PAD_SIZE:
         return 1
-    return min(count, len(os.sched_getaffinity(0)))
+    return min(count, LOCKSTEP_THREADS, _usable_cores())
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):  # Linux only
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _advance(states, h, e_half, e_full):

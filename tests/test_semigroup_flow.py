@@ -298,10 +298,31 @@ class TestThreadedMarch:
             for (_, step_states), (_, (v,)) in zip(together, alone):
                 assert np.array_equal(step_states[j].coef, v.coef)
 
-    def test_more_threads_than_cores_match_single_marches(self, monkeypatch):
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(semigroup_flow, "_usable_cores", lambda: 8)
+        assert semigroup_flow._worker_count(4, GridSpec(32)) == semigroup_flow.LOCKSTEP_THREADS == 2
+        assert semigroup_flow._worker_count(1, GridSpec(32)) == 1
+        assert semigroup_flow._worker_count(4, GridSpec(16)) == 1  # P = 16: serial
+        monkeypatch.setattr(semigroup_flow, "_usable_cores", lambda: 1)
+        assert semigroup_flow._worker_count(4, GridSpec(32)) == 1
+
+    @pytest.mark.parametrize("cpus, workers", [(4, 2), (None, 1)])
+    def test_marches_without_cpu_affinity(self, monkeypatch, cpus, workers):
+        # platforms without os.sched_getaffinity (macOS) count os.cpu_count()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        grid = GridSpec(24)
+        states = [random_divfree(0.5, seed, 2.0, grid) for seed in (1, 2, 3)]
+        assert semigroup_flow._worker_count(len(states), grid) == workers
+        [*_, (_, together)] = march(states, 2e-2, 1e-2)
+        for u, v in zip(states, together):
+            [*_, (_, (alone,))] = march([u], 2e-2, 1e-2)
+            assert np.array_equal(v.coef, alone.coef)
+
+    def test_five_threads_match_single_marches(self, monkeypatch):
         # five workers with a tiny switch interval: a workspace shared between
         # threads would mix their transforms
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
+        monkeypatch.setattr(semigroup_flow, "_worker_count", lambda count, grid: count)
         grid = GridSpec(24)
         states = [random_divfree(0.5, seed, 2.0, grid) for seed in range(5)]
         interval = sys.getswitchinterval()
@@ -343,8 +364,8 @@ class TestThreadedMarch:
         steps = march(good, 0.05, 1e-2)
         next(steps)  # t = 0: no thread yet
         assert threading.active_count() == start
-        next(steps)  # the first step, on one helper per usable core beyond the first
-        helpers = min(len(good), len(os.sched_getaffinity(0))) - 1
+        next(steps)  # the first step, on every worker but the calling thread
+        helpers = semigroup_flow._worker_count(len(good), grid) - 1
         assert threading.active_count() == start + helpers
         steps.close()
         assert threading.active_count() == start
