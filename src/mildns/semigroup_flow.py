@@ -14,6 +14,7 @@ import numpy as np
 from .spectral_field import (
     GridSpec,
     SpectralField,
+    _require_projected,
     _wavenumbers,
     divergence_linf,
     hs_norm,
@@ -124,25 +125,27 @@ def _if_rk4_step(u: SpectralField, h: float, e_half, e_full):
     classical RK4 is applied to the transformed nonlinearity.  With a zero
     nonlinearity the step reduces to the exact heat propagator.  Returns None
     as soon as a stage or the result overflows; :func:`march` turns that into
-    a blowup signal.
+    a blowup signal.  The stage inputs are not checked again: each is built
+    from ``u`` and projected nonlinear terms, and :func:`march` checks the
+    data it starts from.
     """
     grid = u.grid
     with np.errstate(over="ignore", invalid="ignore"):
-        n1 = nonlinear_term(u).coef
+        n1 = nonlinear_term(u, check=False).coef
         u2 = SpectralField(grid, e_half * (u.coef + (0.5 * h) * n1))
         if not np.all(np.isfinite(u2.coef)):
             return None
-        n2 = nonlinear_term(u2).coef
+        n2 = nonlinear_term(u2, check=False).coef
         del u2  # stages are dropped as soon as they are used: less peak memory
         u3 = SpectralField(grid, e_half * u.coef + (0.5 * h) * n2)
         if not np.all(np.isfinite(u3.coef)):
             return None
-        n3 = nonlinear_term(u3).coef
+        n3 = nonlinear_term(u3, check=False).coef
         del u3
         u4 = SpectralField(grid, e_full * u.coef + h * (e_half * n3))
         if not np.all(np.isfinite(u4.coef)):
             return None
-        n4 = nonlinear_term(u4).coef
+        n4 = nonlinear_term(u4, check=False).coef
         out = e_full * u.coef + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
     return SpectralField(grid, out) if np.all(np.isfinite(out)) else None
 
@@ -160,9 +163,11 @@ def march(states, T: float, dt: float):
     with the data as given, then once after every step.  All states share
     one step plan: steps of size dt, the last one shortened to land exactly
     on T, so only the final yield has ``t == T``.  Arguments are checked
-    before the first yield.  A step that leaves some state non-finite
-    raises :class:`BlowupError` carrying the step's end time and the first
-    such state in list order as it was before the step.
+    before the first yield, each datum once for the finite, divergence-free
+    input the nonlinear term needs (ValueError otherwise).  A step that
+    leaves some state non-finite raises :class:`BlowupError` carrying the
+    step's end time and the first such state in list order as it was before
+    the step.
 
     Two or more states on a grid with ``pad_size >= THREADED_PAD_SIZE`` are
     stepped on up to LOCKSTEP_THREADS threads, one per usable core; each
@@ -182,6 +187,7 @@ def march(states, T: float, dt: float):
     grid = states[0].grid
     if any(u.grid != grid for u in states[1:]):
         raise ValueError("grid mismatch between the initial data")
+    _require_projected(np.stack([u.coef for u in states]), grid)
     return _lockstep(states, grid, T, dt)
 
 
@@ -335,12 +341,14 @@ def sup_distances(
 
 def norms_to_csv(series: NormSeries, path) -> None:
     """Write the norm series as CSV with 17-significant-digit floats; the
-    enstrophy column is h1**2."""
+    enstrophy column is h1**2 (inf where that is beyond the float range)."""
+    with np.errstate(over="ignore"):
+        enstrophy = series.h1**2
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in zip(series.times, series.l2, series.h1,
-                       series.h1**2, series.div_linf):
+                       enstrophy, series.div_linf):
             writer.writerow([f"{v:.17g}" for v in row])
 
 

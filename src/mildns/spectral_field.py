@@ -171,11 +171,21 @@ def hs_norm(f: SpectralField, s: float) -> float:
 
     The squared Euclidean length of the complex coefficient 3-vector is
     summed per mode; ``s`` may be negative or fractional.  The zero field
-    returns 0 for any ``s``.
+    returns 0 for any ``s``.  Finite coefficients whose squares overflow
+    are rescaled by the largest of them first, so the norm reads ``inf``
+    only when it is beyond the float range itself, and never warns.
     """
     w = _norm_weights(f.grid, float(s))
-    mag2 = f.coef.real**2 + f.coef.imag**2
-    return float(np.sqrt(np.einsum("cxyz,xyz->", mag2, w)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag2 = f.coef.real**2 + f.coef.imag**2
+        total = np.einsum("cxyz,xyz->", mag2, w)
+        if not np.isfinite(total) and np.all(np.isfinite(f.coef)):
+            # the squares overflow: rescale by the largest real or imaginary
+            # part, which unlike a complex modulus cannot overflow itself
+            big = np.max(np.abs(f.coef.view(np.float64)))
+            c = f.coef / big
+            return float(big * np.sqrt(np.einsum("cxyz,xyz->", c.real**2 + c.imag**2, w)))
+    return float(np.sqrt(total))
 
 
 def leray_project(f: SpectralField) -> SpectralField:
@@ -255,7 +265,8 @@ _ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # _ROWS[l][m]: position of (l, m) in 
 
 
 class _Workspace(threading.local):
-    """One thread's transform buffers for the grid it used last."""
+    """One thread's transform buffers for the grid it used last, sized for
+    the largest stack of states it transformed on that grid."""
 
     grid = None
 
@@ -263,32 +274,78 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
-def _buffers(grid: GridSpec):
-    """This thread's padded rfft-layout scratch (3, P, P, P//2+1) and
-    six-product array (6, P, P, P) for ``grid``, rebuilt only when the grid
-    changes.  :func:`_to_physical` zeroes the padded scratch on every call
-    and transforms it in place, so nothing carries over between calls."""
+def _buffers(grid: GridSpec, states: int):
+    """This thread's padded rfft-layout scratch (3B, P, P, P//2+1) and
+    six-product array (6B, P, P, P) for a stack of B = ``states`` states on
+    ``grid``: the leading rows of buffers rebuilt when the grid changes and
+    grown when a larger stack comes.  :func:`_to_physical` zeroes the padded
+    scratch on every call and transforms it in place, so nothing carries
+    over between calls."""
     ws = _workspace
-    if ws.grid != grid:
+    if ws.grid != grid or ws.padded.shape[0] < 3 * states:
         P = grid.pad_size
-        ws.padded = np.empty((3, P, P, P // 2 + 1), dtype=np.complex128)
-        ws.prods = np.empty((6, P, P, P), dtype=np.float64)
+        ws.padded = np.empty((3 * states, P, P, P // 2 + 1), dtype=np.complex128)
+        ws.prods = np.empty((6 * states, P, P, P), dtype=np.float64)
         ws.grid = grid
-    return ws.padded, ws.prods
+    return ws.padded[: 3 * states], ws.prods[: 6 * states]
+
+
+def _product_stack(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The six distinct dealiased entries of u (x) u, in ``_PAIRS`` order,
+    for each state u of a stack (B, 3, M, M, K+1); shape (B, 6, M, M, K+1),
+    field layout (k3 >= 0).  Computed pseudo-spectrally on the alias-safe
+    padded grid, then truncated to the retained modes, so each equals the
+    exact convolution of the retained modes.  The B states go through each
+    FFT pass together; every line is transformed as it would be alone, so a
+    row is bitwise that of a stack of one.  The padded buffers are this
+    thread's workspace; the returned array is new."""
+    B, m, K, P = coefs.shape[0], grid.modes_per_axis, grid.cutoff, grid.pad_size
+    padded, prods = _buffers(grid, B)
+    phys = _to_physical(coefs.reshape(3 * B, m, m, K + 1), K, padded).reshape(B, 3, P, P, P)
+    per_state = prods.reshape(B, 6, P, P, P)
+    for c, (l, mm) in enumerate(_PAIRS):
+        np.multiply(phys[:, l], phys[:, mm], out=per_state[:, c])
+    del phys  # freed before the forward transform allocates its own arrays
+    return _from_padded_physical(prods, grid).reshape(B, 6, m, m, K + 1)
 
 
 def _product_half(u: SpectralField) -> np.ndarray:
-    """The six distinct dealiased entries of u (x) u, in ``_PAIRS`` order, in
-    the field layout (k3 >= 0).  Computed pseudo-spectrally on the alias-safe
-    padded grid, then truncated to the retained modes, so each equals the
-    exact convolution of the retained modes.  The padded buffers are this
-    thread's workspace; the returned array is new."""
-    padded, prods = _buffers(u.grid)
-    phys = _to_physical(u.coef, u.grid.cutoff, padded)
-    for c, (l, m) in enumerate(_PAIRS):
-        np.multiply(phys[l], phys[m], out=prods[c])
-    del phys  # freed before the forward transform allocates its own arrays
-    return _from_padded_physical(prods, u.grid)
+    """The six distinct dealiased entries of u (x) u, shape (6, M, M, K+1)."""
+    return _product_stack(u.coef[None], u.grid)[0]
+
+
+def _nonlinear_stack(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """:func:`nonlinear_term` of each state of a stack (B, 3, M, M, K+1),
+    without its input check; shape (B, 3, M, M, K+1), each row bitwise the
+    term of that state alone."""
+    K = grid.cutoff
+    kv, _, inv_k2 = _wavenumbers(grid)
+    w = _product_stack(coefs, grid)
+    flux = 1j * np.stack([kv[0] * w[:, a] + kv[1] * w[:, b] + kv[2] * w[:, c]
+                          for a, b, c in _ROWS], axis=1)
+    kdotf = kv[0] * flux[:, 0] + kv[1] * flux[:, 1] + kv[2] * flux[:, 2]
+    out = -(flux - kv * (kdotf * inv_k2)[:, None])
+    out[:, :, K, K, 0] = 0.0
+    return out
+
+
+def _require_projected(coefs: np.ndarray, grid: GridSpec) -> None:
+    """Reject a stack (B, 3, M, M, K+1) holding a state with non-finite
+    coefficients, or with divergence above 1e-8 max(1, H^1 norm): the input
+    the nonlinear term needs.  One vectorised pass over the stack; the H^1
+    norms are read only when some divergence exceeds 1e-8."""
+    kv, _, _ = _wavenumbers(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        div = np.max(np.abs(np.einsum("cxyz,bcxyz->bxyz", kv, coefs)), axis=(1, 2, 3))
+    if np.all(div <= 1e-8):  # NaN fails the comparison
+        return
+    for d, coef in zip(div, coefs):
+        if not np.isfinite(d):  # a non-finite coefficient makes k . coef one
+            raise ValueError("field has non-finite coefficients")
+        if d > 1e-8 * max(1.0, hs_norm(SpectralField(grid, coef), 1.0)):
+            raise ValueError(
+                f"nonlinear_term requires a divergence-free field (div_linf={d:.3e})"
+            )
 
 
 def sample_on_grid(f: SpectralField, points: int | None = None) -> np.ndarray:
@@ -305,33 +362,23 @@ def sample_on_grid(f: SpectralField, points: int | None = None) -> np.ndarray:
     return _to_physical(f.coef, f.grid.cutoff, half)
 
 
-def nonlinear_term(u: SpectralField) -> SpectralField:
+def nonlinear_term(u: SpectralField, check: bool = True) -> SpectralField:
     """Projected divergence of the quadratic flux: -P(k) (i k_m (u u_m)^(k)).
 
     The input must be divergence-free and mean zero (a non-projected input
-    signals a caller bug and is rejected).  Output is mean zero,
-    divergence-free, and exactly dealiased against the cutoff cube.
+    signals a caller bug and is rejected).  ``check=False`` skips that check
+    for a caller whose input is built from checked data and projected
+    outputs, as :func:`~mildns.semigroup_flow.march`'s stages are.  Output
+    is mean zero, divergence-free, and exactly dealiased against the cutoff
+    cube.
 
     The padded transform buffers are reused across calls from a per-thread
     workspace keyed by the grid, so concurrent calls from several threads are
     safe, and the result never aliases that workspace.
     """
-    div = divergence_linf(u)
-    scale = max(1.0, hs_norm(u, 1.0))
-    if not np.isfinite(div):
-        raise ValueError("field has non-finite coefficients")
-    if div > 1e-8 * scale:
-        raise ValueError(
-            f"nonlinear_term requires a divergence-free field (div_linf={div:.3e})"
-        )
-    K = u.grid.cutoff
-    kv, _, inv_k2 = _wavenumbers(u.grid)
-    w = _product_half(u)
-    flux = 1j * np.stack([kv[0] * w[a] + kv[1] * w[b] + kv[2] * w[c] for a, b, c in _ROWS])
-    kdotf = kv[0] * flux[0] + kv[1] * flux[1] + kv[2] * flux[2]
-    out = -(flux - kv * (kdotf * inv_k2))
-    out[:, K, K, 0] = 0.0
-    return SpectralField(u.grid, out)
+    if check:
+        _require_projected(u.coef[None], u.grid)
+    return SpectralField(u.grid, _nonlinear_stack(u.coef[None], u.grid)[0])
 
 
 def random_divfree(A: float, seed: int, slope: float, grid: GridSpec) -> SpectralField:

@@ -4,21 +4,29 @@ Everything here deliberately avoids the package's transform pipeline:
 the convolution oracle is a direct O(M^6) sum over retained mode pairs,
 and the convective-form oracle uses plain full-complex numpy FFTs.
 
-The exceptions are ``reference_nonlinearity`` / ``reference_tensor_product``
-and ``reference_sample_on_grid``: frozen copies of an earlier form of that
-pipeline (index-array gathers and scatters between the mode cube and the
-padded rfft layout, whole-cube rfftn/irfftn, the full 3x3 product tensor,
-einsum contractions on the whole cube).  They perform the same
-floating-point operations on the retained modes as the current pipeline,
-which prunes its FFT passes to the lines holding those modes, so the two
-must agree exactly, not just to rounding.
+The exceptions are ``reference_nonlinearity`` / ``reference_tensor_product``,
+``reference_sample_on_grid`` and ``reference_phi_map``.  The first three are
+frozen copies of an earlier form of that pipeline (index-array gathers and
+scatters between the mode cube and the padded rfft layout, whole-cube
+rfftn/irfftn, the full 3x3 product tensor, einsum contractions on the whole
+cube).  They perform the same floating-point operations on the retained
+modes as the current pipeline, which prunes its FFT passes to the lines
+holding those modes, so the two must agree exactly, not just to rounding.
+``reference_phi_map`` is the Duhamel map as it was before its nodes were
+batched through the transforms: one checked ``nonlinear_term`` call per
+node.  It must agree with ``phi_map`` exactly.
 
-A field stores only the k3 >= 0 half of its mode cube; every oracle reads
-and returns whole (.., M, M, M) cubes, built by :func:`full_cube`.
+A field stores only the k3 >= 0 half of its mode cube; every transform
+oracle reads and returns whole (.., M, M, M) cubes, built by
+:func:`full_cube`.
 """
 
 import numpy as np
 import scipy.fft as _fft
+
+from mildns import SpectralField, TrajectoryX, nonlinear_term
+from mildns.picard_wellposedness import _duhamel_weights
+from mildns.spectral_field import _wavenumbers
 
 
 def full_cube(half):
@@ -185,3 +193,23 @@ def reference_nonlinearity(u):
     K = u.grid.cutoff
     out[:, K, K, K] = 0.0
     return out
+
+
+def reference_phi_map(u, u0):
+    """The Duhamel map with one nonlinear_term call per node."""
+    if u0.grid != u.grid:
+        raise ValueError("initial datum and trajectory use different grids")
+    widths = np.diff(u.nodes)
+    _, k2, _ = _wavenumbers(u.grid)
+    g = [nonlinear_term(f).coef for f in u.fields]
+    decay, a0, a1 = _duhamel_weights(k2, float(widths[0]))
+
+    out = [u0.copy()]
+    homog = u0.coef
+    integral = np.zeros_like(u0.coef)
+    for j, h in enumerate(widths):
+        slope = (g[j + 1] - g[j]) / h
+        integral = decay * integral + a0 * g[j] + a1 * slope
+        homog = decay * homog
+        out.append(SpectralField(u.grid, homog + integral))
+    return TrajectoryX(u.T, out)

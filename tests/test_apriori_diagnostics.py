@@ -22,7 +22,7 @@ from mildns import (
     simulate,
     unit_time_contraction,
 )
-from mildns import semigroup_flow
+from mildns import spectral_field
 
 
 def heat_series(rate, h1_0, times):
@@ -210,20 +210,21 @@ class TestCompactness:
 
     def test_base_run_shared_across_frequencies(self, monkeypatch):
         # zero base: T = local_time(1, c) = c, so c = 0.05 at dt = 0.01 is
-        # 5 steps; one base run plus one run per frequency, 4 stages a step
+        # 5 steps; one base run plus one run per frequency, 4 stages a step,
+        # counted as the states (rows) every nonlinear evaluation runs through
         grid = GridSpec(8)
-        calls = []
-        original = semigroup_flow.nonlinear_term
+        rows = []
+        original = spectral_field._nonlinear_stack
 
-        def counted(u):
-            calls.append(1)
-            return original(u)
+        def counted(coefs, grid):
+            rows.append(coefs.shape[0])
+            return original(coefs, grid)
 
-        monkeypatch.setattr(semigroup_flow, "nonlinear_term", counted)
+        monkeypatch.setattr(spectral_field, "_nonlinear_stack", counted)
         rep = compactness_experiment(SpectralField.zero(grid), [1, 2], 0.01, 0.05,
                                      dt=0.01)
         assert rep.T_used == 0.05
-        assert len(calls) == 4 * (2 + 1) * 5
+        assert sum(rows) == 4 * (2 + 1) * 5
 
     def test_json_export(self, tmp_path):
         grid = GridSpec(16)

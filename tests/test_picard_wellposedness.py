@@ -24,6 +24,9 @@ from mildns import (
     single_mode_field,
     xt_norm,
 )
+from mildns import picard_wellposedness
+
+from oracles import reference_phi_map
 
 
 def constant_trajectory(f, T, n):
@@ -138,6 +141,43 @@ class TestPhiMap:
         with pytest.raises(ValueError, match="grid"):
             phi_map(u, u0)
 
+    @pytest.mark.parametrize("intervals", [8, 11, 12, 64])
+    def test_batched_nodes_equal_per_node_map(self, grid16, intervals):
+        # node counts below, at and off multiples of NODE_BATCH
+        u0 = random_divfree(1.0, 3, 2.0, grid16)
+        u = phi_map(heat_trajectory(u0, 0.01, intervals), u0)
+        got, want = phi_map(u, u0), reference_phi_map(u, u0)
+        assert len(got.fields) == len(want.fields) == intervals + 1
+        assert all(np.array_equal(a.coef, b.coef) for a, b in zip(got.fields, want.fields))
+
+    @pytest.mark.parametrize("node", [0, 5, 16])
+    @pytest.mark.parametrize("fault, message", [
+        ("gradient", r"nonlinear_term requires a divergence-free field \(div_linf="),
+        ("nan", r"field has non-finite coefficients"),
+    ])
+    def test_faulty_node_rejected(self, grid8, node, fault, message):
+        u0 = random_divfree(1.0, 3, 2.0, grid8)
+        u = heat_trajectory(u0, 0.01, 16)
+        K = grid8.cutoff
+        bad = u.fields[node].coef
+        if fault == "gradient":  # (2 cos x1, 0, 0) added
+            bad[0, K + 1, K, 0] += 1.0
+            bad[0, K - 1, K, 0] += 1.0
+        else:
+            bad[1, K, K, 1] = np.nan
+        with pytest.raises(ValueError, match=message):
+            phi_map(u, u0)
+
+    def test_non_projected_datum_rejected(self, grid8):
+        u0 = random_divfree(1.0, 3, 2.0, grid8)
+        u = heat_trajectory(u0, 0.01, 16)
+        bad = u0.copy()
+        K = grid8.cutoff
+        bad.coef[0, K + 1, K, 0] += 1.0
+        bad.coef[0, K - 1, K, 0] += 1.0
+        with pytest.raises(ValueError, match="divergence-free"):
+            phi_map(u, bad)
+
     def test_second_order_refinement(self, grid8):
         u0 = random_divfree(1.0, 9, 2.0, grid8)
         T = local_time(hs_norm(u0, 1.0), 0.01)
@@ -153,6 +193,17 @@ class TestPhiMap:
 
 
 class TestPicardSolve:
+    @pytest.mark.parametrize("A", [0.5, 1.0, 1.5])
+    def test_report_bytes_equal_per_node_map(self, A, monkeypatch):
+        # the picard16 benchmark cases: N=16, c=0.01
+        u0 = random_divfree(A, 2, 2.0, GridSpec(16))
+        traj, rep = picard_solve(u0, c=0.01)
+        monkeypatch.setattr(picard_wellposedness, "phi_map", reference_phi_map)
+        ref_traj, ref = picard_solve(u0, c=0.01)
+        assert rep.to_json() == ref.to_json()
+        assert all(np.array_equal(a.coef, b.coef)
+                   for a, b in zip(traj.fields, ref_traj.fields))
+
     def test_shear_converges_immediately(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
         _, rep = picard_solve(u0, c=0.05, tol=1e-10)

@@ -283,6 +283,32 @@ class TestMarch:
         with pytest.raises(ValueError, match="grid"):
             sup_distances(u0, [SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
 
+    @pytest.mark.parametrize("fault, message", [
+        ("gradient", r"nonlinear_term requires a divergence-free field \(div_linf=1\.000e\+00\)"),
+        ("nan", r"field has non-finite coefficients"),
+    ])
+    def test_datum_checked_before_any_step(self, grid8, monkeypatch, fault, message):
+        # march checks its data, not each RK4 stage, so every entry point
+        # must refuse such a datum before it is stepped at all
+        steps = []
+        monkeypatch.setattr(semigroup_flow, "_if_rk4_step", lambda *args: steps.append(args))
+        good = random_divfree(1.0, 3, 2.0, grid8)
+        bad = good.copy()
+        K = grid8.cutoff
+        if fault == "gradient":  # u = (2 cos x1, 0, 0): k . coef = 1 at k = +-(1, 0, 0)
+            bad.coef[0, K + 1, K, 0] += 1.0
+            bad.coef[0, K - 1, K, 0] += 1.0
+        else:
+            bad.coef[2, K, K + 1, 1] = np.nan
+        runs = [lambda: march([good, bad], 0.05, 0.01),
+                lambda: simulate(bad, 0.05, 0.01),
+                lambda: step(bad, 0.01),
+                lambda: sup_distances(good, [good, bad], 0.05, 0.01)]
+        for run in runs:
+            with pytest.raises(ValueError, match=message):
+                run()
+        assert steps == []
+
 
 class TestThreadedMarch:
     """A march of 2 or more states on a grid with P >= 24 steps them on

@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from mildns import (
     single_mode_field,
 )
 from mildns import spectral_field
-from mildns.spectral_field import _product_half, hermitian_residual
+from mildns.spectral_field import (
+    _nonlinear_stack,
+    _norm_weights,
+    _product_half,
+    _product_stack,
+    hermitian_residual,
+)
 
 from oracles import (
     convective_form_nonlinearity,
@@ -115,6 +122,33 @@ class TestHsNorm:
         k2[K, K, K] = 1.0  # the k=0 slot is zero
         want = math.sqrt(float(np.sum(k2**s * np.sum(np.abs(full) ** 2, axis=0))))
         assert hs_norm(rand16, s) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("s", [-1.5, 0.0, 1.0, 2.5])
+    def test_plain_sum_bytes_kept(self, rand16, s):
+        # the overflow fallback leaves the normal path's arithmetic as it was
+        for f in (rand16, 1e150 * rand16, named_flow("abc", 3.0, rand16.grid)):
+            mag2 = f.coef.real**2 + f.coef.imag**2
+            want = float(np.sqrt(np.einsum("cxyz,xyz->", mag2, _norm_weights(f.grid, s))))
+            assert hs_norm(f, s) == want
+
+    def test_overflowing_squares_rescaled_without_warning(self, grid16):
+        unit = single_mode_field(grid16, (5, 5, 5), (1.0, -1.0, 0.0), 1.0)
+        huge = single_mode_field(grid16, (5, 5, 5), (1.0, -1.0, 0.0), 1e308)
+        assert np.all(np.isfinite(huge.coef))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h1 = hs_norm(huge, 1.0)
+            l2 = hs_norm(huge, 0.0)
+            h2 = hs_norm(huge, 2.0)  # sqrt(75) 1e308 is beyond the float range
+            nan = hs_norm(SpectralField(grid16, huge.coef * np.nan), 1.0)
+            # finite parts whose complex modulus is beyond the float range
+            edge = pair_field(grid16, (0, 1, 1), np.array([1.5e308 * (1 + 1j), 0, 0]))
+            edge_l2 = hs_norm(edge, 0.0)
+        assert h1 == pytest.approx(1e308, rel=1e-14)
+        assert edge_l2 == math.inf
+        assert l2 == pytest.approx(1e308 * hs_norm(unit, 0.0), rel=1e-14)
+        assert h2 == math.inf
+        assert math.isnan(nan)
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_parseval_rms(self, n):
@@ -262,6 +296,32 @@ class TestTransformReference:
                 assert np.array_equal(sample_on_grid(f, p), reference_sample_on_grid(f, p))
 
 
+def stack(states):
+    return np.stack([u.coef for u in states])
+
+
+class TestStackedTransforms:
+    """A stack of B states goes through every FFT pass together, and each
+    row is bitwise the result for that state alone (K=1 and K=n/2-1 are the
+    edge cases; N=48, K=23 pads to P=70, not a power of 2)."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 48])
+    @pytest.mark.parametrize("edge", ["K=1", "K=n/2-1"])
+    def test_rows_equal_single_states(self, n, edge):
+        grid = GridSpec(n, 1 if edge == "K=1" else n // 2 - 1)
+        states = [random_divfree(1.5, seed, 2.0, grid) for seed in range(5)]
+        alone = [nonlinear_term(u).coef for u in states]
+        for B in range(1, 6):
+            rows = _nonlinear_stack(stack(states[:B]), grid)
+            assert rows.shape == (B,) + states[0].coef.shape
+            assert all(np.array_equal(r, a) for r, a in zip(rows, alone))
+
+    def test_product_rows_equal_single_states(self, grid16):
+        states = [random_divfree(1.5, seed, 6.0, grid16) for seed in range(3)]
+        rows = _product_stack(stack(states), grid16)
+        assert all(np.array_equal(r, _product_half(u)) for r, u in zip(rows, states))
+
+
 class TestTransformWorkspace:
     """nonlinear_term reuses per-thread padded buffers keyed by the grid; no
     result may view them, and switching grids must not leak stale data."""
@@ -281,10 +341,40 @@ class TestTransformWorkspace:
         assert np.array_equal(nl.coef, kept[0])
         assert np.array_equal(prod, kept[1])
 
+    def test_stacked_results_never_alias_the_grown_buffers(self):
+        grid = GridSpec(32)
+        states = [random_divfree(1.5, seed, 2.0, grid) for seed in range(4)]
+        nl, prod = _nonlinear_stack(stack(states), grid), _product_stack(stack(states), grid)
+        kept = nl.copy(), prod.copy()
+        ws = spectral_field._workspace
+        assert ws.padded.shape[0] >= 12 and ws.prods.shape[0] >= 24
+        for other in states[:2]:
+            nonlinear_term(other)
+            _nonlinear_stack(stack(states[1:3]), grid)
+            for a in (nl, prod):
+                assert not np.shares_memory(a, ws.padded)
+                assert not np.shares_memory(a, ws.prods)
+        assert np.array_equal(nl, kept[0])
+        assert np.array_equal(prod, kept[1])
+
     def test_interleaved_grids_match_reference(self):
         # grid X, grid Y, then X again with other data and with the first data
         for n, k, seed in ((32, None, 3), (16, 7, 3), (32, None, 11), (32, None, 3)):
             TestTransformReference.assert_exact(random_divfree(1.5, seed, 6.0, GridSpec(n, k)))
+
+    def test_stack_then_single_then_grid_switch_match_reference(self):
+        ws = spectral_field._workspace
+        nonlinear_term(random_divfree(1.5, 1, 6.0, GridSpec(12)))  # a known start
+        grid = GridSpec(32)
+        states = [random_divfree(1.5, seed, 6.0, grid) for seed in (3, 4, 5, 6)]
+        rows = _nonlinear_stack(stack(states), grid)
+        assert ws.padded.shape[0] == 3 * 4  # grown to the stack
+        for row, u in zip(rows, states):
+            assert np.array_equal(full_cube(row), reference_nonlinearity(u))
+        TestTransformReference.assert_exact(states[2])  # one state, grown buffers
+        assert ws.padded.shape[0] == 3 * 4  # kept for the grid
+        TestTransformReference.assert_exact(random_divfree(1.5, 3, 6.0, GridSpec(16, 7)))
+        assert ws.padded.shape[0] == 3  # rebuilt for the new grid
 
     def test_thread_stress(self):
         # more threads than cores; two threads share a grid value, so a
@@ -318,6 +408,45 @@ class TestTransformWorkspace:
         for results, expected in zip(got, want):
             assert len(results) == rounds
             assert all(np.array_equal(r, expected) for r in results)
+
+
+    def test_thread_stress_mixed_stack_sizes(self):
+        # each thread alternates stacks of 1, 2 and 3 states, so its
+        # workspace grows while the other threads use theirs
+        cases = [(GridSpec(16), 0), (GridSpec(16), 10), (GridSpec(16, 7), 20), (GridSpec(12), 30)]
+        data = [[random_divfree(1.5, seed + j, 2.0, grid) for j in range(3)]
+                for grid, seed in cases]
+        want = [[nonlinear_term(u).coef for u in states] for states in data]
+        rounds = 30
+        bad = []
+        errors = []
+
+        def loop(i):
+            try:
+                states = data[i]
+                for r in range(rounds):
+                    B = 1 + (r + i) % 3
+                    rows = _nonlinear_stack(stack(states[:B]), states[0].grid)
+                    single = nonlinear_term(states[B - 1]).coef
+                    if not (all(np.array_equal(a, b) for a, b in zip(rows, want[i]))
+                            and np.array_equal(single, want[i][B - 1])):
+                        bad.append((i, r))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=loop, args=(i,)) for i in range(len(data))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert bad == []
 
 
 class TestRandomDivfree:
