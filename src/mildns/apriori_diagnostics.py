@@ -191,7 +191,7 @@ def compactness_experiment(
         if n < 1 or n > K:
             raise ValueError(f"perturbation frequency {n} outside the cutoff (1..{K})")
     T = compactness_horizon(u0, c)
-    if eps_window < 0 or eps_window >= T:
+    if not 0 <= eps_window < T:  # NaN fails too
         raise ValueError(f"eps_window must lie in [0, T) with T={T:.6g}")
     perturbed = [u0 + single_mode_field(u0.grid, (n, 0, 0), (0.0, 1.0, 0.0), 1.0)
                  for n in freqs]

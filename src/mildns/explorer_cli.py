@@ -51,7 +51,6 @@ from .apriori_diagnostics import (
     compactness_horizon,
     energy_identity_residual,
     poincare_violation,
-    unit_time_contraction,
 )
 
 __all__ = [
@@ -104,7 +103,6 @@ class ExperimentConfig:
     base_seed: int = 12345
     slope: float = 2.0
     ceiling: float = 1e6
-    mode: str = "short"
     store_every: int = 10**9
     out_dir: str = "."
 
@@ -123,10 +121,6 @@ class ExperimentConfig:
                 raise ConfigError(key, "must be a positive integer")
         if self.base_seed < 0:
             raise ConfigError("base_seed", "must be a nonnegative integer")
-        if self.mode not in ("short", "long"):
-            raise ConfigError("mode", "must be 'short' or 'long'")
-        if self.mode == "short" and self.horizon > 1.0:
-            raise ConfigError("horizon", "short-term mode requires horizon <= 1")
         if len(self.a_list) == 0:
             raise ConfigError("a_list", "must not be empty")
         if not all(0 < a < math.inf for a in self.a_list):  # NaN fails too
@@ -196,7 +190,6 @@ class SampleRecord:
     sup_h1: float
     argmax_time: float
     censored: bool
-    unit_ratio_max: float | None = None
 
 
 @dataclass
@@ -249,11 +242,7 @@ def _run_sample(cfg: ExperimentConfig, grid: GridSpec, j: int, i: int, generator
         return SampleRecord(j, i, seed, math.nan, math.nan, True)
     s = traj.norm_series
     idx = int(np.argmax(s.h1))
-    unit_max = None
-    if cfg.mode == "long" and s.times[-1] >= 2.0:
-        _, ratios = unit_time_contraction(s)
-        unit_max = float(np.max(ratios))
-    return SampleRecord(j, i, seed, float(s.h1[idx]), float(s.times[idx]), False, unit_max)
+    return SampleRecord(j, i, seed, float(s.h1[idx]), float(s.times[idx]), False)
 
 
 # The ensemble a pool worker runs: bound once per forked worker by the pool

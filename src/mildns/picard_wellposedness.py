@@ -115,10 +115,10 @@ def xt_norm(u: TrajectoryX, s: float) -> float:
 
 
 def local_time(A: float, c: float) -> float:
-    """Local existence horizon c A^-4, capped at the short-term window 1."""
-    if A < 0:
+    """Local existence horizon c A^-4, capped at 1."""
+    if not A >= 0:  # NaN fails too
         raise ValueError("A must be nonnegative")
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     if A == 0.0:
         return 1.0
@@ -200,7 +200,7 @@ def picard_solve(
     aborted early, unconverged.  Raises ValueError if a horizon it may try
     underflows.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

@@ -91,7 +91,7 @@ class BlowupError(RuntimeError):
 
 def heat_propagate(f: SpectralField, t: float) -> SpectralField:
     """Exact heat flow: multiply mode k by exp(-|k|^2 t).  Requires t >= 0."""
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise ValueError("heat flow runs forward in time only (t >= 0)")
     _, k2, _ = _wavenumbers(f.grid)
     return SpectralField(f.grid, f.coef * np.exp(-k2 * t))
@@ -103,9 +103,9 @@ def smoothing_ratio(f: SpectralField, s: float, delta: float, t: float) -> float
     Bounded by sup_{x>=0} x^(d/2) e^(-x) for any mean-zero f; undefined for
     the zero field.
     """
-    if t <= 0:
+    if not t > 0:  # NaN fails too
         raise ValueError("smoothing ratio needs t > 0")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("smoothing ratio needs delta > 0")
     denom = hs_norm(f, s)
     if denom == 0.0:
@@ -151,9 +151,9 @@ def _if_rk4_step(u: SpectralField, h: float, e_half, e_full):
 
 
 def _plan_steps(T: float, dt: float):
-    """Number of steps with the final one shortened to land exactly on T."""
-    n = max(1, int(np.ceil(T / dt - 1e-9)))
-    return n
+    """Number of steps of a march to T: T / dt rounded up, so that the last
+    step, which :func:`march` shortens to land exactly on T, is at most dt."""
+    return max(1, int(np.ceil(T / dt - 1e-9)))
 
 
 def march(states, T: float, dt: float):
@@ -327,7 +327,7 @@ def sup_distances(
     """
     others = list(others)
     eps = 1e-12
-    if T < t_min - eps:
+    if not T >= t_min - eps:  # NaN fails too
         raise ValueError("no step times fall inside the comparison window")
     best = [(-1.0, 0.0)] * len(others)
     for t, states in march([base, *others], T, dt):

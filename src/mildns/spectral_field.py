@@ -503,8 +503,9 @@ def save_nsf1(f: SpectralField, path) -> None:
 
 def load_nsf1(path) -> SpectralField:
     """Read a snapshot written by :func:`save_nsf1` (bit-exact round trip).
-    ValueError on a bad header, a truncated or a non-Hermitian body (keeping
-    the k3 >= 0 half would drop any other k3 < 0 half silently)."""
+    ValueError on a bad header, a truncated body, bytes after the body, or a
+    non-Hermitian body (keeping the k3 >= 0 half would drop any other k3 < 0
+    half silently)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _NSF1_MAGIC:
@@ -516,8 +517,11 @@ def load_nsf1(path) -> SpectralField:
         raise ValueError(f"snapshot declares {ncomp} components, expected 3")
     grid = GridSpec(int(n), int(cutoff))
     m = grid.modes_per_axis
-    if len(blob) < 16 + 16 * 3 * m**3:
+    size = 16 + 16 * 3 * m**3
+    if len(blob) < size:
         raise ValueError("snapshot truncated")
+    if len(blob) > size:
+        raise ValueError(f"snapshot has {len(blob) - size} bytes after its body")
     data = np.frombuffer(blob, dtype="<c16", count=3 * m**3, offset=16)
     full = np.moveaxis(data.reshape(m, m, m, 3), -1, 0).astype(np.complex128)
     if not np.array_equal(full, np.conj(full[:, ::-1, ::-1, ::-1])):

@@ -19,12 +19,15 @@ node.  It must agree with ``phi_map`` exactly.
 A field stores only the k3 >= 0 half of its mode cube; every transform
 oracle reads and returns whole (.., M, M, M) cubes, built by
 :func:`full_cube`.
+
+:func:`dilate` is no oracle of a computation but a map between exact
+solutions: the dilation symmetry of the truncated system.
 """
 
 import numpy as np
 import scipy.fft as _fft
 
-from mildns import SpectralField, TrajectoryX, nonlinear_term
+from mildns import GridSpec, SpectralField, TrajectoryX, nonlinear_term
 from mildns.picard_wellposedness import _duhamel_weights
 from mildns.spectral_field import _wavenumbers
 
@@ -213,3 +216,20 @@ def reference_phi_map(u, u0):
         homog = decay * homog
         out.append(SpectralField(u.grid, homog + integral))
     return TrajectoryX(u.T, out)
+
+
+def dilate(u, lam):
+    """The dilation v(x) = lam u(lam x): mode k of u goes to mode lam k of v,
+    times lam, and every mode off the sublattice lam Z^3 is 0.
+
+    v lives on a grid with cutoff lam K (3 lam K points, rounded up to even).
+    At that cutoff the truncated system commutes with the dilation: the
+    sublattice is closed under the dealiased product, so if u(t) solves it,
+    so does lam u(lam^2 t, lam x).
+    """
+    Kd = lam * u.grid.cutoff
+    v = SpectralField.zero(GridSpec(3 * Kd + 3 * Kd % 2, Kd))
+    # index i stands for k = i - K on the first two axes and k3 = i on the
+    # last, so mode k at index i lands at index lam i on every axis
+    v.coef[:, ::lam, ::lam, ::lam] = lam * u.coef
+    return v

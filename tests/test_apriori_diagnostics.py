@@ -208,6 +208,13 @@ class TestCompactness:
         with pytest.raises(ValueError, match="eps_window"):
             compactness_experiment(u0, [2], 0.5, 0.01)  # T = c(A+1)^-4 << 0.5
 
+    @pytest.mark.parametrize("eps_window, c, named", [(math.nan, 2.0, "eps_window"),
+                                                      (0.0, math.nan, "c must")])
+    def test_nan_rejected(self, eps_window, c, named):
+        u0 = named_flow("shear", 1.0, GridSpec(8))
+        with pytest.raises(ValueError, match=named):
+            compactness_experiment(u0, [1, 2], eps_window, c, dt=1e-2)
+
     def test_base_run_shared_across_frequencies(self, monkeypatch):
         # zero base: T = local_time(1, c) = c, so c = 0.05 at dt = 0.01 is
         # 5 steps; one base run plus one run per frequency, 4 stages a step,

@@ -29,15 +29,11 @@ from mildns.semigroup_flow import _plan_steps
 
 
 SMALL = dict(grid_n=8, dt=0.02, horizon=0.5, a_list=(0.1, 0.2), samples_per_a=2,
-             base_seed=100, mode="long")
-# horizon 0.5 with mode="long" just lifts the <=1 restriction off the table
+             base_seed=100)
 
 
 def small_cfg(**over):
-    kw = dict(SMALL)
-    kw.update(over)
-    kw.setdefault("mode", "short")
-    return ExperimentConfig(**kw)
+    return ExperimentConfig(**{**SMALL, **over})
 
 
 class TestExperimentConfig:
@@ -97,20 +93,18 @@ class TestExperimentConfig:
             ExperimentConfig(dt=-1.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(a_list=(0.2, 0.1))
-        with pytest.raises(ConfigError):
-            ExperimentConfig(horizon=2.0, mode="short")
-        ExperimentConfig(horizon=2.0, mode="long")  # allowed long-term
+        ExperimentConfig(horizon=2.0)  # horizon alone sets the run length
 
     @pytest.mark.parametrize("key", ["dt", "horizon", "c", "picard_tol", "slope"])
     def test_infinite_value_named(self, key):
         with pytest.raises(ConfigError) as exc:
-            ExperimentConfig(**{key: math.inf, "mode": "long"})
+            ExperimentConfig(**{key: math.inf})
         assert exc.value.key == key
 
     def test_step_count_limit(self):
-        ExperimentConfig(horizon=10.0, dt=1e-6, mode="long")  # exactly MAX_STEPS steps
+        ExperimentConfig(horizon=10.0, dt=1e-6)  # exactly MAX_STEPS steps
         with pytest.raises(ConfigError) as exc:
-            ExperimentConfig(horizon=10.0, dt=0.99e-6, mode="long")
+            ExperimentConfig(horizon=10.0, dt=0.99e-6)
         assert exc.value.key == "dt"
 
     def test_infinite_ceiling_means_none(self):
@@ -259,13 +253,6 @@ class TestEstimateF:
         assert obj["F_hat"] == [None, None]  # JSON infinity marker
         assert obj["censored"] == [2, 2]
 
-    def test_long_mode_records_unit_ratios(self):
-        cfg = ExperimentConfig(grid_n=8, dt=0.02, horizon=2.0, a_list=(0.1,),
-                               samples_per_a=1, base_seed=5, mode="long")
-        s = estimate_F(cfg)
-        assert s.samples[0].unit_ratio_max is not None
-        assert s.samples[0].unit_ratio_max <= 1.0
-
     @pytest.mark.parametrize("over", [
         dict(a_list=(0.2,), ceiling=0.1),
         dict(a_list=(2.0,), ceiling=1.9, c=0.5),
@@ -345,6 +332,14 @@ class TestCli:
         assert rc == 3
         assert (out / "norms.csv").exists()  # partial series still written
 
+    def test_horizon_above_one_runs(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli_main(["simulate", "--flow", "shear", "--N", "8", "--T", "2",
+                         "--dt", "0.25", "--out-dir", str(out)]) == 0
+        series = norms_from_csv(out / "norms.csv")
+        assert series.times[-1] == 2.0
+        assert series.h1[-1] == pytest.approx(math.exp(-2.0) / math.sqrt(2.0), rel=1e-10)
+
     def test_final_field_after_blowup_is_last_norms_row(self, tmp_path):
         # H1 24 -> 23.95 -> 24.06 -> 24.32 crosses the ceiling at t = 0.03,
         # and the default store_every stores no field in between
@@ -367,6 +362,16 @@ class TestCli:
                        "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert "grid_q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["short", "long"])
+    def test_mode_key_is_unknown(self, value, tmp_path, capsys):
+        # horizon alone sets the run length; a config naming a mode is rejected
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"grid_n = 8\nmode = {value}\n")
+        out = tmp_path / "o"
+        assert cli_main(["ensemble", "--config", str(cfgfile), "--out-dir", str(out)]) == 2
+        assert "config key 'mode': unknown key" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, written", [
         (["simulate", "--flow", "shear", "--N", "8", "--T", "0.02", "--dt", "1e-2"],
@@ -547,7 +552,7 @@ class TestCli:
         (["simulate", "--dt", "-1"], "'dt'"),
         (["simulate", "--dt", "nan"], "'dt'"),
         (["simulate", "--T", "-1"], "'horizon'"),
-        (["simulate", "--T", "2"], "'horizon'"),  # mode = short, the default
+        (["simulate", "--T", "inf"], "'horizon'"),
         (["simulate", "--store-every", "0"], "'store_every'"),
         (["picard", "--c", "0"], "'c'"),
         (["picard", "--tol", "0"], "'picard_tol'"),
@@ -609,7 +614,7 @@ class TestCli:
         ("dt = inf", "'dt'"),
         ("a_list = 0.1, inf", "'a_list'"),
         ("a_list = nan", "'a_list'"),
-        ("mode = long\nhorizon = inf", "'horizon'"),
+        ("horizon = inf", "'horizon'"),
     ])
     def test_non_finite_config_value_exits_2(self, lines, key, tmp_path, capsys):
         cfgfile = tmp_path / "e.cfg"
@@ -621,8 +626,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [["simulate", "--flow", "shear"], ["ensemble"]])
     @pytest.mark.parametrize("lines", [
-        "grid_n = 8\nmode = long\nhorizon = 1e300\ndt = 1e-10",  # T / dt overflows
-        "grid_n = 8\nmode = long\nhorizon = 1e6\ndt = 1e-9",     # 10^15 steps
+        "grid_n = 8\nhorizon = 1e300\ndt = 1e-10",  # T / dt overflows
+        "grid_n = 8\nhorizon = 1e6\ndt = 1e-9",     # 10^15 steps
     ])
     def test_run_length_bounded(self, command, lines, tmp_path, capsys):
         cfgfile = tmp_path / "e.cfg"
@@ -663,9 +668,9 @@ _VALUES = st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=1, max_size=3).map(","
                     st.sampled_from(["", "long", "short", "hybrid", "simulate"]), st.text())
 _KEYED = st.builds("{}{}={}{}".format, st.sampled_from(_KEYS), st.sampled_from(["", " "]),
                    st.sampled_from(["", " "]), _VALUES)
-# long-mode runs of about MAX_STEPS steps: only the step limit rejects the longer ones
+# runs of about MAX_STEPS steps: only the step limit rejects the longer ones
 _LONG_RUN = st.tuples(st.floats(1e-9, 1e-2), st.floats(0.5 * MAX_STEPS, 2.0 * MAX_STEPS)).map(
-    lambda p: f"mode = long\ndt = {p[0]!r}\nhorizon = {p[0] * p[1]!r}")
+    lambda p: f"dt = {p[0]!r}\nhorizon = {p[0] * p[1]!r}")
 
 
 class TestConfigProperties:

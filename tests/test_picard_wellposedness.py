@@ -115,6 +115,12 @@ class TestLocalTime:
         with pytest.raises(ValueError):
             local_time(1.0, 0.0)
 
+    @pytest.mark.parametrize("A, c, named", [(math.nan, 0.01, "A must"),
+                                             (1.0, math.nan, "c must")])
+    def test_nan_rejected(self, A, c, named):
+        with pytest.raises(ValueError, match=named):
+            local_time(A, c)
+
 
 class TestPhiMap:
     def test_zero_input_gives_heat_flow(self, grid8):
@@ -277,6 +283,12 @@ class TestPicardSolve:
         ({"max_iter": -3}, "max_iter"),
     ])
     def test_bad_tolerance_or_iteration_count_rejected(self, grid8, kw, named):
+        with pytest.raises(ValueError, match=named):
+            picard_solve(random_divfree(0.5, 2, 2.0, grid8), **kw)
+
+    @pytest.mark.parametrize("kw, named", [({"tol": math.nan}, "tolerance must"),
+                                           ({"c": math.nan}, "c must")])
+    def test_nan_rejected(self, grid8, kw, named):
         with pytest.raises(ValueError, match=named):
             picard_solve(random_divfree(0.5, 2, 2.0, grid8), **kw)
 

@@ -1,6 +1,6 @@
 """The README's library example runs against the current API, its
-configuration block lists the config keys, and its flag table matches each
-subcommand's flags."""
+configuration block lists the config keys with their defaults, and its flag
+table matches each subcommand's flags."""
 
 import re
 from dataclasses import fields
@@ -20,12 +20,27 @@ def test_library_example_runs(capsys):
     assert capsys.readouterr().out.startswith("True ")  # picard_solve converged
 
 
-def test_config_block_lists_every_key_in_order():
+def _config_block():
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Configuration files"):]
     [block] = re.findall(r"^```\n(.*?)^```", section, re.MULTILINE | re.DOTALL)[:1]
-    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()]
+    return block.splitlines()
+
+
+def test_config_block_lists_every_key_in_order():
+    keys = [line.split("=", 1)[0].strip() for line in _config_block()]
     assert keys == [f.name for f in fields(ExperimentConfig)]
+
+
+def test_config_block_shows_the_defaults(tmp_path):
+    # "store_every = ..." is a placeholder and "grid_k =" stands for a
+    # default computed from grid_n; every other line gives its key's default
+    lines = [line for line in _config_block()
+             if line.split("#", 1)[0].split("=", 1)[1].strip() not in ("...", "")]
+    assert len(lines) == len(fields(ExperimentConfig)) - 2
+    path = tmp_path / "readme.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert ExperimentConfig.from_file(path) == ExperimentConfig()
 
 
 def _flag_table():

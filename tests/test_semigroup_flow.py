@@ -44,6 +44,11 @@ class TestHeatPropagate:
         with pytest.raises(ValueError):
             heat_propagate(rand16, -0.1)
 
+    @pytest.mark.parametrize("t", [math.nan])
+    def test_nan_time_rejected(self, rand16, t):
+        with pytest.raises(ValueError, match="forward in time"):
+            heat_propagate(rand16, t)
+
     def test_semigroup_law(self, rand16):
         a = heat_propagate(heat_propagate(rand16, 0.3), 0.7)
         b = heat_propagate(rand16, 1.0)
@@ -77,6 +82,12 @@ class TestSmoothingRatio:
             smoothing_ratio(rand16, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             smoothing_ratio(rand16, 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("delta, t, named", [(1.0, math.nan, "t > 0"),
+                                                 (math.nan, 1.0, "delta > 0")])
+    def test_nan_rejected(self, rand16, delta, t, named):
+        with pytest.raises(ValueError, match=named):
+            smoothing_ratio(rand16, 1.0, delta, t)
 
 
 class TestStep:
@@ -246,6 +257,12 @@ class TestSupDistances:
         u0 = named_flow("shear", 1.0, grid8)
         with pytest.raises(ValueError, match="window"):
             sup_distances(u0, [u0], 0.05, 1e-2, t_min=1.0)
+
+    @pytest.mark.parametrize("t_min", [math.nan])
+    def test_nan_window_rejected(self, grid8, t_min):
+        u0 = named_flow("shear", 1.0, grid8)
+        with pytest.raises(ValueError, match="window"):
+            sup_distances(u0, [u0], 0.05, 1e-2, t_min=t_min)
 
     # N=24 (P=26) steps the four states on several threads; three
     # perturbations split unevenly between them

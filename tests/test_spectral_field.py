@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mildns import (
@@ -630,6 +630,9 @@ class TestFieldArithmetic:
         assert np.array_equal((-1.0 * rand16).coef, -rand16.coef)
 
 
+SIZE8 = 16 + 16 * 3 * 5**3  # bytes of an N=8 snapshot (K=2)
+
+
 class TestSnapshotProperties:
     """load_nsf1 turns every malformed file into a ValueError, never into a
     different exception or a silently altered field."""
@@ -651,10 +654,13 @@ class TestSnapshotProperties:
         self.assert_rejected(tmp_path, head + rest)
 
     @quick
-    @given(cut=st.integers(min_value=4, max_value=16 + 16 * 3 * 5**3 - 1))
+    @given(cut=st.integers(min_value=4, max_value=2 * SIZE8).filter(lambda n: n != SIZE8))
+    @example(cut=2 * SIZE8)  # two copies of one snapshot
     def test_truncated(self, tmp_path, rand8, cut):
+        # a prefix of two concatenated copies: short of one body, or with
+        # bytes after it
         blob = nsf1_bytes(8, 2, full_cube(rand8.coef))
-        self.assert_rejected(tmp_path, blob[:cut])
+        self.assert_rejected(tmp_path, (blob + blob)[:cut])
 
     @quick
     @given(n=st.integers(min_value=0, max_value=2**32 - 1),
