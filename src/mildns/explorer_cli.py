@@ -45,7 +45,7 @@ from .semigroup_flow import (
     simulate,
     smoothing_ratio,
 )
-from .picard_wellposedness import _check_horizon, picard_solve
+from .picard_wellposedness import picard_solve
 from .apriori_diagnostics import (
     compactness_experiment,
     compactness_horizon,
@@ -93,7 +93,6 @@ class ExperimentConfig:
     """Ensemble and solver settings, loadable from flat key=value files."""
 
     grid_n: int = 16
-    grid_k: int | None = None
     dt: float = 0.01
     horizon: float = 1.0
     c: float = 0.01
@@ -132,16 +131,12 @@ class ExperimentConfig:
             raise ConfigError("a_list", "amplitudes must differ in their first 6 significant "
                                         "digits, which name the ensemble_A*.csv files")
         try:
-            GridSpec(self.grid_n)
-        except ValueError as exc:
-            raise ConfigError("grid_n", str(exc)) from exc
-        try:
             self.grid()
         except ValueError as exc:
-            raise ConfigError("grid_k", str(exc)) from exc
+            raise ConfigError("grid_n", str(exc)) from exc
 
     def grid(self) -> GridSpec:
-        return GridSpec(self.grid_n, self.grid_k)
+        return GridSpec(self.grid_n)
 
     def config_hash(self) -> str:
         """Stable hash over the scientific settings, sorted by key.
@@ -159,9 +154,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """Parse a flat key=value file with # comments."""
+        """Parse a flat key=value file with # comments; each key at most once."""
         converters = {f.name: type(f.default) for f in fields(cls)}
-        converters["grid_k"] = lambda text: int(text) if text else None
         converters["a_list"] = _parse_a_list
         values = {}
         with open(path, encoding="utf-8") as fh:
@@ -175,6 +169,8 @@ class ExperimentConfig:
                 key, text = key.strip(), text.strip()
                 if key not in converters:
                     raise ConfigError(key, "unknown key")
+                if key in values:
+                    raise ConfigError(key, f"given twice (again on line {lineno})")
                 try:
                     values[key] = converters[key](text)
                 except ValueError as exc:
@@ -501,8 +497,6 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
     over = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
             if getattr(args, f.name, None) is not None}
-    if "grid_n" in over:
-        over.setdefault("grid_k", None)  # a new resolution takes the default cutoff
     return replace(cfg, **over)
 
 
@@ -519,7 +513,6 @@ def _add_field_flags(p: argparse.ArgumentParser):
     p.add_argument("--A", type=_amplitude, default=1.0,
                    help="target H1 norm for random data")
     p.add_argument("--N", type=int, dest="grid_n", help="grid resolution (overrides grid_n)")
-    p.add_argument("--K", type=int, dest="grid_k", help="dealias cutoff (overrides grid_k)")
 
 
 def _cmd_simulate(args) -> int:
@@ -557,15 +550,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_picard(args) -> int:
     cfg = _load_config(args)
     u0 = _initial_field(args, cfg)
-    A = hs_norm(u0, 1.0)
     try:
-        _check_horizon(A, cfg.c, args.auto_shrink)
+        _, report = picard_solve(u0, c=cfg.c, tol=cfg.picard_tol, max_iter=args.max_iter)
     except ValueError as exc:  # argparse's usage error, exit code 2
         args.parser.error(f"{exc}; raise --c or lower the amplitude")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, report = picard_solve(u0, c=cfg.c, tol=cfg.picard_tol,
-                             max_iter=args.max_iter, auto_shrink=args.auto_shrink)
     report.to_json(out / "picard.json")
     write_manifest(out, cfg.config_hash(), [cfg.base_seed], ["picard.json", "manifest.json"])
     print(f"picard: converged={report.converged} iterates={report.iterate_count} "
@@ -621,11 +611,12 @@ def _cmd_compactness(args) -> int:
     K, T = cfg.grid().cutoff, compactness_horizon(u0, cfg.c)
     if args.freqs[-1] > K:  # argparse's usage error, exit code 2
         args.parser.error(f"argument --freqs: must not exceed the cutoff K={K}")
-    if not 0 <= args.eps_window < T:
+    eps_window = T / 2 if args.eps_window is None else args.eps_window
+    if not 0 <= eps_window < T:
         args.parser.error(f"argument --eps-window: must lie in [0, T) with T={T:.6g}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = compactness_experiment(u0, args.freqs, args.eps_window, cfg.c, dt=cfg.dt)
+    report = compactness_experiment(u0, args.freqs, eps_window, cfg.c, dt=cfg.dt)
     report.to_json(out / "compactness.json")
     write_manifest(out, cfg.config_hash(), [cfg.base_seed],
                    ["compactness.json", "manifest.json"])
@@ -659,8 +650,6 @@ def cli_main(argv=None) -> int:
     p_pic.add_argument("--tol", type=float, dest="picard_tol",
                        help="stopping tolerance (overrides picard_tol)")
     p_pic.add_argument("--max-iter", type=_positive_int, default=40, dest="max_iter")
-    p_pic.add_argument("--auto-shrink", action="store_true", dest="auto_shrink",
-                       help="halve c and retry on non-convergence")
     p_pic.set_defaults(func=_cmd_picard, parser=p_pic)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
@@ -680,7 +669,9 @@ def cli_main(argv=None) -> int:
     _add_field_flags(p_cmp)
     p_cmp.add_argument("--freqs", type=_frequencies, default="2,4,8",
                        help="comma list of frequencies")
-    p_cmp.add_argument("--eps-window", type=float, default=0.1, dest="eps_window")
+    p_cmp.add_argument("--eps-window", type=float, dest="eps_window",
+                       help="start of the window the distances are taken over; "
+                            "default half the compactness horizon")
     p_cmp.add_argument("--c", type=float, help="local horizon constant (overrides c)")
     p_cmp.add_argument("--dt", type=float, help="time step (overrides dt)")
     p_cmp.set_defaults(func=_cmd_compactness, parser=p_cmp)

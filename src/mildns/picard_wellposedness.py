@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 INTERVALS = 64  # of picard_solve's time grid
-SHRINK_RETRIES = 6  # halvings of c that picard_solve(auto_shrink=True) may try
 # Nodes whose nonlinear terms phi_map transforms together.  A batch shares
 # the Python glue around the FFTs, most of a call at N = 16, between its
 # nodes, and its peak memory grows with it: a Picard solve at N = 16 peaked
@@ -186,7 +185,6 @@ def picard_solve(
     c: float = 0.01,
     tol: float = 1e-10,
     max_iter: int = 40,
-    auto_shrink: bool = False,
 ) -> tuple[TrajectoryX, PicardReport]:
     """Iterate the Duhamel map to its fixed point on [0, min(c A^-4, 1)].
 
@@ -194,44 +192,19 @@ def picard_solve(
     u0 and stops once successive iterates are within ``tol`` in the
     space-time norm; every iterate equals u0 exactly at t = 0.
     Non-convergence within ``max_iter`` returns converged=False (the
-    chosen c is too large for this datum); with ``auto_shrink`` the horizon
-    constant is halved and the solve retried, up to 6 times.  Iterates that
-    leave a generous ball or whose successive differences double are
-    aborted early, unconverged.  Raises ValueError if a horizon it may try
-    underflows.
+    chosen c is too large for this datum).  Iterates that leave a generous
+    ball or whose successive differences double are aborted early,
+    unconverged.  Raises ValueError, naming c and A, if the horizon's node
+    spacing underflows.
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     A = hs_norm(u0, 1.0)
-    _check_horizon(A, c, auto_shrink)
-    retries = SHRINK_RETRIES if auto_shrink else 0
-    c_try = c
-    result = None
-    for _ in range(retries + 1):
-        result = _picard_attempt(u0, A, c_try, tol, max_iter)
-        if result[1].converged:
-            return result
-        c_try *= 0.5
-    return result
-
-
-def _spacing_underflows(T: float, intervals: int) -> bool:
-    return not T / intervals >= sys.float_info.min
-
-
-def _check_horizon(A: float, c: float, auto_shrink: bool) -> None:
-    """Reject, before any attempt, the shortest horizon picard_solve may try
-    (c / 2^6 with auto_shrink) when TrajectoryX would refuse its node
-    spacing, with a diagnostic naming c and A."""
-    c *= 0.5**SHRINK_RETRIES if auto_shrink else 1.0
-    if _spacing_underflows(local_time(A, c), INTERVALS):
-        raise ValueError(f"the local horizon c A^-4 underflows to 0 at c={c:g}, A={A:g}")
-
-
-def _picard_attempt(u0, A, c, tol, max_iter):
     T = local_time(A, c)
+    if _spacing_underflows(T, INTERVALS):
+        raise ValueError(f"the local horizon c A^-4 underflows to 0 at c={c:g}, A={A:g}")
     current = heat_trajectory(u0, T, INTERVALS)
     x1_norms = [xt_norm(current, 1.0)]
     diff_norms: list[float] = []
@@ -266,3 +239,7 @@ def _picard_attempt(u0, A, c, tol, max_iter):
         converged=converged,
     )
     return current, report
+
+
+def _spacing_underflows(T: float, intervals: int) -> bool:
+    return not T / intervals >= sys.float_info.min

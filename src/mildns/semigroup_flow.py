@@ -6,6 +6,7 @@ diagonal (-|k|^2 per mode) and handled exactly by the integrating factor.
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -90,9 +91,10 @@ class BlowupError(RuntimeError):
 
 
 def heat_propagate(f: SpectralField, t: float) -> SpectralField:
-    """Exact heat flow: multiply mode k by exp(-|k|^2 t).  Requires t >= 0."""
-    if not t >= 0:  # NaN fails too
-        raise ValueError("heat flow runs forward in time only (t >= 0)")
+    """Exact heat flow: multiply mode k by exp(-|k|^2 t).  Requires a finite
+    t >= 0 (at t = inf the k = 0 slots would read 0 * exp(-0 * inf) = NaN)."""
+    if not 0 <= t < math.inf:  # NaN fails too
+        raise ValueError("heat flow runs forward in time only (finite t >= 0)")
     _, k2, _ = _wavenumbers(f.grid)
     return SpectralField(f.grid, f.coef * np.exp(-k2 * t))
 
@@ -103,8 +105,8 @@ def smoothing_ratio(f: SpectralField, s: float, delta: float, t: float) -> float
     Bounded by sup_{x>=0} x^(d/2) e^(-x) for any mean-zero f; undefined for
     the zero field.
     """
-    if not t > 0:  # NaN fails too
-        raise ValueError("smoothing ratio needs t > 0")
+    if not 0 < t < math.inf:  # NaN fails too
+        raise ValueError("smoothing ratio needs t > 0 and finite")
     if not delta > 0:
         raise ValueError("smoothing ratio needs delta > 0")
     denom = hs_norm(f, s)

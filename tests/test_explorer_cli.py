@@ -70,12 +70,12 @@ class TestExperimentConfig:
             ExperimentConfig.from_file(p)
         assert exc.value.key == "dt"
 
-    def test_empty_grid_k_means_default_cutoff(self, tmp_path):
-        p = tmp_path / "exp.cfg"
-        p.write_text("grid_n = 12\ngrid_k =\n")
-        cfg = ExperimentConfig.from_file(p)
-        assert cfg.grid_k is None
-        assert cfg.grid().cutoff == 4
+    def test_repeated_key_named(self, tmp_path):
+        p = tmp_path / "twice.cfg"
+        p.write_text("dt = 0.01\nhorizon = 0.5\ndt = 0.02\n")
+        with pytest.raises(ConfigError, match="line 3") as exc:
+            ExperimentConfig.from_file(p)
+        assert exc.value.key == "dt"
 
     def test_colliding_csv_names_rejected(self, tmp_path, capsys):
         with pytest.raises(ConfigError) as exc:
@@ -119,11 +119,11 @@ class TestExperimentConfig:
         assert exc.value.key == "base_seed"
         ExperimentConfig(base_seed=0)
 
-    @pytest.mark.parametrize("grid_n, grid_k, key", [(8, 9, "grid_k"), (7, 2, "grid_n")])
-    def test_bad_grid_names_its_key(self, grid_n, grid_k, key):
+    @pytest.mark.parametrize("grid_n", [7, 2])
+    def test_bad_grid_names_its_key(self, grid_n):
         with pytest.raises(ConfigError) as exc:
-            ExperimentConfig(grid_n=grid_n, grid_k=grid_k)
-        assert exc.value.key == key
+            ExperimentConfig(grid_n=grid_n)
+        assert exc.value.key == "grid_n"
 
     def test_hash_stable_under_reordering(self, tmp_path):
         a = tmp_path / "a.cfg"
@@ -363,14 +363,16 @@ class TestCli:
         assert rc == 2
         assert "grid_q" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["short", "long"])
-    def test_mode_key_is_unknown(self, value, tmp_path, capsys):
-        # horizon alone sets the run length; a config naming a mode is rejected
+    @pytest.mark.parametrize("key, value", [("mode", "short"), ("mode", "long"),
+                                            ("grid_k", "4")])
+    def test_mode_key_is_unknown(self, key, value, tmp_path, capsys):
+        # horizon alone sets the run length and grid_n alone the cutoff, so a
+        # config naming a mode or a cutoff is rejected
         cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text(f"grid_n = 8\nmode = {value}\n")
+        cfgfile.write_text(f"grid_n = 8\n{key} = {value}\n")
         out = tmp_path / "o"
         assert cli_main(["ensemble", "--config", str(cfgfile), "--out-dir", str(out)]) == 2
-        assert "config key 'mode': unknown key" in capsys.readouterr().err
+        assert f"config key '{key}': unknown key" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, written", [
@@ -539,8 +541,8 @@ class TestCli:
 
     def test_N_flag_resets_config_cutoff(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text("grid_n = 16\ngrid_k = 3\n")
-        for flags, cutoff in ((["--N", "8"], 2), (["--K", "4"], 4), ([], 3)):
+        cfgfile.write_text("grid_n = 16\n")
+        for flags, cutoff in ((["--N", "8"], 2), (["--N", "12"], 4), ([], 5)):
             out = tmp_path / f"o{cutoff}"
             assert cli_main(["simulate", "--flow", "shear", "--T", "0.02", "--dt", "0.01",
                              "--config", str(cfgfile), "--out-dir", str(out), *flags]) == 0
@@ -548,7 +550,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, named", [
         (["simulate", "--N", "7"], "'grid_n'"),
-        (["simulate", "--K", "9"], "'grid_k'"),
+        (["simulate", "--K", "4"], "unrecognized arguments: --K"),  # grid_n sets K
         (["simulate", "--dt", "-1"], "'dt'"),
         (["simulate", "--dt", "nan"], "'dt'"),
         (["simulate", "--T", "-1"], "'horizon'"),
@@ -579,14 +581,16 @@ class TestCli:
         (["picard", "--max-iter", "-3"], "--max-iter"),
         (["picard", "--flow", "random", "--A", "1e100", "--N", "8", "--c", "1"],
          "local horizon c A^-4 underflows to 0"),
-        # 0 only at the smallest c that --auto-shrink tries
-        (["picard", "--flow", "random", "--A", "1e80", "--N", "8", "--c", "1e-3",
-          "--auto-shrink"], "local horizon c A^-4 underflows to 0"),
+        # subnormal horizon whose node spacing rounds to 0
+        (["picard", "--flow", "random", "--A", "1e80", "--N", "8", "--c", "1e-3"],
+         "local horizon c A^-4 underflows to 0"),
         # subnormal horizon; normal horizon whose node spacing is subnormal
         (["picard", "--flow", "random", "--A", "1e80", "--N", "8", "--c", "1"],
          "local horizon c A^-4 underflows to 0"),
         (["picard", "--flow", "random", "--A", "7e76", "--N", "8", "--c", "1"],
          "local horizon c A^-4 underflows to 0"),
+        (["picard", "--flow", "shear", "--N", "8", "--auto-shrink"],
+         "unrecognized arguments: --auto-shrink"),
     ])
     def test_bad_value_exits_2_naming_it(self, argv, named, tmp_path, capsys):
         out = tmp_path / "o"
@@ -648,6 +652,13 @@ class TestCli:
                        "--eps-window", "0", "--out-dir", str(tmp_path / "c")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("blowup: non-finite")
+
+    def test_compactness_default_window_is_half_the_horizon(self, tmp_path):
+        out = tmp_path / "c"
+        assert cli_main(["compactness", "--flow", "random", "--A", "0", "--N", "16",
+                         "--freqs", "1,2", "--out-dir", str(out)]) == 0
+        obj = json.loads((out / "compactness.json").read_text())
+        assert obj["epsilon_window"] == obj["T_used"] / 2
 
     def test_compactness_subcommand(self, tmp_path):
         out = tmp_path / "c"

@@ -304,21 +304,14 @@ class TestPicardSolve:
         assert not rep.converged
         assert rep.iterate_count < 11  # aborted before max_iter ran out
 
-    def test_auto_shrink_recovers(self, grid8):
-        u0 = random_divfree(2.0, 2, 2.0, grid8)
-        _, rep = picard_solve(u0, c=8.0, tol=1e-10, max_iter=10, auto_shrink=True)
-        assert rep.converged
-        assert rep.c_used < 8.0
-
-    @pytest.mark.parametrize("A, c, auto_shrink", [
-        (1e80, 1e-3, True),  # c A^-4 is subnormal at c and 0 at c / 2^6
-        (1e80, 1.0, False),  # subnormal
-        (7e76, 1.0, False),  # normal, but its node spacing is subnormal
+    @pytest.mark.parametrize("A, c", [
+        (1e80, 1.0),  # subnormal
+        (7e76, 1.0),  # normal, but its node spacing is subnormal
     ])
-    def test_underflowing_horizon_rejected(self, grid8, A, c, auto_shrink):
+    def test_underflowing_horizon_rejected(self, grid8, A, c):
         u0 = random_divfree(A, 2, 2.0, grid8)
         with pytest.raises(ValueError, match="underflows to 0"):
-            picard_solve(u0, c=c, auto_shrink=auto_shrink)
+            picard_solve(u0, c=c)
 
     def test_shortest_accepted_horizon_solves_cleanly(self, grid8):
         # twice the threshold: node spacing 2 * sys.float_info.min, no overflow

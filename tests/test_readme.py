@@ -33,11 +33,10 @@ def test_config_block_lists_every_key_in_order():
 
 
 def test_config_block_shows_the_defaults(tmp_path):
-    # "store_every = ..." is a placeholder and "grid_k =" stands for a
-    # default computed from grid_n; every other line gives its key's default
+    # "store_every = ..." is a placeholder; every other line gives its key's default
     lines = [line for line in _config_block()
-             if line.split("#", 1)[0].split("=", 1)[1].strip() not in ("...", "")]
-    assert len(lines) == len(fields(ExperimentConfig)) - 2
+             if line.split("#", 1)[0].split("=", 1)[1].strip() != "..."]
+    assert len(lines) == len(fields(ExperimentConfig)) - 1
     path = tmp_path / "readme.cfg"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert ExperimentConfig.from_file(path) == ExperimentConfig()
@@ -50,14 +49,24 @@ def _flag_table():
     return [(flag, key, cmd) for flag, key, cmds in rows for cmd in cmds.split(", ")]
 
 
-def test_flag_table_parses():
-    assert len({flag for flag, _, _ in _flag_table()}) == 9
+def _help(argv, capsys):
+    with pytest.raises(SystemExit):
+        cli_main([*argv, "--help"])
+    return capsys.readouterr().out
+
+
+def test_flag_table_parses(capsys):
+    # argparse's default metavar is the dest, so "--N GRID_N" in a
+    # subcommand's help shows a flag that writes the config key grid_n
+    keys = {f.name for f in fields(ExperimentConfig)}
+    commands = re.search(r"\{([\w,]+)\}", _help([], capsys)).group(1).split(",")
+    want = {(flag, dest.lower(), command)
+            for command in commands
+            for flag, dest in re.findall(r"(--[\w-]+) ([A-Z_]+)\b", _help([command], capsys))
+            if dest.lower() in keys}
+    assert set(_flag_table()) == want
 
 
 @pytest.mark.parametrize("flag, key, command", _flag_table())
 def test_flag_table_row_matches_help(flag, key, command, capsys):
-    # argparse's default metavar is the dest, so "--N GRID_N" shows that the
-    # flag exists and that it writes the config key grid_n
-    with pytest.raises(SystemExit):
-        cli_main([command, "--help"])
-    assert f"{flag} {key.upper()}" in capsys.readouterr().out
+    assert f"{flag} {key.upper()}" in _help([command], capsys)

@@ -44,7 +44,7 @@ class TestHeatPropagate:
         with pytest.raises(ValueError):
             heat_propagate(rand16, -0.1)
 
-    @pytest.mark.parametrize("t", [math.nan])
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_nan_time_rejected(self, rand16, t):
         with pytest.raises(ValueError, match="forward in time"):
             heat_propagate(rand16, t)
@@ -84,7 +84,8 @@ class TestSmoothingRatio:
             smoothing_ratio(rand16, 1.0, -1.0, 1.0)
 
     @pytest.mark.parametrize("delta, t, named", [(1.0, math.nan, "t > 0"),
-                                                 (math.nan, 1.0, "delta > 0")])
+                                                 (math.nan, 1.0, "delta > 0"),
+                                                 (1.0, math.inf, "t > 0 and finite")])
     def test_nan_rejected(self, rand16, delta, t, named):
         with pytest.raises(ValueError, match=named):
             smoothing_ratio(rand16, 1.0, delta, t)
@@ -168,6 +169,17 @@ class TestSimulate:
         for f in traj.fields:
             assert np.all(f.coef[:, K, K, 0] == 0.0)
         assert np.max(traj.norm_series.div_linf) <= 1e-10
+
+    def test_cutoff_alone_sets_the_run(self):
+        # the padded grid depends only on K, so N=16 at K=4 is N=12's run
+        u12 = random_divfree(1.0, 5, 2.0, GridSpec(12))
+        u16 = random_divfree(1.0, 5, 2.0, GridSpec(16, 4))
+        assert np.array_equal(u16.coef, u12.coef)
+        a = simulate(u12, 0.05, 1e-2)
+        b = simulate(u16, 0.05, 1e-2)
+        for name in ("times", "l2", "h1", "div_linf"):
+            assert np.array_equal(getattr(a.norm_series, name), getattr(b.norm_series, name))
+        assert np.array_equal(a.fields[-1].coef, b.fields[-1].coef)
 
     def test_l2_monotone(self, grid8):
         u0 = random_divfree(1.0, 9, 2.0, grid8)

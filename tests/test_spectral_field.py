@@ -588,6 +588,15 @@ class TestSnapshotIO:
         save_nsf1(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_explicit_cutoff_round_trip(self, tmp_path):
+        # files written at a cutoff below floor(N/3) keep N and K in the header
+        f = random_divfree(1.0, 5, 2.0, GridSpec(16, 4))
+        path = tmp_path / "k4.nsf1"
+        save_nsf1(f, path)
+        back = load_nsf1(path)
+        assert back.grid == GridSpec(16, 4)
+        assert np.array_equal(back.coef, f.coef)
+
     def test_header_layout(self, tmp_path, grid8):
         f = named_flow("shear", 1.0, grid8)
         path = tmp_path / "x.nsf1"
