@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .spectral_field import (
     FLOW_NAMES,
+    STACK_SIZE,
     GridSpec,
     SpectralField,
     _norm_weights,
@@ -41,6 +42,7 @@ from .spectral_field import (
 from .semigroup_flow import (
     BlowupError,
     heat_propagate,
+    march,
     norms_to_csv,
     simulate,
     smoothing_ratio,
@@ -227,22 +229,43 @@ def sample_seed(base_seed: int, a_index: int, sample: int) -> int:
     return base_seed + a_index * 10**6 + sample
 
 
-def _run_sample(cfg: ExperimentConfig, grid: GridSpec, j: int, i: int, generator):
-    a = cfg.a_list[j]
-    seed = sample_seed(cfg.base_seed, j, i)
-    u0 = generator(a, seed, grid)
-    try:
-        # a sample reads only norms, so it stores no fields between the first and last
-        traj = simulate(u0, cfg.horizon, cfg.dt, store_every=10**9, ceiling=cfg.ceiling)
-    except BlowupError:
-        return SampleRecord(j, i, seed, math.nan, math.nan, True)
-    s = traj.norm_series
-    idx = int(np.argmax(s.h1))
-    return SampleRecord(j, i, seed, float(s.h1[idx]), float(s.times[idx]), False)
+def _chunks(tasks: list, workers: int) -> list:
+    """Split ``tasks`` into contiguous chunks of at most STACK_SIZE each, at
+    least ``workers`` of them (given that many tasks), sizes differing by at
+    most one."""
+    count = max(workers, -(-len(tasks) // STACK_SIZE))
+    bounds = [len(tasks) * c // count for c in range(count + 1)]
+    return [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_chunk(cfg: ExperimentConfig, grid: GridSpec, tasks, generator) -> list:
+    """The records of a chunk of (j, i) samples, marched together in one
+    lockstep march.  Each sample's H^1 norm is read at t = 0 and after every
+    step.  A sample is censored once that norm exceeds the ceiling (it may
+    march on in its row, unread) or once the march retires it."""
+    seeds = [sample_seed(cfg.base_seed, j, i) for j, i in tasks]
+    data = [generator(cfg.a_list[j], seed, grid) for (j, _), seed in zip(tasks, seeds)]
+    best = [(-math.inf, 0.0)] * len(tasks)
+    censored = [False] * len(tasks)
+    for t, states in march(data, cfg.horizon, cfg.dt):
+        for r, u in enumerate(states):
+            if censored[r]:
+                continue
+            h1 = None if u is None else hs_norm(u, 1.0)
+            if h1 is None or h1 > cfg.ceiling:
+                censored[r] = True
+            elif h1 > best[r][0]:  # strict: the first time the maximum is reached
+                best[r] = (h1, t)
+        if all(censored):
+            break
+    return [SampleRecord(j, i, seed, math.nan, math.nan, True) if cens
+            else SampleRecord(j, i, seed, sup, at, False)
+            for (j, i), seed, (sup, at), cens in zip(tasks, seeds, best, censored)]
 
 
 # The ensemble a pool worker runs: bound once per forked worker by the pool
-# initializer, so that only (j, i) travels to it.  Only the workers read it.
+# initializer, so that only its chunks of (j, i) travel to it.  Only the
+# workers read it.
 _bound = None
 
 
@@ -251,9 +274,9 @@ def _bind(cfg: ExperimentConfig, grid: GridSpec, generator):
     _bound = (cfg, grid, generator)
 
 
-def _run_task(task) -> SampleRecord:
+def _run_task(chunk) -> list:
     cfg, grid, generator = _bound
-    return _run_sample(cfg, grid, task[0], task[1], generator)
+    return _run_chunk(cfg, grid, chunk, generator)
 
 
 def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> EnsembleSummary:
@@ -261,12 +284,14 @@ def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> Ensem
 
     Deterministic in the configuration: per-sample seeds are fixed up front
     and results are merged by an associative max keyed on (amplitude,
-    sample), so the worker count does not affect the output.  With
-    ``threads`` > 1 the samples run on min(threads, samples) worker
-    processes forked from this one (the N=16 work is GIL-bound numpy glue,
-    so threads would not overlap it).  Forking lets ``generator`` be any
-    callable, a local closure included; call it from a process that runs no
-    other threads.
+    sample), so the worker count does not affect the output.  The (j, i)
+    samples are split into contiguous chunks of at most STACK_SIZE, at least
+    one per worker, and each chunk runs as one lockstep march, whose rows
+    are bitwise those of the samples' own marches.  With ``threads`` > 1 the
+    chunks run on min(threads, samples) worker processes forked from this
+    one (the N=16 work is GIL-bound numpy glue, so threads would not
+    overlap it).  Forking lets ``generator`` be any callable, a local
+    closure included; call it from a process that runs no other threads.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -277,6 +302,7 @@ def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> Ensem
             return random_divfree(a, seed, cfg.slope, g)
     tasks = [(j, i) for j in range(len(cfg.a_list)) for i in range(cfg.samples_per_a)]
     workers = min(threads, len(tasks))
+    chunks = _chunks(tasks, workers)
     if workers > 1:
         # imported here so that only parallel ensembles pay for the import
         from concurrent.futures.process import ProcessPoolExecutor
@@ -285,9 +311,10 @@ def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> Ensem
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
                                  initializer=_bind,
                                  initargs=(cfg, grid, generator)) as pool:
-            records = dict(zip(tasks, pool.map(_run_task, tasks)))
+            done = list(pool.map(_run_task, chunks))
     else:
-        records = {(j, i): _run_sample(cfg, grid, j, i, generator) for j, i in tasks}
+        done = [_run_chunk(cfg, grid, chunk, generator) for chunk in chunks]
+    records = {(rec.a_index, rec.sample): rec for chunk in done for rec in chunk}
 
     a_values, f_hat, censored, argmax_seed, argmax_time, rows = [], [], [], [], [], []
     for j, a in enumerate(cfg.a_list):

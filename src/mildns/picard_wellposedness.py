@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .spectral_field import (
+    STACK_SIZE,
     GridSpec,
     SpectralField,
     _nonlinear_stack,
@@ -36,12 +37,6 @@ __all__ = [
 ]
 
 INTERVALS = 64  # of picard_solve's time grid
-# Nodes whose nonlinear terms phi_map transforms together.  A batch shares
-# the Python glue around the FFTs, most of a call at N = 16, between its
-# nodes, and its peak memory grows with it: a Picard solve at N = 16 peaked
-# 0.9 MB above one node at a time with 4 nodes, 4.8 MB with 8, 8.2 MB with 13
-# and 38 MB with all 65, on a process of about 64 MB.
-NODE_BATCH = 4
 
 
 @dataclass
@@ -153,7 +148,7 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
     per-interval exponential quadrature.  Output at t=0 is exactly u0.  The
     time grid is uniform, so the quadrature weights are computed once.
 
-    The nodes' nonlinear terms are evaluated NODE_BATCH at a time, each
+    The nodes' nonlinear terms are evaluated STACK_SIZE at a time, each
     batch checked first as :func:`~mildns.spectral_field.nonlinear_term`
     checks its input; every term is bitwise that of the node alone.
     """
@@ -163,8 +158,8 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
     widths = np.diff(u.nodes)
     _, k2, _ = _wavenumbers(u.grid)
     g = []
-    for i in range(0, len(u.fields), NODE_BATCH):
-        batch = np.stack([f.coef for f in u.fields[i:i + NODE_BATCH]])
+    for i in range(0, len(u.fields), STACK_SIZE):
+        batch = np.stack([f.coef for f in u.fields[i:i + STACK_SIZE]])
         _require_projected(batch, u.grid)
         g.extend(_nonlinear_stack(batch, u.grid))
     decay, a0, a1 = _duhamel_weights(k2, float(widths[0]))

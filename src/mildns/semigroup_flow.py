@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral_field import (
+    STACK_SIZE,
     GridSpec,
     SpectralField,
+    _nonlinear_stack,
     _require_projected,
     _wavenumbers,
     divergence_linf,
@@ -120,36 +122,56 @@ def _decay_factors(grid: GridSpec, h: float):
     return np.exp(-k2 * (0.5 * h)), np.exp(-k2 * h)
 
 
-def _if_rk4_step(u: SpectralField, h: float, e_half, e_full):
-    """One integrating-factor RK4 step.
+def _finite_rows(coefs: np.ndarray) -> np.ndarray:
+    """Per state of a stack (B, 3, M, M, K+1): are all its coefficients finite?"""
+    return np.isfinite(coefs).all(axis=(1, 2, 3, 4))
+
+
+def _if_rk4_step(coefs: np.ndarray, grid: GridSpec, h: float, e_half, e_full):
+    """One integrating-factor RK4 step of each state of a stack (B, 3, M, M,
+    K+1).
 
     The substitution v = exp(|k|^2 t) u makes the stiff linear part exact;
     classical RK4 is applied to the transformed nonlinearity.  With a zero
-    nonlinearity the step reduces to the exact heat propagator.  Returns None
-    as soon as a stage or the result overflows; :func:`march` turns that into
-    a blowup signal.  The stage inputs are not checked again: each is built
-    from ``u`` and projected nonlinear terms, and :func:`march` checks the
-    data it starts from.
+    nonlinearity the step reduces to the exact heat propagator.  The stage
+    arithmetic broadcasts over the stack, and the stacked transforms treat
+    each row as alone, so every row is bitwise the step of that state alone.
+    Returns the stepped stack and a per-row mask of the states whose stages
+    and result all stayed finite (the other rows hold no meaningful values);
+    once no row is finite the remaining stages are skipped and the stack is
+    None.  The stage inputs are not checked again: each is built from the
+    stack and projected nonlinear terms, and :func:`march` checks the data
+    it starts from.
     """
-    grid = u.grid
+    if len(coefs) == 1:
+        # a lone state goes through nonlinear_term, the name perfbench's tracer
+        # counts, until that tracer reads the stacked transforms (ROADMAP item 1)
+        def term(c):
+            return nonlinear_term(SpectralField(grid, c[0]), check=False).coef[None]
+    else:
+        def term(c):
+            return _nonlinear_stack(c, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        n1 = nonlinear_term(u, check=False).coef
-        u2 = SpectralField(grid, e_half * (u.coef + (0.5 * h) * n1))
-        if not np.all(np.isfinite(u2.coef)):
-            return None
-        n2 = nonlinear_term(u2, check=False).coef
+        n1 = term(coefs)
+        u2 = e_half * (coefs + (0.5 * h) * n1)
+        finite = _finite_rows(u2)
+        if not finite.any():
+            return None, finite
+        n2 = term(u2)
         del u2  # stages are dropped as soon as they are used: less peak memory
-        u3 = SpectralField(grid, e_half * u.coef + (0.5 * h) * n2)
-        if not np.all(np.isfinite(u3.coef)):
-            return None
-        n3 = nonlinear_term(u3, check=False).coef
+        u3 = e_half * coefs + (0.5 * h) * n2
+        finite &= _finite_rows(u3)
+        if not finite.any():
+            return None, finite
+        n3 = term(u3)
         del u3
-        u4 = SpectralField(grid, e_full * u.coef + h * (e_half * n3))
-        if not np.all(np.isfinite(u4.coef)):
-            return None
-        n4 = nonlinear_term(u4, check=False).coef
-        out = e_full * u.coef + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
-    return SpectralField(grid, out) if np.all(np.isfinite(out)) else None
+        u4 = e_full * coefs + h * (e_half * n3)
+        finite &= _finite_rows(u4)
+        if not finite.any():
+            return None, finite
+        n4 = term(u4)
+        out = e_full * coefs + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+    return out, finite & _finite_rows(out)
 
 
 def _plan_steps(T: float, dt: float):
@@ -162,20 +184,23 @@ def march(states, T: float, dt: float):
     """Advance several states in lockstep from 0 to T with IF-RK4 steps.
 
     Returns a generator yielding ``(t, states)``: first ``(0.0, states)``
-    with the data as given, then once after every step.  All states share
-    one step plan: steps of size dt, the last one shortened to land exactly
-    on T, so only the final yield has ``t == T``.  Arguments are checked
-    before the first yield, each datum once for the finite, divergence-free
-    input the nonlinear term needs (ValueError otherwise).  A step that
-    leaves some state non-finite raises :class:`BlowupError` carrying the
-    step's end time and the first such state in list order as it was before
-    the step.
+    with the data as given, then a new list once after every step.  All
+    states share one step plan: steps of size dt, the last one shortened to
+    land exactly on T, so only the final yield has ``t == T``.  Arguments
+    are checked before the first yield, each datum once for the finite,
+    divergence-free input the nonlinear term needs (ValueError otherwise).
+    A state that a step leaves non-finite retires: its slot reads None from
+    that step on, and the other states march on unchanged.  Once every
+    state has retired the march ends, before T.
 
-    Two or more states on a grid with ``pad_size >= THREADED_PAD_SIZE`` are
-    stepped on up to LOCKSTEP_THREADS threads, one per usable core; each
-    state's arithmetic is unchanged, so the results are bitwise those of a
-    serial march.  The helper threads end when the generator finishes or is
-    closed.
+    Below ``THREADED_PAD_SIZE`` points per axis of the padded grid the
+    states are stepped in stacks of up to STACK_SIZE, fixed at the start
+    (a retired state leaves its stack), which share the Python glue around
+    the FFTs.  At or above it each state is stepped alone, and two or more
+    states are stepped on up to LOCKSTEP_THREADS threads, one per usable
+    core.  Every state's arithmetic is unchanged either way, so the results
+    are bitwise those of a march of that state alone.  The helper threads
+    end when the generator finishes or is closed.
     """
     states = list(states)
     if T <= 0:
@@ -198,6 +223,14 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
     n = _plan_steps(T, dt)
     full = _decay_factors(grid, dt) if n > 1 else None
     w = _worker_count(len(states), grid)
+    size = 1 if grid.pad_size >= THREADED_PAD_SIZE else STACK_SIZE
+    # (slots in ``states``, their coefficient stack), the retired slots
+    # dropped; a lone state's stack is a view of its data, not a copy
+    stacks = []
+    for k in range(0, len(states), size):
+        group = [u.coef for u in states[k:k + size]]
+        stacks.append((range(k, k + len(group)),
+                       group[0][None] if len(group) == 1 else np.stack(group)))
     pool = None
     if w > 1:
         # imported here so that only threaded marches pay for the import; made
@@ -215,18 +248,26 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
             else:
                 h, (e_half, e_full) = dt, full
             t = T if last else (i + 1) * dt
-            helpers = [pool.submit(_advance, states[r::w], h, e_half, e_full)
+            helpers = [pool.submit(_advance, stacks[r::w], grid, h, e_half, e_full)
                        for r in range(1, w)]
-            advanced = [None] * len(states)
-            advanced[0::w] = _advance(states[0::w], h, e_half, e_full)
+            stepped = [None] * len(stacks)
+            stepped[0::w] = _advance(stacks[0::w], grid, h, e_half, e_full)
             for r, future in enumerate(helpers, start=1):
-                advanced[r::w] = future.result()
-            for u, v in zip(states, advanced):
-                if v is None:
-                    raise BlowupError(f"non-finite coefficients at t={t:.6g}",
-                                      time=t, last_field=u)
-            states = advanced
+                stepped[r::w] = future.result()
+            states = [None] * len(states)
+            kept = []
+            for (slots, _), (out, finite) in zip(stacks, stepped):
+                if not finite.all():
+                    slots = [s for s, ok in zip(slots, finite) if ok]
+                    out = out[finite] if slots else None
+                if slots:
+                    kept.append((slots, out))
+                    for s, row in zip(slots, out):
+                        states[s] = SpectralField(grid, row)
+            stacks = kept
             yield t, states
+            if not stacks:
+                return
     finally:
         if pool is not None:
             pool.shutdown()
@@ -248,14 +289,30 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _advance(states, h, e_half, e_full):
-    """One IF-RK4 step of each state (None where it went non-finite)."""
-    return [_if_rk4_step(u, h, e_half, e_full) for u in states]
+def _advance(stacks, grid, h, e_half, e_full):
+    """One IF-RK4 step of each (slots, stack): (stepped stack, finite rows)."""
+    return [_if_rk4_step(coefs, grid, h, e_half, e_full) for _, coefs in stacks]
+
+
+def _unretired(steps):
+    """Pass on a march's ``(t, states)`` up to the first step that retired a
+    state, which raises :class:`BlowupError` instead, with the step's end
+    time and the first retired state in list order as it was before the
+    step.  The march is closed first, so its helper threads end with it."""
+    before = None
+    for t, states in steps:
+        lost = [u for u, v in zip(before or states, states) if v is None]
+        if lost:
+            steps.close()
+            raise BlowupError(f"non-finite coefficients at t={t:.6g}",
+                              time=t, last_field=lost[0])
+        before = states  # rebound before the yield: no older states stay alive
+        yield t, states
 
 
 def step(u: SpectralField, dt: float) -> SpectralField:
     """Advance one IF-RK4 step of size dt; raises BlowupError on overflow."""
-    for _, (out,) in march([u], dt, dt):
+    for _, (out,) in _unretired(march([u], dt, dt)):
         pass
     return out
 
@@ -280,7 +337,7 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1,
         raise ValueError("store_every must be >= 1")
     if not ceiling > 0:  # NaN fails too
         raise ValueError("ceiling must be positive")
-    steps = march([u0], T, dt)  # checks T and dt
+    steps = _unretired(march([u0], T, dt))  # march checks T and dt
     times, l2s, h1s, divs, fields, field_times = [], [], [], [], [], []
 
     def partial() -> Trajectory:
@@ -332,7 +389,7 @@ def sup_distances(
     if not T >= t_min - eps:  # NaN fails too
         raise ValueError("no step times fall inside the comparison window")
     best = [(-1.0, 0.0)] * len(others)
-    for t, states in march([base, *others], T, dt):
+    for t, states in _unretired(march([base, *others], T, dt)):
         if t >= t_min - eps:
             for j, u in enumerate(states[1:]):
                 d = hs_norm(u - states[0], 1.0)

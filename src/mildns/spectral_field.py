@@ -314,6 +314,15 @@ def _product_half(u: SpectralField) -> np.ndarray:
     return _product_stack(u.coef[None], u.grid)[0]
 
 
+# Most fields one stack of transforms carries: the Duhamel map's nodes, a
+# lockstep march's states below THREADED_PAD_SIZE, an ensemble worker's
+# samples.  A stack shares the Python glue around the FFTs, most of a call at
+# N = 16, between its fields, and its peak memory grows with it: a Picard
+# solve at N = 16 peaked 0.9 MB above one node at a time with 4 nodes, 4.8 MB
+# with 8, 8.2 MB with 13 and 38 MB with all 65, on a process of about 64 MB.
+STACK_SIZE = 4
+
+
 def _nonlinear_stack(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """:func:`nonlinear_term` of each state of a stack (B, 3, M, M, K+1),
     without its input check; shape (B, 3, M, M, K+1), each row bitwise the

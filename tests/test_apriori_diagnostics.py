@@ -22,7 +22,7 @@ from mildns import (
     simulate,
     unit_time_contraction,
 )
-from mildns import spectral_field
+from mildns import semigroup_flow, spectral_field
 
 
 def heat_series(rate, h1_0, times):
@@ -218,7 +218,8 @@ class TestCompactness:
     def test_base_run_shared_across_frequencies(self, monkeypatch):
         # zero base: T = local_time(1, c) = c, so c = 0.05 at dt = 0.01 is
         # 5 steps; one base run plus one run per frequency, 4 stages a step,
-        # counted as the states (rows) every nonlinear evaluation runs through
+        # counted as the states (rows) every nonlinear evaluation runs through,
+        # whether the march sends a stack or a lone state (via nonlinear_term)
         grid = GridSpec(8)
         rows = []
         original = spectral_field._nonlinear_stack
@@ -228,6 +229,7 @@ class TestCompactness:
             return original(coefs, grid)
 
         monkeypatch.setattr(spectral_field, "_nonlinear_stack", counted)
+        monkeypatch.setattr(semigroup_flow, "_nonlinear_stack", counted)
         rep = compactness_experiment(SpectralField.zero(grid), [1, 2], 0.01, 0.05,
                                      dt=0.01)
         assert rep.T_used == 0.05

@@ -23,8 +23,9 @@ from mildns import (
     norms_from_csv,
     random_divfree,
     run_verify,
+    simulate,
 )
-from mildns.explorer_cli import MAX_STEPS, sample_seed
+from mildns.explorer_cli import MAX_STEPS, STACK_SIZE, _chunks, sample_seed
 from mildns.semigroup_flow import _plan_steps
 
 
@@ -274,21 +275,97 @@ class TestEstimateF:
         assert all(math.isfinite(rec.sup_h1) for rec in s.samples)
 
     def test_samples_store_no_fields(self, monkeypatch):
-        # store_every sets simulate's snapshots; a sample reads only norms
+        # a chunk of samples is one march read for H1 norms alone: simulate,
+        # which stores fields every store_every steps, is never called
         import mildns.explorer_cli as cli
-        seen = []
+        marched = []
 
-        def recording(u0, T, dt, store_every=1, ceiling=1e6):
-            seen.append(store_every)
-            return simulate(u0, T, dt, store_every, ceiling)
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("an ensemble sample ran simulate")
 
-        simulate = cli.simulate
-        monkeypatch.setattr(cli, "simulate", recording)
+        def recording(states, T, dt):
+            marched.append(len(states))
+            return march(states, T, dt)
+
+        march = cli.march
+        monkeypatch.setattr(cli, "simulate", no_simulate)
+        monkeypatch.setattr(cli, "march", recording)
         every = estimate_F(small_cfg(store_every=1))
-        assert len(seen) == 4 and min(seen) > 25  # 25 steps to the horizon
+        assert marched == [4]  # the 2 x 2 samples in one stack
         monkeypatch.undo()
         plain = estimate_F(small_cfg())
         assert every.samples == plain.samples and every.f_hat == plain.f_hat
+
+
+# Two amplitudes of five samples: the chunks do not divide evenly.  Sample
+# (0, 2) overflows at t = 0.06 while below the ceiling; sample (1, 3) crosses
+# the ceiling at t = 0.02, and overflows later in its row.
+CHUNKED = dict(SMALL, a_list=(0.5, 1.0), samples_per_a=5, ceiling=1e200)
+RIGGED = {sample_seed(100, 0, 2): 1e3, sample_seed(100, 1, 3): 1e18}
+
+
+def _rigged_data(a, seed, slope, grid):
+    return random_divfree(RIGGED.get(seed, a), seed, slope, grid)
+
+
+def _oracle_record(cfg, j, i):
+    """One sample through its own simulate, as the ensemble ran it before
+    samples were marched in chunks."""
+    seed = sample_seed(cfg.base_seed, j, i)
+    u0 = _rigged_data(cfg.a_list[j], seed, cfg.slope, cfg.grid())
+    try:
+        traj = simulate(u0, cfg.horizon, cfg.dt, store_every=10**9, ceiling=cfg.ceiling)
+    except BlowupError:
+        return (seed, math.nan, math.nan, True)
+    k = int(np.argmax(traj.norm_series.h1))
+    return (seed, float(traj.norm_series.h1[k]), float(traj.norm_series.times[k]), False)
+
+
+class TestChunkedEnsemble:
+    @pytest.mark.parametrize("count, workers", [(8, 2), (10, 1), (10, 2), (10, 3),
+                                                (24, 2), (3, 3), (1, 1), (9, 4)])
+    def test_chunk_split(self, count, workers):
+        tasks = list(range(count))
+        chunks = _chunks(tasks, workers)
+        assert [t for chunk in chunks for t in chunk] == tasks  # contiguous, in order
+        assert all(1 <= len(chunk) <= STACK_SIZE for chunk in chunks)
+        assert len(chunks) >= workers
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+        if (count, workers) == (8, 2):
+            assert [len(chunk) for chunk in chunks] == [4, 4]
+
+    def test_overflow_and_ceiling_match_single_runs(self, monkeypatch, tmp_path):
+        import mildns.explorer_cli as cli
+
+        monkeypatch.setattr(cli, "random_divfree", _rigged_data)
+        cfg = ExperimentConfig(**CHUNKED)
+        oracle = [_oracle_record(cfg, j, i) for j in range(2) for i in range(5)]
+        assert [rec[3] for rec in oracle].count(True) == 2
+        for (j, i), stop in (((0, 2), "non-finite"), ((1, 3), "exceeded ceiling")):
+            seed = sample_seed(100, j, i)
+            u0 = _rigged_data(cfg.a_list[j], seed, cfg.slope, cfg.grid())
+            with pytest.raises(BlowupError, match=stop):
+                simulate(u0, cfg.horizon, cfg.dt, ceiling=cfg.ceiling)
+        cfgfile = tmp_path / "e.cfg"
+        cfgfile.write_text("grid_n = 8\ndt = 0.02\nhorizon = 0.5\na_list = 0.5,1.0\n"
+                           "samples_per_a = 5\nbase_seed = 100\nceiling = 1e200\n")
+        assert ExperimentConfig.from_file(cfgfile) == cfg
+        outputs = []
+        for threads in (1, 2, 3):
+            s = estimate_F(cfg, threads=threads)
+            got = [(r.seed, r.sup_h1, r.argmax_time, r.censored) for r in s.samples]
+            assert [(r[0], r[3]) for r in got] == [(r[0], r[3]) for r in oracle]
+            assert [r[1:3] for r in got if not r[3]] == [r[1:3] for r in oracle if not r[3]]
+            assert all(math.isnan(r[1]) and math.isnan(r[2]) for r in got if r[3])
+            assert s.censored == [1, 1]
+            out = tmp_path / f"t{threads}"
+            assert cli_main(["ensemble", "--config", str(cfgfile), "--threads", str(threads),
+                             "--out-dir", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert json.loads(outputs[-1]["summary.json"]) == json.loads(s.to_json())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert set(outputs[0]) == {"summary.json", "manifest.json",
+                                   "ensemble_A0.5.csv", "ensemble_A1.csv"}
 
 
 class TestVerifySuite:

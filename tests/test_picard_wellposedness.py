@@ -149,7 +149,7 @@ class TestPhiMap:
 
     @pytest.mark.parametrize("intervals", [8, 11, 12, 64])
     def test_batched_nodes_equal_per_node_map(self, grid16, intervals):
-        # node counts below, at and off multiples of NODE_BATCH
+        # node counts below, at and off multiples of STACK_SIZE
         u0 = random_divfree(1.0, 3, 2.0, grid16)
         u = phi_map(heat_trajectory(u0, 0.01, intervals), u0)
         got, want = phi_map(u, u0), reference_phi_map(u, u0)

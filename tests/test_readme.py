@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from mildns import ExperimentConfig, cli_main
+from mildns.semigroup_flow import THREADED_PAD_SIZE
+from mildns.spectral_field import STACK_SIZE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -70,3 +72,13 @@ def test_flag_table_parses(capsys):
 @pytest.mark.parametrize("flag, key, command", _flag_table())
 def test_flag_table_row_matches_help(flag, key, command, capsys):
     assert f"{flag} {key.upper()}" in _help([command], capsys)
+
+
+def test_stated_stack_size_and_thread_threshold():
+    # the prose states the stack size and the padded-grid size at which a
+    # march switches from stacks to threads; a retune must update it
+    text = README.read_text(encoding="utf-8")
+    sizes = re.findall(r"(?:stacks of up to|chunks of at most) (\d+)", text)
+    thresholds = re.findall(r"`P [<=≥] (\d+)`", text)
+    assert len(sizes) >= 3 and {int(n) for n in sizes} == {STACK_SIZE}
+    assert len(thresholds) >= 3 and {int(n) for n in thresholds} == {THREADED_PAD_SIZE}

@@ -223,9 +223,11 @@ class TestSimulate:
         # the fourth step goes non-finite after three steps that stored no field
         real, calls = semigroup_flow._if_rk4_step, []
 
-        def fails_fourth(u, h, e_half, e_full):
+        def fails_fourth(coefs, grid, h, e_half, e_full):
             calls.append(h)
-            return None if len(calls) == 4 else real(u, h, e_half, e_full)
+            if len(calls) == 4:
+                return None, np.zeros(len(coefs), dtype=bool)
+            return real(coefs, grid, h, e_half, e_full)
 
         monkeypatch.setattr(semigroup_flow, "_if_rk4_step", fails_fourth)
         u0 = random_divfree(0.5, 2, 2.0, grid8)
@@ -339,6 +341,43 @@ class TestMarch:
         assert steps == []
 
 
+class TestStackedMarch:
+    """Below P = 24 a march steps its states in stacks of up to STACK_SIZE;
+    each row is bitwise the state's own march, and a state that overflows
+    retires from its stack alone."""
+
+    def test_overflow_mid_stack(self):
+        grid = GridSpec(16)  # P = 16: one stack of four
+        T, dt = 0.05, 1e-2
+        bad = random_divfree(1e3, 1, 2.0, grid)  # finite for two steps, then not
+        good = [random_divfree(0.5, seed, 2.0, grid) for seed in (2, 3, 4)]
+        states = [good[0], bad, good[1], good[2]]
+        assert len(states) == semigroup_flow.STACK_SIZE
+        with pytest.raises(BlowupError) as single:
+            simulate(bad, T, dt, ceiling=math.inf)
+        alone = list(march([bad], T, dt))
+        # a march whose every state retired ends at that step
+        assert [t for t, _ in alone] == pytest.approx([0.0, 0.01, 0.02, 0.03])
+        assert alone[-1][1] == [None] and alone[-1][0] == single.value.time
+        last_finite = alone[-2][1][0]
+        assert np.array_equal(single.value.last_field.coef, last_finite.coef)
+
+        together = list(march(states, T, dt))
+        assert [t for t, _ in together] == [t for t, _ in march([good[0]], T, dt)]
+        for t, now in together:
+            assert (now[1] is None) == (t >= single.value.time)
+        for j, u in ((0, good[0]), (2, good[1]), (3, good[2])):
+            for (_, now), (_, (v,)) in zip(together, march([u], T, dt)):
+                assert np.array_equal(now[j].coef, v.coef)
+
+        with pytest.raises(BlowupError) as distances:
+            sup_distances(good[0], states[1:], T, dt)
+        for exc in (single.value, distances.value):
+            assert exc.time == single.value.time
+            assert str(exc) == f"non-finite coefficients at t={single.value.time:.6g}"
+            assert np.array_equal(exc.last_field.coef, last_finite.coef)
+
+
 class TestThreadedMarch:
     """A march of 2 or more states on a grid with P >= 24 steps them on
     several threads; each state's arithmetic is that of a serial march."""
@@ -400,12 +439,21 @@ class TestThreadedMarch:
         # on a helper thread: finite for two steps, then not
         bad = random_divfree(1e3, 1, 2.0, grid)
         states = [random_divfree(0.5, 2, 2.0, grid), bad, random_divfree(0.5, 3, 2.0, grid)]
-        with pytest.raises(BlowupError) as together:
-            self.run(states)
+        together = list(march(states, 0.05, 1e-2))
         with pytest.raises(BlowupError) as alone:
-            self.run([bad])
-        assert together.value.time == alone.value.time == pytest.approx(0.03)
-        assert np.array_equal(together.value.last_field.coef, alone.value.last_field.coef)
+            simulate(bad, 0.05, 1e-2, ceiling=math.inf)
+        assert alone.value.time == pytest.approx(0.03)
+        # the bad state retires at the blowup time; the others march on to T
+        assert [t for t, _ in together] == [t for t, _ in march([states[0]], 0.05, 1e-2)]
+        for t, step_states in together:
+            assert (step_states[1] is None) == (t >= alone.value.time)
+            assert step_states[0] is not None and step_states[2] is not None
+        [(_, before)] = [(t, s) for t, s in together if t < alone.value.time][-1:]
+        assert np.array_equal(before[1].coef, alone.value.last_field.coef)
+        with pytest.raises(BlowupError) as distances:
+            sup_distances(states[0], states[1:], 0.05, 1e-2)
+        assert distances.value.time == alone.value.time
+        assert np.array_equal(distances.value.last_field.coef, alone.value.last_field.coef)
 
     def test_helper_threads_end_with_the_march(self):
         grid = GridSpec(24)
@@ -413,8 +461,12 @@ class TestThreadedMarch:
         start = threading.active_count()
         self.run(good)
         assert threading.active_count() == start
+        mixed = [good[0], random_divfree(1e3, 1, 2.0, grid), good[1]]
+        *_, (_, last) = march(mixed, 0.05, 1e-2)
+        assert last[1] is None
+        assert threading.active_count() == start
         with pytest.raises(BlowupError):
-            self.run([good[0], random_divfree(1e3, 1, 2.0, grid), good[1]])
+            sup_distances(mixed[0], mixed[1:], 0.05, 1e-2)
         assert threading.active_count() == start
         steps = march(good, 0.05, 1e-2)
         next(steps)  # t = 0: no thread yet
