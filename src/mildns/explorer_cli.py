@@ -528,25 +528,36 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _initial_field(args, cfg: ExperimentConfig) -> SpectralField:
+    """The datum of ``--flow``, each amplitude flag 1 unless given; exits 2
+    on the amplitude flag that flow does not read."""
     if args.flow == "random":
-        return random_divfree(args.A, cfg.base_seed, cfg.slope, cfg.grid())
-    return named_flow(args.flow, args.amplitude, cfg.grid())
+        if args.amplitude is not None:
+            args.parser.error("argument --amplitude: only the named flows read it; "
+                              "random data take --A")
+        return random_divfree(1.0 if args.A is None else args.A,
+                              cfg.base_seed, cfg.slope, cfg.grid())
+    if args.A is not None:
+        args.parser.error(f"argument --A: only --flow random reads it; "
+                          f"{args.flow} takes --amplitude")
+    return named_flow(args.flow, 1.0 if args.amplitude is None else args.amplitude,
+                      cfg.grid())
 
 
 def _add_field_flags(p: argparse.ArgumentParser):
     p.add_argument("--flow", choices=FLOW_NAMES + ("random",), default="random")
-    p.add_argument("--amplitude", type=_finite, default=1.0,
-                   help="amplitude for named flows")
-    p.add_argument("--A", type=_amplitude, default=1.0,
-                   help="target H1 norm for random data")
+    p.add_argument("--amplitude", type=_finite,
+                   help="amplitude for named flows (default 1)")
+    p.add_argument("--A", type=_amplitude,
+                   help="target H1 norm for random data (default 1)")
     p.add_argument("--N", type=int, dest="grid_n", help="grid resolution (overrides grid_n)")
+    p.set_defaults(parser=p)
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    u0 = _initial_field(args, cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    u0 = _initial_field(args, cfg)
     files = ["u_initial.nsf1", "norms.csv"]
     save_nsf1(u0, out / "u_initial.nsf1")
     status = 0
@@ -677,7 +688,7 @@ def cli_main(argv=None) -> int:
     p_pic.add_argument("--tol", type=float, dest="picard_tol",
                        help="stopping tolerance (overrides picard_tol)")
     p_pic.add_argument("--max-iter", type=_positive_int, default=40, dest="max_iter")
-    p_pic.set_defaults(func=_cmd_picard, parser=p_pic)
+    p_pic.set_defaults(func=_cmd_picard)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--seed", type=_seed, help="seed for the suite's random field")
@@ -701,7 +712,7 @@ def cli_main(argv=None) -> int:
                             "default half the compactness horizon")
     p_cmp.add_argument("--c", type=float, help="local horizon constant (overrides c)")
     p_cmp.add_argument("--dt", type=float, help="time step (overrides dt)")
-    p_cmp.set_defaults(func=_cmd_compactness, parser=p_cmp)
+    p_cmp.set_defaults(func=_cmd_compactness)
 
     args = parser.parse_args(argv)
     try:

@@ -122,26 +122,19 @@ def _decay_factors(grid: GridSpec, h: float):
     return np.exp(-k2 * (0.5 * h)), np.exp(-k2 * h)
 
 
-def _finite_rows(coefs: np.ndarray) -> np.ndarray:
-    """Per state of a stack (B, 3, M, M, K+1): are all its coefficients finite?"""
-    return np.isfinite(coefs).all(axis=(1, 2, 3, 4))
-
-
 def _if_rk4_step(coefs: np.ndarray, grid: GridSpec, h: float, e_half, e_full):
     """One integrating-factor RK4 step of each state of a stack (B, 3, M, M,
-    K+1).
+    K+1); returns the stepped stack.
 
     The substitution v = exp(|k|^2 t) u makes the stiff linear part exact;
     classical RK4 is applied to the transformed nonlinearity.  With a zero
     nonlinearity the step reduces to the exact heat propagator.  The stage
     arithmetic broadcasts over the stack, and the stacked transforms treat
-    each row as alone, so every row is bitwise the step of that state alone.
-    Returns the stepped stack and a per-row mask of the states whose stages
-    and result all stayed finite (the other rows hold no meaningful values);
-    once no row is finite the remaining stages are skipped and the stack is
-    None.  The stage inputs are not checked again: each is built from the
-    stack and projected nonlinear terms, and :func:`march` checks the data
-    it starts from.
+    each row as alone, so every row is bitwise the step of that state alone,
+    whatever its neighbours hold.  A row whose stages overflow comes out
+    non-finite (an inf spreads to NaN through the transforms).  The stage
+    inputs are not checked again: each is built from the stack and projected
+    nonlinear terms, and :func:`march` checks the data it starts from.
     """
     if len(coefs) == 1:
         # a lone state goes through nonlinear_term, the name perfbench's tracer
@@ -154,24 +147,14 @@ def _if_rk4_step(coefs: np.ndarray, grid: GridSpec, h: float, e_half, e_full):
     with np.errstate(over="ignore", invalid="ignore"):
         n1 = term(coefs)
         u2 = e_half * (coefs + (0.5 * h) * n1)
-        finite = _finite_rows(u2)
-        if not finite.any():
-            return None, finite
         n2 = term(u2)
         del u2  # stages are dropped as soon as they are used: less peak memory
         u3 = e_half * coefs + (0.5 * h) * n2
-        finite &= _finite_rows(u3)
-        if not finite.any():
-            return None, finite
         n3 = term(u3)
         del u3
         u4 = e_full * coefs + h * (e_half * n3)
-        finite &= _finite_rows(u4)
-        if not finite.any():
-            return None, finite
         n4 = term(u4)
-        out = e_full * coefs + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
-    return out, finite & _finite_rows(out)
+        return e_full * coefs + (h / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
 
 
 def _plan_steps(T: float, dt: float):
@@ -194,13 +177,14 @@ def march(states, T: float, dt: float):
     state has retired the march ends, before T.
 
     Below ``THREADED_PAD_SIZE`` points per axis of the padded grid the
-    states are stepped in stacks of up to STACK_SIZE, fixed at the start
-    (a retired state leaves its stack), which share the Python glue around
-    the FFTs.  At or above it each state is stepped alone, and two or more
-    states are stepped on up to LOCKSTEP_THREADS threads, one per usable
-    core.  Every state's arithmetic is unchanged either way, so the results
-    are bitwise those of a march of that state alone.  The helper threads
-    end when the generator finishes or is closed.
+    states are stepped in stacks of up to STACK_SIZE, which share the
+    Python glue around the FFTs.  At or above it each state is stepped
+    alone, and two or more states are stepped on up to LOCKSTEP_THREADS
+    threads, one per usable core.  The stacks are fixed for the whole
+    march: a retired state's row stays in its stack and is stepped, unread,
+    until the march ends.  Every state's arithmetic is unchanged either way,
+    so the results are bitwise those of a march of that state alone.  The
+    helper threads end when the generator finishes or is closed.
     """
     states = list(states)
     if T <= 0:
@@ -224,13 +208,14 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
     full = _decay_factors(grid, dt) if n > 1 else None
     w = _worker_count(len(states), grid)
     size = 1 if grid.pad_size >= THREADED_PAD_SIZE else STACK_SIZE
-    # (slots in ``states``, their coefficient stack), the retired slots
-    # dropped; a lone state's stack is a view of its data, not a copy
+    # fixed for the whole march: a retired state's row stays in its stack,
+    # stepped but unread, until the march ends; a lone state's stack is a
+    # view of its data, not a copy
     stacks = []
     for k in range(0, len(states), size):
         group = [u.coef for u in states[k:k + size]]
-        stacks.append((range(k, k + len(group)),
-                       group[0][None] if len(group) == 1 else np.stack(group)))
+        stacks.append(group[0][None] if len(group) == 1 else np.stack(group))
+    live = np.ones(len(states), dtype=bool)
     pool = None
     if w > 1:
         # imported here so that only threaded marches pay for the import; made
@@ -250,23 +235,14 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
             t = T if last else (i + 1) * dt
             helpers = [pool.submit(_advance, stacks[r::w], grid, h, e_half, e_full)
                        for r in range(1, w)]
-            stepped = [None] * len(stacks)
-            stepped[0::w] = _advance(stacks[0::w], grid, h, e_half, e_full)
+            stacks[0::w] = _advance(stacks[0::w], grid, h, e_half, e_full)
             for r, future in enumerate(helpers, start=1):
-                stepped[r::w] = future.result()
-            states = [None] * len(states)
-            kept = []
-            for (slots, _), (out, finite) in zip(stacks, stepped):
-                if not finite.all():
-                    slots = [s for s, ok in zip(slots, finite) if ok]
-                    out = out[finite] if slots else None
-                if slots:
-                    kept.append((slots, out))
-                    for s, row in zip(slots, out):
-                        states[s] = SpectralField(grid, row)
-            stacks = kept
+                stacks[r::w] = future.result()
+            live &= np.concatenate([np.isfinite(c).all(axis=(1, 2, 3, 4)) for c in stacks])
+            states = [SpectralField(grid, row) if ok else None
+                      for ok, row in zip(live, (row for c in stacks for row in c))]
             yield t, states
-            if not stacks:
+            if not live.any():
                 return
     finally:
         if pool is not None:
@@ -290,8 +266,8 @@ def _usable_cores() -> int:
 
 
 def _advance(stacks, grid, h, e_half, e_full):
-    """One IF-RK4 step of each (slots, stack): (stepped stack, finite rows)."""
-    return [_if_rk4_step(coefs, grid, h, e_half, e_full) for _, coefs in stacks]
+    """One IF-RK4 step of each stack."""
+    return [_if_rk4_step(coefs, grid, h, e_half, e_full) for coefs in stacks]
 
 
 def _unretired(steps):

@@ -668,6 +668,16 @@ class TestCli:
          "local horizon c A^-4 underflows to 0"),
         (["picard", "--flow", "shear", "--N", "8", "--auto-shrink"],
          "unrecognized arguments: --auto-shrink"),
+        # the amplitude flag the chosen flow does not read
+        (["simulate", "--flow", "shear", "--A", "5", "--N", "8", "--T", "0.01",
+          "--dt", "0.01"], "--A"),
+        (["simulate", "--flow", "random", "--amplitude", "5", "--N", "8", "--T", "0.01",
+          "--dt", "0.01"], "--amplitude"),
+        (["picard", "--flow", "taylor_green", "--A", "0.5", "--N", "8"], "--A"),
+        (["picard", "--amplitude", "0.5", "--N", "8"], "--amplitude"),  # random by default
+        (["compactness", "--flow", "abc", "--A", "1", "--N", "16", "--freqs", "1,2"], "--A"),
+        (["compactness", "--flow", "random", "--amplitude", "1", "--N", "16",
+          "--freqs", "1,2"], "--amplitude"),
     ])
     def test_bad_value_exits_2_naming_it(self, argv, named, tmp_path, capsys):
         out = tmp_path / "o"

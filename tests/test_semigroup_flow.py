@@ -226,7 +226,7 @@ class TestSimulate:
         def fails_fourth(coefs, grid, h, e_half, e_full):
             calls.append(h)
             if len(calls) == 4:
-                return None, np.zeros(len(coefs), dtype=bool)
+                return np.full_like(coefs, np.nan)
             return real(coefs, grid, h, e_half, e_full)
 
         monkeypatch.setattr(semigroup_flow, "_if_rk4_step", fails_fourth)
@@ -342,9 +342,10 @@ class TestMarch:
 
 
 class TestStackedMarch:
-    """Below P = 24 a march steps its states in stacks of up to STACK_SIZE;
-    each row is bitwise the state's own march, and a state that overflows
-    retires from its stack alone."""
+    """Below P = 24 a march steps its states in stacks of up to STACK_SIZE,
+    fixed for the whole march; each row is bitwise the state's own march,
+    and a state that overflows retires alone while its row stays in the
+    stack."""
 
     def test_overflow_mid_stack(self):
         grid = GridSpec(16)  # P = 16: one stack of four
@@ -376,6 +377,46 @@ class TestStackedMarch:
             assert exc.time == single.value.time
             assert str(exc) == f"non-finite coefficients at t={single.value.time:.6g}"
             assert np.array_equal(exc.last_field.coef, last_finite.coef)
+
+    def test_rows_are_independent(self):
+        # the stacked step treats each row as alone, so a dead row can stay
+        # in its stack without touching its neighbours
+        grid = GridSpec(16)
+        K, h = grid.cutoff, 1e-2
+        e_half, e_full = semigroup_flow._decay_factors(grid, h)
+        coefs = np.stack([random_divfree(0.5, seed, 2.0, grid).coef for seed in range(4)])
+        coefs[1, 2, K, K + 1, 1] = np.nan
+        coefs[2, 0, K, K + 1, 0] = coefs[2, 0, K, K - 1, 0] = 1e300  # overflows in u (x) u
+        out = semigroup_flow._if_rk4_step(coefs, grid, h, e_half, e_full)
+        for j in (0, 3):
+            alone = semigroup_flow._if_rk4_step(coefs[j][None], grid, h, e_half, e_full)
+            assert np.array_equal(out[j], alone[0])
+        assert not np.isfinite(out[1]).all() and not np.isfinite(out[2]).all()
+
+    def test_staggered_retirements(self):
+        grid = GridSpec(16)  # P = 16: one stack of four
+        T, dt = 0.05, 1e-2
+        late, early = random_divfree(1e3, 1, 2.0, grid), random_divfree(1e5, 5, 2.0, grid)
+        good = [random_divfree(0.5, seed, 2.0, grid) for seed in (2, 3)]
+        states = [late, good[0], early, good[1]]
+        blowup = {}
+        for j in (0, 2):
+            with pytest.raises(BlowupError) as single:
+                simulate(states[j], T, dt, ceiling=math.inf)
+            blowup[j] = single.value.time
+        assert blowup[2] < blowup[0]
+        together = list(march(states, T, dt))
+        assert together[-1][0] == T
+        for t, now in together:
+            for j, t_blow in blowup.items():
+                assert (now[j] is None) == (t >= t_blow)
+        for j in (1, 3):
+            for (_, now), (_, (v,)) in zip(together, march([states[j]], T, dt), strict=True):
+                assert np.array_equal(now[j].coef, v.coef)
+        # a march whose every state retired ends at the last retirement
+        bad_only = list(march([late, early], T, dt))
+        assert bad_only[-1][0] == blowup[0]
+        assert bad_only[-1][1] == [None, None]
 
 
 class TestThreadedMarch:
