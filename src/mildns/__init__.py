@@ -33,7 +33,6 @@ from .semigroup_flow import (
     norms_to_csv,
     simulate,
     smoothing_ratio,
-    step,
     sup_distances,
 )
 from .picard_wellposedness import (

@@ -5,8 +5,9 @@ amplitude A it draws seeded random divergence-free data of H^1 size A, runs
 them to the horizon, and records the largest H^1 norm seen (the supremum
 includes t = 0, so F_hat(A) >= A up to rounding: the drawn data have H^1
 norm A only to a few ulps, see ``random_divfree``, so an F_hat equal to its
-t = 0 value can read slightly below A).  Runs that blow past the norm
-ceiling are censored: excluded from the maximum but counted and reported.
+t = 0 value can read slightly below A).  Runs that leave their Galerkin
+ball (a failed time step, see ``march``) are censored: excluded from the
+maximum but counted and reported.
 """
 
 import argparse
@@ -103,16 +104,15 @@ class ExperimentConfig:
     samples_per_a: int = 8
     base_seed: int = 12345
     slope: float = 2.0
-    ceiling: float = 1e6
     store_every: int = 10**9
     out_dir: str = "."
 
     def __post_init__(self):
-        for key in ("dt", "horizon", "c", "picard_tol", "slope", "ceiling"):
+        for key in ("dt", "horizon", "c", "picard_tol", "slope"):
             value = getattr(self, key)
             if not value > 0:  # NaN fails too
                 raise ConfigError(key, "must be positive")
-            if math.isinf(value) and key != "ceiling":  # an infinite ceiling means none
+            if math.isinf(value):
                 raise ConfigError(key, "must be finite")
         if self.horizon / self.dt > MAX_STEPS:
             raise ConfigError("dt", f"horizon / dt = {self.horizon / self.dt:.6g} steps "
@@ -241,26 +241,20 @@ def _chunks(tasks: list, workers: int) -> list:
 def _run_chunk(cfg: ExperimentConfig, grid: GridSpec, tasks, generator) -> list:
     """The records of a chunk of (j, i) samples, marched together in one
     lockstep march.  Each sample's H^1 norm is read at t = 0 and after every
-    step.  A sample is censored once that norm exceeds the ceiling (it may
-    march on in its row, unread) or once the march retires it."""
+    step while it marches; a sample the march retired (its final slot is
+    None) is censored."""
     seeds = [sample_seed(cfg.base_seed, j, i) for j, i in tasks]
     data = [generator(cfg.a_list[j], seed, grid) for (j, _), seed in zip(tasks, seeds)]
     best = [(-math.inf, 0.0)] * len(tasks)
-    censored = [False] * len(tasks)
     for t, states in march(data, cfg.horizon, cfg.dt):
         for r, u in enumerate(states):
-            if censored[r]:
-                continue
-            h1 = None if u is None else hs_norm(u, 1.0)
-            if h1 is None or h1 > cfg.ceiling:
-                censored[r] = True
-            elif h1 > best[r][0]:  # strict: the first time the maximum is reached
-                best[r] = (h1, t)
-        if all(censored):
-            break
-    return [SampleRecord(j, i, seed, math.nan, math.nan, True) if cens
+            if u is not None:
+                h1 = hs_norm(u, 1.0)
+                if h1 > best[r][0]:  # strict: the first time the maximum is reached
+                    best[r] = (h1, t)
+    return [SampleRecord(j, i, seed, math.nan, math.nan, True) if u is None
             else SampleRecord(j, i, seed, sup, at, False)
-            for (j, i), seed, (sup, at), cens in zip(tasks, seeds, best, censored)]
+            for (j, i), seed, (sup, at), u in zip(tasks, seeds, best, states)]
 
 
 # The ensemble a pool worker runs: bound once per forked worker by the pool
@@ -562,7 +556,7 @@ def _cmd_simulate(args) -> int:
     save_nsf1(u0, out / "u_initial.nsf1")
     status = 0
     try:
-        traj = simulate(u0, cfg.horizon, cfg.dt, cfg.store_every, cfg.ceiling)
+        traj = simulate(u0, cfg.horizon, cfg.dt, cfg.store_every)
     except BlowupError as exc:
         print(f"blowup: {exc}", file=sys.stderr)
         traj = exc.trajectory
@@ -647,14 +641,15 @@ def _cmd_compactness(args) -> int:
     cfg = _load_config(args)
     u0 = _initial_field(args, cfg)
     K, T = cfg.grid().cutoff, compactness_horizon(u0, cfg.c)
-    if args.freqs[-1] > K:  # argparse's usage error, exit code 2
+    freqs = args.freqs or [2**p for p in range(1, K.bit_length())] or [1]
+    if freqs[-1] > K:  # argparse's usage error, exit code 2
         args.parser.error(f"argument --freqs: must not exceed the cutoff K={K}")
     eps_window = T / 2 if args.eps_window is None else args.eps_window
     if not 0 <= eps_window < T:
         args.parser.error(f"argument --eps-window: must lie in [0, T) with T={T:.6g}")
+    report = compactness_experiment(u0, freqs, eps_window, cfg.c, dt=cfg.dt)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = compactness_experiment(u0, args.freqs, eps_window, cfg.c, dt=cfg.dt)
     report.to_json(out / "compactness.json")
     write_manifest(out, cfg.config_hash(), [cfg.base_seed],
                    ["compactness.json", "manifest.json"])
@@ -705,8 +700,9 @@ def cli_main(argv=None) -> int:
     p_cmp = sub.add_parser("compactness", help="perturbation-convergence experiment")
     _common_flags(p_cmp)
     _add_field_flags(p_cmp)
-    p_cmp.add_argument("--freqs", type=_frequencies, default="2,4,8",
-                       help="comma list of frequencies")
+    p_cmp.add_argument("--freqs", type=_frequencies,
+                       help="comma list of frequencies; default the powers of two "
+                            "up to the cutoff K (2,4,8 at N=32), or 1 when K = 1")
     p_cmp.add_argument("--eps-window", type=float, dest="eps_window",
                        help="start of the window the distances are taken over; "
                             "default half the compactness horizon")

@@ -17,6 +17,7 @@ from .spectral_field import (
     GridSpec,
     SpectralField,
     _nonlinear_stack,
+    _norm_weights,
     _require_projected,
     _wavenumbers,
     divergence_linf,
@@ -31,7 +32,6 @@ __all__ = [
     "heat_propagate",
     "smoothing_ratio",
     "march",
-    "step",
     "simulate",
     "sup_distances",
     "norms_to_csv",
@@ -81,9 +81,10 @@ class Trajectory:
 
 
 class BlowupError(RuntimeError):
-    """Raised when a run leaves the resolvable regime (non-finite coefficients
-    or H^1 above the configured ceiling).  Carries the last finite state and,
-    when raised from :func:`simulate`, the partial trajectory."""
+    """Raised when a state of a run leaves its Galerkin ball (see
+    :func:`march`), a failed time step.  Carries the step's end ``time``,
+    the state's last value inside the ball and, when raised from
+    :func:`simulate`, the partial trajectory."""
 
     def __init__(self, message, time=None, last_field=None, trajectory=None):
         super().__init__(message)
@@ -172,9 +173,12 @@ def march(states, T: float, dt: float):
     land exactly on T, so only the final yield has ``t == T``.  Arguments
     are checked before the first yield, each datum once for the finite,
     divergence-free input the nonlinear term needs (ValueError otherwise).
-    A state that a step leaves non-finite retires: its slot reads None from
-    that step on, and the other states march on unchanged.  Once every
-    state has retired the march ends, before T.
+    A state retires when a step takes it outside its Galerkin ball
+    |u|_H1^2 <= 3K^2 |u0|_L2^2 (relative slack 1e-12), which the truncated
+    flow never leaves (every |k|^2 <= 3K^2, and the flux does no work on
+    L^2), so only a failed step, non-finite ones included, does: its slot
+    reads None from that step on, and the other states march on unchanged.
+    Once every state has retired the march ends, before T.
 
     Below ``THREADED_PAD_SIZE`` points per axis of the padded grid the
     states are stepped in stacks of up to STACK_SIZE, which share the
@@ -215,6 +219,10 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
     for k in range(0, len(states), size):
         group = [u.coef for u in states[k:k + size]]
         stacks.append(group[0][None] if len(group) == 1 else np.stack(group))
+    # each state's Galerkin ball (see march), capped so that inf lies outside
+    with np.errstate(over="ignore"):
+        ball = np.minimum(3.0 * (1.0 + 1e-12) * grid.cutoff**2
+                          * _squared_norms(stacks, _norm_weights(grid, 0.0)), np.finfo(float).max)
     live = np.ones(len(states), dtype=bool)
     pool = None
     if w > 1:
@@ -238,7 +246,7 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
             stacks[0::w] = _advance(stacks[0::w], grid, h, e_half, e_full)
             for r, future in enumerate(helpers, start=1):
                 stacks[r::w] = future.result()
-            live &= np.concatenate([np.isfinite(c).all(axis=(1, 2, 3, 4)) for c in stacks])
+            live &= _squared_norms(stacks, _norm_weights(grid, 1.0)) <= ball  # NaN fails too
             states = [SpectralField(grid, row) if ok else None
                       for ok, row in zip(live, (row for c in stacks for row in c))]
             yield t, states
@@ -270,6 +278,14 @@ def _advance(stacks, grid, h, e_half, e_full):
     return [_if_rk4_step(coefs, grid, h, e_half, e_full) for coefs in stacks]
 
 
+def _squared_norms(stacks, w):
+    """Squared norm with mode weights ``w`` (from ``_norm_weights``) of each
+    state of each stack, in order; NaN or inf for a non-finite state."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([np.einsum("bcxyz,xyz->b", c.real**2 + c.imag**2, w)
+                               for c in stacks])
+
+
 def _unretired(steps):
     """Pass on a march's ``(t, states)`` up to the first step that retired a
     state, which raises :class:`BlowupError` instead, with the step's end
@@ -280,29 +296,21 @@ def _unretired(steps):
         lost = [u for u, v in zip(before or states, states) if v is None]
         if lost:
             steps.close()
-            raise BlowupError(f"non-finite coefficients at t={t:.6g}",
-                              time=t, last_field=lost[0])
+            raise BlowupError(f"left the Galerkin ball |u|_H1 <= sqrt(3) K |u0|_L2 "
+                              f"at t={t:.6g}", time=t, last_field=lost[0])
         before = states  # rebound before the yield: no older states stay alive
         yield t, states
 
 
-def step(u: SpectralField, dt: float) -> SpectralField:
-    """Advance one IF-RK4 step of size dt; raises BlowupError on overflow."""
-    for _, (out,) in _unretired(march([u], dt, dt)):
-        pass
-    return out
-
-
-def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1,
-             ceiling: float = 1e6) -> Trajectory:
+def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1) -> Trajectory:
     """March the mild evolution from 0 to T, recording norms at t = 0 and
     after every step.
 
     Fields are stored at t = 0, every ``store_every`` steps and at the time
     the run ended, so ``fields[-1]`` is the state of the last norms row.
-    Raises :class:`BlowupError` with the partial trajectory attached if
-    coefficients go non-finite or H^1 exceeds ``ceiling`` (``math.inf``
-    means none), the initial datum included.
+    Raises :class:`BlowupError` with the partial trajectory attached if a
+    step leaves the Galerkin ball of ``u0`` (see :func:`march`); the run
+    then ends at the last step inside it.
 
     The step size is taken as given and never adapted (reproducibility of
     seeded ensembles).  Guidance, not enforced: with cutoff K the stiffest
@@ -311,8 +319,6 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1,
     """
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
-    if not ceiling > 0:  # NaN fails too
-        raise ValueError("ceiling must be positive")
     steps = _unretired(march([u0], T, dt))  # march checks T and dt
     times, l2s, h1s, divs, fields, field_times = [], [], [], [], [], []
 
@@ -332,11 +338,6 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1,
             if i % store_every == 0 or t == T:
                 fields.append(u.copy())
                 field_times.append(t)
-            if h1s[-1] > ceiling:
-                raise BlowupError(
-                    f"H1 norm {h1s[-1]:.6g} exceeded ceiling {ceiling:.6g} at t={t:.6g}",
-                    time=t, last_field=u,
-                )
     except BlowupError as exc:
         if field_times[-1] != times[-1]:
             fields.append(exc.last_field)

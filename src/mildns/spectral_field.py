@@ -309,11 +309,6 @@ def _product_stack(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:
     return _from_padded_physical(prods, grid).reshape(B, 6, m, m, K + 1)
 
 
-def _product_half(u: SpectralField) -> np.ndarray:
-    """The six distinct dealiased entries of u (x) u, shape (6, M, M, K+1)."""
-    return _product_stack(u.coef[None], u.grid)[0]
-
-
 # Most fields one stack of transforms carries: the Duhamel map's nodes, a
 # lockstep march's states below THREADED_PAD_SIZE, an ensemble worker's
 # samples.  A stack shares the Python glue around the FFTs, most of a call at

@@ -108,12 +108,6 @@ class TestExperimentConfig:
             ExperimentConfig(horizon=10.0, dt=0.99e-6)
         assert exc.value.key == "dt"
 
-    def test_infinite_ceiling_means_none(self):
-        assert ExperimentConfig(ceiling=math.inf).ceiling == math.inf
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig(ceiling=math.nan)
-        assert exc.value.key == "ceiling"
-
     def test_negative_base_seed_rejected(self):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(base_seed=-1)
@@ -246,7 +240,7 @@ class TestEstimateF:
             estimate_F(small_cfg(), threads=threads)
 
     def test_censoring_reported_as_infinity(self):
-        cfg = small_cfg(ceiling=1e-3)  # everything trips the ceiling
+        cfg = small_cfg(a_list=(1e3, 1e4))  # every datum leaves its Galerkin ball
         s = estimate_F(cfg)
         assert s.censored == [2, 2]
         assert all(math.isinf(v) for v in s.f_hat)
@@ -255,14 +249,16 @@ class TestEstimateF:
         assert obj["censored"] == [2, 2]
 
     @pytest.mark.parametrize("over", [
-        dict(a_list=(0.2,), ceiling=0.1),
-        dict(a_list=(2.0,), ceiling=1.9, c=0.5),
+        dict(a_list=(1e3,)),
+        dict(a_list=(1e3,), horizon=0.02),  # one step: the last yield retires them
     ])
     def test_data_above_ceiling_censored(self, over):
-        # both data start above the ceiling, so the t = 0 norm censors
+        # the Galerkin ball is each datum's own H1 ceiling; both data leave it
+        # on the first step, so their t = 0 norms are read but count for nothing
         s = estimate_F(small_cfg(**over))
         assert s.censored == [2]
         assert math.isinf(s.f_hat[0])
+        assert all(rec.censored and math.isnan(rec.sup_h1) for rec in s.samples)
 
     def test_tiny_horizon_runs_every_sample(self):
         cfg = ExperimentConfig(grid_n=8, horizon=1e-13, dt=1e-13, a_list=(0.5,),
@@ -298,10 +294,10 @@ class TestEstimateF:
 
 
 # Two amplitudes of five samples: the chunks do not divide evenly.  Sample
-# (0, 2) overflows at t = 0.06 while below the ceiling; sample (1, 3) crosses
-# the ceiling at t = 0.02, and overflows later in its row.
-CHUNKED = dict(SMALL, a_list=(0.5, 1.0), samples_per_a=5, ceiling=1e200)
-RIGGED = {sample_seed(100, 0, 2): 1e3, sample_seed(100, 1, 3): 1e18}
+# (0, 2) leaves its Galerkin ball at t = 0.04; sample (1, 3) overflows on
+# its first step, and its row marches on, unread, to T.
+CHUNKED = dict(SMALL, a_list=(0.5, 1.0), samples_per_a=5)
+RIGGED = {sample_seed(100, 0, 2): 160.0, sample_seed(100, 1, 3): 1e18}
 
 
 def _rigged_data(a, seed, slope, grid):
@@ -314,7 +310,7 @@ def _oracle_record(cfg, j, i):
     seed = sample_seed(cfg.base_seed, j, i)
     u0 = _rigged_data(cfg.a_list[j], seed, cfg.slope, cfg.grid())
     try:
-        traj = simulate(u0, cfg.horizon, cfg.dt, store_every=10**9, ceiling=cfg.ceiling)
+        traj = simulate(u0, cfg.horizon, cfg.dt, store_every=10**9)
     except BlowupError:
         return (seed, math.nan, math.nan, True)
     k = int(np.argmax(traj.norm_series.h1))
@@ -341,14 +337,17 @@ class TestChunkedEnsemble:
         cfg = ExperimentConfig(**CHUNKED)
         oracle = [_oracle_record(cfg, j, i) for j in range(2) for i in range(5)]
         assert [rec[3] for rec in oracle].count(True) == 2
-        for (j, i), stop in (((0, 2), "non-finite"), ((1, 3), "exceeded ceiling")):
+        stops = []
+        for j, i in ((0, 2), (1, 3)):
             seed = sample_seed(100, j, i)
             u0 = _rigged_data(cfg.a_list[j], seed, cfg.slope, cfg.grid())
-            with pytest.raises(BlowupError, match=stop):
-                simulate(u0, cfg.horizon, cfg.dt, ceiling=cfg.ceiling)
+            with pytest.raises(BlowupError, match="left the Galerkin ball") as exc:
+                simulate(u0, cfg.horizon, cfg.dt)
+            stops.append(exc.value.time)
+        assert stops[1] < stops[0] < cfg.horizon  # (1, 3) on its first step
         cfgfile = tmp_path / "e.cfg"
         cfgfile.write_text("grid_n = 8\ndt = 0.02\nhorizon = 0.5\na_list = 0.5,1.0\n"
-                           "samples_per_a = 5\nbase_seed = 100\nceiling = 1e200\n")
+                           "samples_per_a = 5\nbase_seed = 100\n")
         assert ExperimentConfig.from_file(cfgfile) == cfg
         outputs = []
         for threads in (1, 2, 3):
@@ -399,12 +398,10 @@ class TestCli:
             assert (out / name).exists()
 
     def test_simulate_blowup_exit_code(self, tmp_path):
-        cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text("ceiling = 1e-3\n")
         out = tmp_path / "run"
         rc = cli_main([
-            "simulate", "--flow", "shear", "--N", "8", "--T", "0.1",
-            "--dt", "1e-2", "--config", str(cfgfile), "--out-dir", str(out),
+            "simulate", "--flow", "random", "--A", "1e3", "--N", "8", "--T", "0.1",
+            "--dt", "1e-2", "--out-dir", str(out),
         ])
         assert rc == 3
         assert (out / "norms.csv").exists()  # partial series still written
@@ -418,18 +415,20 @@ class TestCli:
         assert series.h1[-1] == pytest.approx(math.exp(-2.0) / math.sqrt(2.0), rel=1e-10)
 
     def test_final_field_after_blowup_is_last_norms_row(self, tmp_path):
-        # H1 24 -> 23.95 -> 24.06 -> 24.32 crosses the ceiling at t = 0.03,
-        # and the default store_every stores no field in between
-        cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text("ceiling = 24.1\nslope = 6\n")
+        # the datum leaves its Galerkin ball after a few steps, and the
+        # default store_every stores no field in between
+        with pytest.raises(BlowupError) as oracle:
+            simulate(random_divfree(150.0, 1, 2.0, GridSpec(16)), 0.1, 0.01)
+        last = oracle.value.trajectory.norm_series.times[-1]
+        assert last > 0.0
         out = tmp_path / "run"
         rc = cli_main([
-            "simulate", "--flow", "random", "--A", "24", "--seed", "2", "--N", "8",
-            "--T", "0.1", "--dt", "0.01", "--config", str(cfgfile), "--out-dir", str(out),
+            "simulate", "--flow", "random", "--A", "150", "--seed", "1", "--N", "16",
+            "--T", "0.1", "--dt", "0.01", "--out-dir", str(out),
         ])
         assert rc == 3
         series = norms_from_csv(out / "norms.csv")
-        assert series.times[-1] == pytest.approx(0.03)
+        assert series.times[-1] == last
         assert hs_norm(load_nsf1(out / "u_final.nsf1"), 1.0) == series.h1[-1]
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
@@ -441,10 +440,11 @@ class TestCli:
         assert "grid_q" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("mode", "short"), ("mode", "long"),
-                                            ("grid_k", "4")])
+                                            ("grid_k", "4"), ("ceiling", "1e6")])
     def test_mode_key_is_unknown(self, key, value, tmp_path, capsys):
-        # horizon alone sets the run length and grid_n alone the cutoff, so a
-        # config naming a mode or a cutoff is rejected
+        # horizon alone sets the run length, grid_n alone the cutoff, and each
+        # datum's Galerkin ball its H1 ceiling, so a config naming a mode, a
+        # cutoff or a ceiling is rejected
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text(f"grid_n = 8\n{key} = {value}\n")
         out = tmp_path / "o"
@@ -643,7 +643,7 @@ class TestCli:
         (["verify", "--N", "7"], "--N"),
         (["simulate", "--seed", "-1"], "'base_seed'"),
         (["verify", "--seed", "-1"], "--seed"),
-        (["compactness", "--A", "0", "--N", "8"], "--freqs"),  # default 2,4,8 > K=2
+        (["compactness", "--A", "0", "--N", "8", "--freqs", "2,4,8"], "--freqs"),  # 8 > K=2
         (["compactness", "--flow", "shear", "--N", "8", "--freqs", "1,2",
           "--eps-window", "5"], "--eps-window"),
         (["compactness", "--flow", "shear", "--N", "8", "--freqs", "1,2",
@@ -732,13 +732,29 @@ class TestCli:
         import mildns.explorer_cli as cli
 
         def blowup(*args, **kwargs):
-            raise BlowupError("non-finite coefficients at t=0.01", time=0.01)
+            raise BlowupError("left the Galerkin ball at t=0.01", time=0.01)
 
         monkeypatch.setattr(cli, "compactness_experiment", blowup)
         rc = cli_main(["compactness", "--flow", "shear", "--N", "8", "--freqs", "1,2",
                        "--eps-window", "0", "--out-dir", str(tmp_path / "c")])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("blowup: non-finite")
+        assert capsys.readouterr().err.startswith("blowup: left the Galerkin ball")
+
+    @pytest.mark.parametrize("n, freqs", [(16, [2, 4]), (32, [2, 4, 8]), (4, [1])])
+    def test_compactness_default_freqs_are_powers_of_two_up_to_K(self, n, freqs, tmp_path):
+        # at the default grid_n = 16 (K = 5), with no other flag
+        argv = ["compactness", "--out-dir", str(tmp_path / "c")]
+        assert cli_main(argv if n == 16 else [*argv, "--N", str(n)]) == 0
+        obj = json.loads((tmp_path / "c" / "compactness.json").read_text())
+        assert obj["frequencies"] == freqs
+
+    def test_compactness_blowup_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        rc = cli_main(["compactness", "--flow", "random", "--A", "200", "--N", "16",
+                       "--freqs", "1,2", "--c", "1e12", "--dt", "0.01", "--out-dir", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("blowup: left the Galerkin ball")
+        assert not out.exists()
 
     def test_compactness_default_window_is_half_the_horizon(self, tmp_path):
         out = tmp_path / "c"
@@ -773,8 +789,8 @@ _LONG_RUN = st.tuples(st.floats(1e-9, 1e-2), st.floats(0.5 * MAX_STEPS, 2.0 * MA
 
 class TestConfigProperties:
     """ExperimentConfig.from_file turns any UTF-8 text into a config whose
-    float settings (bar the ceiling, where inf means none) are finite, or into
-    a ConfigError; no other exception escapes."""
+    float settings are finite, or into a ConfigError; no other exception
+    escapes."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -24,7 +24,6 @@ from mildns import (
     simulate,
     single_mode_field,
     smoothing_ratio,
-    step,
     sup_distances,
 )
 from mildns import semigroup_flow
@@ -91,10 +90,15 @@ class TestSmoothingRatio:
             smoothing_ratio(rand16, 1.0, delta, t)
 
 
+def one_step(u, dt):
+    """One IF-RK4 step of size dt, the final field of a one-step run."""
+    return simulate(u, dt, dt).fields[-1]
+
+
 class TestStep:
     def test_shear_step_is_pure_heat(self, grid16):
         u = named_flow("shear", 1.0, grid16)
-        out = step(u, 1e-2)
+        out = one_step(u, 1e-2)
         want = heat_propagate(u, 1e-2)
         assert np.max(np.abs(out.coef - want.coef)) <= 1e-15
 
@@ -102,7 +106,7 @@ class TestStep:
         u = named_flow("taylor_green", 1.0, grid8)
         cur = u
         for _ in range(200):
-            cur = step(cur, 1e-3)
+            cur = one_step(cur, 1e-3)
         want = math.exp(-0.4) * u
         rel = hs_norm(cur - want, 1.0) / hs_norm(want, 1.0)
         assert rel <= 1e-10
@@ -131,7 +135,7 @@ class TestStep:
     def test_overflow_raises_blowup(self, grid8):
         u = random_divfree(1e200, 1, 2.0, grid8)
         with pytest.raises(BlowupError):
-            step(u, 1e-3)
+            one_step(u, 1e-3)
 
 
 class TestSimulate:
@@ -186,34 +190,52 @@ class TestSimulate:
         traj = simulate(u0, 0.2, 2e-3)
         assert np.max(np.diff(traj.norm_series.l2)) <= 1e-10 * 2e-3
 
-    def test_ceiling_blowup_carries_partial_trajectory(self, grid8):
-        # steep-spectrum data whose H1 norm dips, then grows past 24.1 on the
-        # third step (24 -> 23.95 -> 24.06 -> 24.32)
+    def test_growth_inside_the_ball_marches_on(self, grid8):
+        # steep-spectrum data whose H1 norm dips, then grows (24 -> 23.95 ->
+        # 24.06 -> 24.32 ...), far inside its Galerkin ball
         u0 = random_divfree(24.0, 2, 6.0, grid8)
-        with pytest.raises(BlowupError) as exc:
-            simulate(u0, 0.1, 1e-2, ceiling=24.1)
-        traj = exc.value.trajectory
-        assert traj is not None
-        assert traj.norm_series.times == pytest.approx([0.0, 0.01, 0.02, 0.03])
-        assert np.all(traj.norm_series.h1[:-1] <= 24.1) and traj.norm_series.h1[-1] > 24.1
-        assert exc.value.time == pytest.approx(0.03)
-        assert hs_norm(exc.value.last_field, 1.0) == traj.norm_series.h1[-1]
+        traj = simulate(u0, 0.1, 1e-2)
+        h1 = traj.norm_series.h1
+        assert traj.norm_series.times[-1] == 0.1
+        assert h1[1] < h1[0] < h1[2] < h1[3] and h1[3] == pytest.approx(24.32, abs=5e-3)
+        assert np.max(h1) <= math.sqrt(3.0) * grid8.cutoff * hs_norm(u0, 0.0)
 
-    def test_ceiling_checked_at_time_zero(self, grid8):
-        u0 = named_flow("shear", 1.0, grid8)
+    def test_corner_mode_on_its_ball_marches_on(self, grid8):
+        # every retained |k|^2 <= 3K^2, with equality only at the corners, so a
+        # corner mode starts on its ball; alone it is a heat mode, and decays
+        K = grid8.cutoff
+        u0 = single_mode_field(grid8, (K, K, K), (1.0, -1.0, 0.0), 1.0)
+        assert hs_norm(u0, 1.0) == math.sqrt(3.0) * K * hs_norm(u0, 0.0)
+        traj = simulate(u0, 0.1, 1e-2)
+        assert traj.norm_series.times[-1] == 0.1
+        want = hs_norm(u0, 1.0) * np.exp(-3 * K**2 * traj.norm_series.times)
+        assert np.max(np.abs(traj.norm_series.h1 - want) / want) <= 1e-12
+
+    def test_ceiling_blowup_carries_partial_trajectory(self, grid16):
+        # the Galerkin ball is each datum's own H1 ceiling: this datum makes
+        # two steps inside it, and its third leaves it
+        u0 = random_divfree(150.0, 1, 2.0, grid16)
+        ball = math.sqrt(3.0) * grid16.cutoff * hs_norm(u0, 0.0)
         with pytest.raises(BlowupError) as exc:
-            simulate(u0, 0.1, 1e-2, ceiling=1e-3)
-        assert exc.value.time == 0.0
-        assert np.array_equal(exc.value.last_field.coef, u0.coef)
+            simulate(u0, 0.1, 1e-2)
+        assert str(exc.value).startswith("left the Galerkin ball")
         traj = exc.value.trajectory
-        assert list(traj.norm_series.times) == [0.0]
-        assert len(traj.fields) == 1
+        assert traj.norm_series.times == pytest.approx([0.0, 0.01, 0.02])
+        assert exc.value.time == pytest.approx(0.03)
+        assert np.all(traj.norm_series.h1 <= ball)
+        assert hs_norm(exc.value.last_field, 1.0) == traj.norm_series.h1[-1]
+        assert np.array_equal(traj.fields[-1].coef, exc.value.last_field.coef)
+        # the retirement is the first step outside the ball
+        e_half, e_full = semigroup_flow._decay_factors(grid16, 1e-2)
+        [out] = semigroup_flow._if_rk4_step(exc.value.last_field.coef[None], grid16, 1e-2,
+                                            e_half, e_full)
+        assert not hs_norm(SpectralField(grid16, out), 1.0) <= ball
 
     def test_overflow_blowup_carries_finite_last_field(self, grid8):
-        # no ceiling, so the run stops on overflow rather than at t=0
+        # the run stops at the first step, whose overflow leaves the ball
         u0 = random_divfree(1e150, 1, 2.0, grid8)
         with pytest.raises(BlowupError) as exc:
-            simulate(u0, 0.05, 1e-2, ceiling=math.inf)
+            simulate(u0, 0.05, 1e-2)
         assert exc.value.time == pytest.approx(0.01)
         assert np.array_equal(exc.value.last_field.coef, u0.coef)
         assert np.all(np.isfinite(exc.value.last_field.coef))
@@ -243,13 +265,15 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(named_flow("shear", 1.0, grid8), 0.0, 1e-2)
 
+    # simulate takes no ceiling (a TypeError): the Galerkin ball of its datum
+    # is its own
     @pytest.mark.parametrize("kw, named", [
         ({"store_every": 0}, "store_every"),
         ({"ceiling": 0.0}, "ceiling"),
         ({"ceiling": math.nan}, "ceiling"),
     ])
     def test_invalid_storage_and_ceiling(self, grid8, kw, named):
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises((ValueError, TypeError), match=named):
             simulate(named_flow("shear", 1.0, grid8), 0.1, 1e-2, **kw)
 
 
@@ -333,7 +357,6 @@ class TestMarch:
             bad.coef[2, K, K + 1, 1] = np.nan
         runs = [lambda: march([good, bad], 0.05, 0.01),
                 lambda: simulate(bad, 0.05, 0.01),
-                lambda: step(bad, 0.01),
                 lambda: sup_distances(good, [good, bad], 0.05, 0.01)]
         for run in runs:
             with pytest.raises(ValueError, match=message):
@@ -344,21 +367,22 @@ class TestMarch:
 class TestStackedMarch:
     """Below P = 24 a march steps its states in stacks of up to STACK_SIZE,
     fixed for the whole march; each row is bitwise the state's own march,
-    and a state that overflows retires alone while its row stays in the
-    stack."""
+    and a state that leaves its Galerkin ball retires alone while its row
+    stays in the stack."""
 
     def test_overflow_mid_stack(self):
         grid = GridSpec(16)  # P = 16: one stack of four
         T, dt = 0.05, 1e-2
-        bad = random_divfree(1e3, 1, 2.0, grid)  # finite for two steps, then not
+        bad = random_divfree(1e3, 1, 2.0, grid)  # leaves its ball before T
         good = [random_divfree(0.5, seed, 2.0, grid) for seed in (2, 3, 4)]
         states = [good[0], bad, good[1], good[2]]
         assert len(states) == semigroup_flow.STACK_SIZE
         with pytest.raises(BlowupError) as single:
-            simulate(bad, T, dt, ceiling=math.inf)
+            simulate(bad, T, dt)
         alone = list(march([bad], T, dt))
         # a march whose every state retired ends at that step
-        assert [t for t, _ in alone] == pytest.approx([0.0, 0.01, 0.02, 0.03])
+        assert [t for t, _ in alone] == [t for t, _ in march([good[0]], T, dt)
+                                         if t <= single.value.time]
         assert alone[-1][1] == [None] and alone[-1][0] == single.value.time
         last_finite = alone[-2][1][0]
         assert np.array_equal(single.value.last_field.coef, last_finite.coef)
@@ -375,7 +399,8 @@ class TestStackedMarch:
             sup_distances(good[0], states[1:], T, dt)
         for exc in (single.value, distances.value):
             assert exc.time == single.value.time
-            assert str(exc) == f"non-finite coefficients at t={single.value.time:.6g}"
+            assert str(exc) == ("left the Galerkin ball |u|_H1 <= sqrt(3) K |u0|_L2 "
+                                f"at t={single.value.time:.6g}")
             assert np.array_equal(exc.last_field.coef, last_finite.coef)
 
     def test_rows_are_independent(self):
@@ -396,13 +421,13 @@ class TestStackedMarch:
     def test_staggered_retirements(self):
         grid = GridSpec(16)  # P = 16: one stack of four
         T, dt = 0.05, 1e-2
-        late, early = random_divfree(1e3, 1, 2.0, grid), random_divfree(1e5, 5, 2.0, grid)
+        late, early = random_divfree(150.0, 1, 2.0, grid), random_divfree(1e5, 5, 2.0, grid)
         good = [random_divfree(0.5, seed, 2.0, grid) for seed in (2, 3)]
         states = [late, good[0], early, good[1]]
         blowup = {}
         for j in (0, 2):
             with pytest.raises(BlowupError) as single:
-                simulate(states[j], T, dt, ceiling=math.inf)
+                simulate(states[j], T, dt)
             blowup[j] = single.value.time
         assert blowup[2] < blowup[0]
         together = list(march(states, T, dt))
@@ -477,13 +502,13 @@ class TestThreadedMarch:
 
     def test_blowup_matches_single_march(self):
         grid = GridSpec(24)
-        # on a helper thread: finite for two steps, then not
+        # on a helper thread: leaves its ball before T
         bad = random_divfree(1e3, 1, 2.0, grid)
         states = [random_divfree(0.5, 2, 2.0, grid), bad, random_divfree(0.5, 3, 2.0, grid)]
         together = list(march(states, 0.05, 1e-2))
         with pytest.raises(BlowupError) as alone:
-            simulate(bad, 0.05, 1e-2, ceiling=math.inf)
-        assert alone.value.time == pytest.approx(0.03)
+            simulate(bad, 0.05, 1e-2)
+        assert alone.value.time < 0.05
         # the bad state retires at the blowup time; the others march on to T
         assert [t for t, _ in together] == [t for t, _ in march([states[0]], 0.05, 1e-2)]
         for t, step_states in together:

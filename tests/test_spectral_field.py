@@ -29,7 +29,6 @@ from mildns import spectral_field
 from mildns.spectral_field import (
     _nonlinear_stack,
     _norm_weights,
-    _product_half,
     _product_stack,
     hermitian_residual,
 )
@@ -57,7 +56,7 @@ def pair_field(grid, k, vec):
     return f
 
 
-# the six distinct (l, m) entries of u (x) u, in the order _product_half uses
+# the six distinct (l, m) entries of u (x) u, in the order _product_stack uses
 PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
@@ -259,7 +258,7 @@ class TestNonlinearTerm:
 
     def test_tensor_coef_symmetric_hermitian(self, rand8):
         # six entries stand for the symmetric 3x3 tensor; each is Hermitian
-        w = full_cube(_product_half(rand8))
+        w = full_cube(_product_stack(rand8.coef[None], rand8.grid)[0])
         flipped = np.conj(w[:, ::-1, ::-1, ::-1])
         assert np.max(np.abs(w - flipped)) == 0.0
 
@@ -274,7 +273,7 @@ class TestTransformReference:
         assert np.array_equal(full_cube(nonlinear_term(u).coef), reference_nonlinearity(u))
         ref = reference_tensor_product(u)
         want = np.stack([ref[l, m] for l, m in PAIRS])
-        assert np.array_equal(full_cube(_product_half(u)), want)
+        assert np.array_equal(full_cube(_product_stack(u.coef[None], u.grid)[0]), want)
 
     @pytest.mark.parametrize("n, k", [(8, None), (12, None), (16, None), (16, 3),
                                       (16, 7), (10, 1), (32, None), (48, None)])
@@ -319,7 +318,8 @@ class TestStackedTransforms:
     def test_product_rows_equal_single_states(self, grid16):
         states = [random_divfree(1.5, seed, 6.0, grid16) for seed in range(3)]
         rows = _product_stack(stack(states), grid16)
-        assert all(np.array_equal(r, _product_half(u)) for r, u in zip(rows, states))
+        assert all(np.array_equal(r, _product_stack(u.coef[None], u.grid)[0])
+                   for r, u in zip(rows, states))
 
 
 class TestTransformWorkspace:
@@ -328,12 +328,12 @@ class TestTransformWorkspace:
 
     def test_results_never_alias_the_workspace(self):
         u = random_divfree(1.5, 3, 2.0, GridSpec(32))
-        nl, prod = nonlinear_term(u), _product_half(u)
+        nl, prod = nonlinear_term(u), _product_stack(u.coef[None], u.grid)[0]
         kept = nl.coef.copy(), prod.copy()
         for other in (random_divfree(1.5, 11, 6.0, GridSpec(32)),
                       random_divfree(1.5, 3, 2.0, GridSpec(16, 7))):
             nonlinear_term(other)
-            _product_half(other)
+            _product_stack(other.coef[None], other.grid)[0]
             ws = spectral_field._workspace
             for a in (nl.coef, prod):
                 assert not np.shares_memory(a, ws.padded)
