@@ -47,6 +47,8 @@ THREADED_PAD_SIZE = 24
 # thread's transform workspace and temporaries, about 6 MB at N = 32) were
 # measured at two.
 LOCKSTEP_THREADS = 2
+# Most steps a march may plan: a longer run is refused rather than left to hang.
+MAX_STEPS = 10**7
 
 
 @dataclass
@@ -171,8 +173,9 @@ def march(states, T: float, dt: float):
     with the data as given, then a new list once after every step.  All
     states share one step plan: steps of size dt, the last one shortened to
     land exactly on T, so only the final yield has ``t == T``.  Arguments
-    are checked before the first yield, each datum once for the finite,
-    divergence-free input the nonlinear term needs (ValueError otherwise).
+    are checked before the generator is returned (ValueError otherwise):
+    at most MAX_STEPS steps (T / dt; NaN fails), and each datum once for
+    the finite, divergence-free input the nonlinear term needs.
     A state retires when a step takes it outside its Galerkin ball
     |u|_H1^2 <= 3K^2 |u0|_L2^2 (relative slack 1e-12), which the truncated
     flow never leaves (every |k|^2 <= 3K^2, and the flux does no work on
@@ -195,8 +198,8 @@ def march(states, T: float, dt: float):
         raise ValueError("horizon T must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if not np.isfinite(T / dt):
-        raise ValueError("the step count T / dt must be finite")
+    if not T / dt <= MAX_STEPS:  # NaN fails too
+        raise ValueError(f"dt = {dt:.6g} plans {T / dt:.6g} steps, over the limit of {MAX_STEPS}")
     if not states:
         raise ValueError("nothing to march")
     grid = states[0].grid
@@ -390,7 +393,8 @@ def norms_to_csv(series: NormSeries, path) -> None:
 
 def norms_from_csv(path) -> NormSeries:
     """Read a norm series written by :func:`norms_to_csv`, dropping the
-    enstrophy column (it is h1**2)."""
+    enstrophy column (it is h1**2).  A row with more or fewer fields than
+    the header raises ValueError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -398,6 +402,8 @@ def norms_from_csv(path) -> NormSeries:
             raise ValueError(f"unexpected CSV header {header}")
         cols = [[] for _ in CSV_COLUMNS]
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"line {reader.line_num} has {len(row)} fields, not {len(header)}")
             for c, v in zip(cols, row):
                 c.append(float(v))
     arrays = [np.asarray(c) for c in cols]

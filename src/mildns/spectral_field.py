@@ -394,10 +394,10 @@ def random_divfree(A: float, seed: int, slope: float, grid: GridSpec) -> Spectra
     rescale holds only to rounding: hs_norm(., 1) may read a few ulps above
     or below A (|hs_norm(., 1) - A| <= 8 eps A, eps the float64 machine
     epsilon, on the grids up to N=32 the tests check; the gap grows with the
-    number of modes summed).  A = 0 returns the zero field.
+    number of modes summed).  A = 0 gives the zero field; A must be finite.
     """
-    if A < 0:
-        raise ValueError("amplitude A must be nonnegative")
+    if not 0 <= A < np.inf:  # NaN fails too
+        raise ValueError("amplitude A must be finite and nonnegative")
     if A == 0.0:
         return SpectralField.zero(grid)
     m, K = grid.modes_per_axis, grid.cutoff
@@ -465,8 +465,10 @@ def single_mode_field(
     """One conjugate pair amp * p * sin(k.x) scaled to a given H^1 norm.
 
     The polarization is projected orthogonal to k so the field is
-    divergence-free.  Frequencies beyond the dealias cutoff are rejected.
+    divergence-free.  A k beyond the dealias cutoff, or a non-finite h1_norm, is rejected.
     """
+    if not np.isfinite(h1_norm):
+        raise ValueError("h1_norm must be finite")
     K = grid.cutoff
     karr = np.asarray(k, dtype=np.int64)
     if np.all(karr == 0):

@@ -14,6 +14,7 @@ from mildns import (
     ConfigError,
     ExperimentConfig,
     GridSpec,
+    SpectralField,
     cli_main,
     estimate_F,
     hs_norm,
@@ -25,8 +26,9 @@ from mildns import (
     run_verify,
     simulate,
 )
-from mildns.explorer_cli import MAX_STEPS, STACK_SIZE, _chunks, sample_seed
-from mildns.semigroup_flow import _plan_steps
+from mildns import semigroup_flow
+from mildns.explorer_cli import STACK_SIZE, _chunks, sample_seed
+from mildns.semigroup_flow import MAX_STEPS, _plan_steps, march
 
 
 SMALL = dict(grid_n=8, dt=0.02, horizon=0.5, a_list=(0.1, 0.2), samples_per_a=2,
@@ -95,18 +97,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(a_list=(0.2, 0.1))
         ExperimentConfig(horizon=2.0)  # horizon alone sets the run length
+        ExperimentConfig(horizon=1e6, dt=1e-9)  # march, not the config, limits the steps
 
     @pytest.mark.parametrize("key", ["dt", "horizon", "c", "picard_tol", "slope"])
     def test_infinite_value_named(self, key):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(**{key: math.inf})
         assert exc.value.key == key
-
-    def test_step_count_limit(self):
-        ExperimentConfig(horizon=10.0, dt=1e-6)  # exactly MAX_STEPS steps
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig(horizon=10.0, dt=0.99e-6)
-        assert exc.value.key == "dt"
 
     def test_negative_base_seed_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -720,13 +717,45 @@ class TestCli:
         "grid_n = 8\nhorizon = 1e300\ndt = 1e-10",  # T / dt overflows
         "grid_n = 8\nhorizon = 1e6\ndt = 1e-9",     # 10^15 steps
     ])
-    def test_run_length_bounded(self, command, lines, tmp_path, capsys):
+    def test_run_length_bounded(self, command, lines, tmp_path, monkeypatch, capsys):
+        # march refuses the plan before it steps at all
+        monkeypatch.setattr(semigroup_flow, "_lockstep", None)
         cfgfile = tmp_path / "e.cfg"
         cfgfile.write_text(lines + "\n")
         out = tmp_path / "o"
         assert cli_main([*command, "--config", str(cfgfile), "--out-dir", str(out)]) == 2
-        assert "'dt'" in capsys.readouterr().err
+        dt = float(lines.rsplit("=", 1)[1])
+        assert f"error: dt = {dt:.6g} plans" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_compactness_plan_bounded(self, tmp_path, monkeypatch, capsys):
+        # the compactness horizon, T = 1 here, not the config's horizon,
+        # sets the plan: 10^9 steps, refused before any step
+        monkeypatch.setattr(semigroup_flow, "_lockstep", None)
+        cfgfile = tmp_path / "e.cfg"
+        cfgfile.write_text("horizon = 0.001\n")
+        out = tmp_path / "o"
+        rc = cli_main(["compactness", "--flow", "shear", "--N", "8", "--freqs", "1,2",
+                       "--c", "1e6", "--dt", "1e-9", "--config", str(cfgfile),
+                       "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mildns compactness: error: dt = 1e-09 plans")
+        assert "steps, over the limit of 10000000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, lines, written", [
+        # about 12 steps to the compactness horizon, though horizon / dt = 10^8
+        (["compactness", "--flow", "shear", "--N", "8", "--freqs", "1,2", "--c", "1e-6",
+          "--dt", "1e-8"], "", "compactness.json"),
+        (["picard", "--N", "8"], "horizon = 1e6", "picard.json"),  # picard never marches
+    ], ids=["compactness", "picard"])
+    def test_horizon_bounds_only_its_own_plans(self, argv, lines, written, tmp_path):
+        cfgfile = tmp_path / "e.cfg"
+        cfgfile.write_text(lines + "\n")
+        out = tmp_path / "o"
+        assert cli_main([*argv, "--config", str(cfgfile), "--out-dir", str(out)]) == 0
+        assert (out / written).exists()
 
     def test_compactness_blowup_exit_code(self, tmp_path, monkeypatch, capsys):
         import mildns.explorer_cli as cli
@@ -782,15 +811,18 @@ _VALUES = st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=1, max_size=3).map(","
                     st.sampled_from(["", "long", "short", "hybrid", "simulate"]), st.text())
 _KEYED = st.builds("{}{}={}{}".format, st.sampled_from(_KEYS), st.sampled_from(["", " "]),
                    st.sampled_from(["", " "]), _VALUES)
-# runs of about MAX_STEPS steps: only the step limit rejects the longer ones
+# runs of about MAX_STEPS steps: only march's step limit rejects the longer ones
 _LONG_RUN = st.tuples(st.floats(1e-9, 1e-2), st.floats(0.5 * MAX_STEPS, 2.0 * MAX_STEPS)).map(
     lambda p: f"dt = {p[0]!r}\nhorizon = {p[0] * p[1]!r}")
+# the datum a config's run is planned for: the plan does not depend on it
+_ZERO8 = SpectralField.zero(GridSpec(8))
 
 
 class TestConfigProperties:
     """ExperimentConfig.from_file turns any UTF-8 text into a config whose
     float settings are finite, or into a ConfigError; no other exception
-    escapes."""
+    escapes.  A config's run of more than MAX_STEPS steps is refused by
+    march, naming dt, not by the config."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -805,4 +837,10 @@ class TestConfigProperties:
         for key in ("dt", "horizon", "c", "picard_tol", "slope"):
             assert math.isfinite(getattr(cfg, key))
         assert all(math.isfinite(a) for a in cfg.a_list)
-        assert _plan_steps(cfg.horizon, cfg.dt) <= MAX_STEPS
+        try:
+            march([_ZERO8], cfg.horizon, cfg.dt)
+        except ValueError as exc:
+            assert cfg.horizon / cfg.dt > MAX_STEPS
+            assert str(exc).startswith(f"dt = {cfg.dt:.6g} plans")
+        else:
+            assert _plan_steps(cfg.horizon, cfg.dt) <= MAX_STEPS

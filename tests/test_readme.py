@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mildns import ExperimentConfig, cli_main
-from mildns.semigroup_flow import THREADED_PAD_SIZE
+from mildns.semigroup_flow import MAX_STEPS, THREADED_PAD_SIZE
 from mildns.spectral_field import STACK_SIZE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -82,3 +82,11 @@ def test_stated_stack_size_and_thread_threshold():
     thresholds = re.findall(r"`P [<=≥] (\d+)`", text)
     assert len(sizes) >= 3 and {int(n) for n in sizes} == {STACK_SIZE}
     assert len(thresholds) >= 3 and {int(n) for n in thresholds} == {THREADED_PAD_SIZE}
+
+
+def test_stated_step_limit():
+    # the prose states march's step limit as a power of ten
+    text = README.read_text(encoding="utf-8")
+    exponents = re.findall(r"at most 10([⁰¹²³⁴⁵⁶⁷⁸⁹]+) steps", text)
+    digits = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+    assert exponents and {10 ** int(e.translate(digits)) for e in exponents} == {MAX_STEPS}

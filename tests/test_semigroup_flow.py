@@ -325,14 +325,25 @@ class TestMarch:
         assert times[-1] == 0.105
         assert all(t < 0.105 for t in times[:-1])
 
+    def test_step_limit(self, grid8, monkeypatch):
+        # march owns the only step limit; a plan within it is accepted
+        # before any step, and one beyond it is refused before any step
+        monkeypatch.setattr(semigroup_flow, "_lockstep", lambda *args: "accepted")
+        u0 = SpectralField.zero(grid8)
+        assert march([u0], 10.0, 1e-6) == "accepted"  # exactly MAX_STEPS steps
+        assert semigroup_flow._plan_steps(10.0, 1e-6) == semigroup_flow.MAX_STEPS
+        for T, dt in [(10.0, 0.99e-6), (1e300, 1e-10), (math.nan, 1e-2),
+                      (math.inf, math.inf)]:  # 1e310 overflows to inf; inf / inf is NaN
+            with pytest.raises(ValueError,
+                               match=rf"dt = {dt:.6g} plans .* steps, over the limit of 10000000"):
+                march([u0], T, dt)
+
     def test_arguments_checked_before_stepping(self, grid8):
         u0 = SpectralField.zero(grid8)
         with pytest.raises(ValueError, match="horizon"):
             march([u0], 0.0, 1e-2)
         with pytest.raises(ValueError, match="dt"):
             march([u0], 0.1, 0.0)
-        with pytest.raises(ValueError, match="finite"):
-            march([u0], 1e300, 1e-10)  # T / dt overflows
         with pytest.raises(ValueError, match="grid"):
             march([u0, SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
         with pytest.raises(ValueError, match="grid"):
@@ -562,6 +573,14 @@ class TestNormSeriesCsv:
             (back.div_linf, traj.norm_series.div_linf),
         ):
             assert np.array_equal(a, b)  # 17 significant digits round-trip doubles
+
+    @pytest.mark.parametrize("row, count", [("0,1,2,4,0,99,98", 7), ("0,1,2,4", 4)],
+                             ids=["long", "short"])
+    def test_row_field_count_checked(self, tmp_path, row, count):
+        path = tmp_path / "norms.csv"
+        path.write_text(f"t,l2,h1,enstrophy,div_linf\n0.5,1,2,4,0\n{row}\n")
+        with pytest.raises(ValueError, match=f"^line 3 has {count} fields, not 5$"):
+            norms_from_csv(path)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="length"):

@@ -485,6 +485,11 @@ class TestRandomDivfree:
         with pytest.raises(ValueError):
             random_divfree(-1.0, 7, 2.0, grid16)
 
+    @pytest.mark.parametrize("A", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, grid16, A):
+        with pytest.raises(ValueError, match="finite"):
+            random_divfree(A, 1, 2.0, grid16)
+
 
 class TestNamedFlow:
     def test_unknown_name(self, grid16):
@@ -547,6 +552,11 @@ class TestSingleModeField:
     def test_parallel_polarization_rejected(self, grid16):
         with pytest.raises(ValueError, match="parallel"):
             single_mode_field(grid16, (1, 0, 0), (1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("h1_norm", [math.nan, math.inf, -math.inf])
+    def test_non_finite_h1_norm_rejected(self, grid16, h1_norm):
+        with pytest.raises(ValueError, match="h1_norm must be finite"):
+            single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), h1_norm)
 
 
 def nsf1_bytes(n, k, full):
