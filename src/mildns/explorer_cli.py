@@ -42,6 +42,8 @@ from .spectral_field import (
 )
 from .semigroup_flow import (
     BlowupError,
+    _split,
+    _usable_cores,
     heat_propagate,
     march,
     norms_to_csv,
@@ -221,15 +223,6 @@ def sample_seed(base_seed: int, a_index: int, sample: int) -> int:
     return base_seed + a_index * 10**6 + sample
 
 
-def _chunks(tasks: list, workers: int) -> list:
-    """Split ``tasks`` into contiguous chunks of at most STACK_SIZE each, at
-    least ``workers`` of them (given that many tasks), sizes differing by at
-    most one."""
-    count = max(workers, -(-len(tasks) // STACK_SIZE))
-    bounds = [len(tasks) * c // count for c in range(count + 1)]
-    return [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def _run_chunk(cfg: ExperimentConfig, grid: GridSpec, tasks, generator) -> list:
     """The records of a chunk of (j, i) samples, marched together in one
     lockstep march.  Each sample's H^1 norm is read at t = 0 and after every
@@ -271,11 +264,11 @@ def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> Ensem
     Deterministic in the configuration: per-sample seeds are fixed up front
     and results are merged by an associative max keyed on (amplitude,
     sample), so the worker count does not affect the output.  The (j, i)
-    samples are split into contiguous chunks of at most STACK_SIZE, at least
-    one per worker, and each chunk runs as one lockstep march, whose rows
-    are bitwise those of the samples' own marches.  With ``threads`` > 1 the
-    chunks run on min(threads, samples) worker processes forked from this
-    one (the N=16 work is GIL-bound numpy glue, so threads would not
+    samples are split (``_split``) into contiguous chunks of at most
+    STACK_SIZE, at least one per worker, and each chunk runs as one lockstep
+    march, whose rows are bitwise those of the samples' own marches.  There
+    are min(threads, samples, usable CPUs) workers, forked processes if more
+    than one (the N=16 work is GIL-bound numpy glue, so threads would not
     overlap it).  Forking lets ``generator`` be any callable, a local
     closure included; call it from a process that runs no other threads.
     """
@@ -287,8 +280,8 @@ def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> Ensem
         def generator(a, seed, g):
             return random_divfree(a, seed, cfg.slope, g)
     tasks = [(j, i) for j in range(len(cfg.a_list)) for i in range(cfg.samples_per_a)]
-    workers = min(threads, len(tasks))
-    chunks = _chunks(tasks, workers)
+    workers = min(threads, len(tasks), _usable_cores())
+    chunks = [tasks[a:b] for a, b in _split(len(tasks), STACK_SIZE, workers)]
     if workers > 1:
         # imported here so that only parallel ensembles pay for the import
         from concurrent.futures.process import ProcessPoolExecutor

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .spectral_field import (
-    STACK_SIZE,
     GridSpec,
     SpectralField,
     _nonlinear_stack,
@@ -24,7 +23,7 @@ from .spectral_field import (
     _write_json,
     hs_norm,
 )
-from .semigroup_flow import heat_propagate
+from .semigroup_flow import _split, _stack_size, heat_propagate
 
 __all__ = [
     "TrajectoryX",
@@ -112,8 +111,8 @@ def local_time(A: float, c: float) -> float:
     """Local existence horizon c A^-4, capped at 1."""
     if not A >= 0:  # NaN fails too
         raise ValueError("A must be nonnegative")
-    if not c > 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:  # NaN fails too
+        raise ValueError("c must be positive and finite")
     if A == 0.0:
         return 1.0
     return min(c * A**-4, 1.0)
@@ -148,9 +147,10 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
     per-interval exponential quadrature.  Output at t=0 is exactly u0.  The
     time grid is uniform, so the quadrature weights are computed once.
 
-    The nodes' nonlinear terms are evaluated STACK_SIZE at a time, each
-    batch checked first as :func:`~mildns.spectral_field.nonlinear_term`
-    checks its input; every term is bitwise that of the node alone.
+    The nodes' nonlinear terms are evaluated in the stacks a lockstep march
+    would use on this grid (``_split`` by ``_stack_size``), each stack
+    checked first as :func:`~mildns.spectral_field.nonlinear_term` checks
+    its input; every term is bitwise that of the node alone.
     """
     if u0.grid != u.grid:
         raise ValueError("initial datum and trajectory use different grids")
@@ -158,8 +158,8 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
     widths = np.diff(u.nodes)
     _, k2, _ = _wavenumbers(u.grid)
     g = []
-    for i in range(0, len(u.fields), STACK_SIZE):
-        batch = np.stack([f.coef for f in u.fields[i:i + STACK_SIZE]])
+    for a, b in _split(len(u.fields), _stack_size(u.grid)):
+        batch = np.stack([f.coef for f in u.fields[a:b]])
         _require_projected(batch, u.grid)
         g.extend(_nonlinear_stack(batch, u.grid))
     decay, a0, a1 = _duhamel_weights(k2, float(widths[0]))

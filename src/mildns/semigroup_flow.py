@@ -174,8 +174,8 @@ def march(states, T: float, dt: float):
     states share one step plan: steps of size dt, the last one shortened to
     land exactly on T, so only the final yield has ``t == T``.  Arguments
     are checked before the generator is returned (ValueError otherwise):
-    at most MAX_STEPS steps (T / dt; NaN fails), and each datum once for
-    the finite, divergence-free input the nonlinear term needs.
+    finite T > 0 and dt > 0, at most MAX_STEPS steps (T / dt), each datum once
+    for the finite, divergence-free input the nonlinear term needs.
     A state retires when a step takes it outside its Galerkin ball
     |u|_H1^2 <= 3K^2 |u0|_L2^2 (relative slack 1e-12), which the truncated
     flow never leaves (every |k|^2 <= 3K^2, and the flux does no work on
@@ -184,21 +184,21 @@ def march(states, T: float, dt: float):
     Once every state has retired the march ends, before T.
 
     Below ``THREADED_PAD_SIZE`` points per axis of the padded grid the
-    states are stepped in stacks of up to STACK_SIZE, which share the
-    Python glue around the FFTs.  At or above it each state is stepped
-    alone, and two or more states are stepped on up to LOCKSTEP_THREADS
-    threads, one per usable core.  The stacks are fixed for the whole
-    march: a retired state's row stays in its stack and is stepped, unread,
-    until the march ends.  Every state's arithmetic is unchanged either way,
-    so the results are bitwise those of a march of that state alone.  The
+    states are stepped in balanced stacks of up to STACK_SIZE (``_split``),
+    which share the Python glue around the FFTs.  At or above it each state
+    is stepped alone, and two or more states on up to LOCKSTEP_THREADS
+    threads, one per usable core.  The stacks are fixed for the whole march:
+    a retired state's row stays in its stack and is stepped, unread, until
+    the march ends.  Every state's arithmetic is unchanged either way, so
+    the results are bitwise those of a march of that state alone.  The
     helper threads end when the generator finishes or is closed.
     """
     states = list(states)
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not T / dt <= MAX_STEPS:  # NaN fails too
+    if not 0 < T < math.inf:  # NaN fails too
+        raise ValueError(f"horizon T must be positive and finite, got {T!r}")
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if T / dt > MAX_STEPS:  # inf where T / dt overflows
         raise ValueError(f"dt = {dt:.6g} plans {T / dt:.6g} steps, over the limit of {MAX_STEPS}")
     if not states:
         raise ValueError("nothing to march")
@@ -214,14 +214,11 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
     n = _plan_steps(T, dt)
     full = _decay_factors(grid, dt) if n > 1 else None
     w = _worker_count(len(states), grid)
-    size = 1 if grid.pad_size >= THREADED_PAD_SIZE else STACK_SIZE
     # fixed for the whole march: a retired state's row stays in its stack,
     # stepped but unread, until the march ends; a lone state's stack is a
     # view of its data, not a copy
-    stacks = []
-    for k in range(0, len(states), size):
-        group = [u.coef for u in states[k:k + size]]
-        stacks.append(group[0][None] if len(group) == 1 else np.stack(group))
+    stacks = [states[a].coef[None] if b - a == 1 else np.stack([u.coef for u in states[a:b]])
+              for a, b in _split(len(states), _stack_size(grid))]
     # each state's Galerkin ball (see march), capped so that inf lies outside
     with np.errstate(over="ignore"):
         ball = np.minimum(3.0 * (1.0 + 1e-12) * grid.cutoff**2
@@ -267,6 +264,21 @@ def _worker_count(count: int, grid: GridSpec) -> int:
     if grid.pad_size < THREADED_PAD_SIZE:
         return 1
     return min(count, LOCKSTEP_THREADS, _usable_cores())
+
+
+def _split(count: int, size: int, parts: int = 1) -> list:
+    """Contiguous ``(start, stop)`` pairs covering ``range(count)``: at least
+    ``parts`` (given ``parts <= count``), each at most ``size`` long, their
+    lengths differing by at most one.  Cuts every stack and ensemble chunk."""
+    n = max(parts, -(-count // size))
+    bounds = [count * k // n for k in range(n + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _stack_size(grid: GridSpec) -> int:
+    """Most fields one stack of transforms carries: 1 from THREADED_PAD_SIZE
+    points per axis of the padded grid on, where a stack was slower."""
+    return STACK_SIZE if grid.pad_size < THREADED_PAD_SIZE else 1
 
 
 def _usable_cores() -> int:
@@ -323,28 +335,23 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1) -> Tr
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
     steps = _unretired(march([u0], T, dt))  # march checks T and dt
-    times, l2s, h1s, divs, fields, field_times = [], [], [], [], [], []
+    # rows t, L2, H1, div_linf, a column per yield: 32 bytes a step
+    norms = np.empty((4, _plan_steps(T, dt) + 1))
+    fields, field_times = [], []
 
     def partial() -> Trajectory:
-        series = NormSeries(
-            np.asarray(times), np.asarray(l2s), np.asarray(h1s),
-            np.asarray(divs),
-        )
-        return Trajectory(series, np.asarray(field_times), fields)
+        return Trajectory(NormSeries(*norms[:, :i + 1]), np.asarray(field_times), fields)
 
     try:
         for i, (t, (u,)) in enumerate(steps):
-            times.append(t)
-            l2s.append(hs_norm(u, 0.0))
-            h1s.append(hs_norm(u, 1.0))
-            divs.append(divergence_linf(u))
+            norms[:, i] = t, hs_norm(u, 0.0), hs_norm(u, 1.0), divergence_linf(u)
             if i % store_every == 0 or t == T:
                 fields.append(u.copy())
                 field_times.append(t)
     except BlowupError as exc:
-        if field_times[-1] != times[-1]:
+        if field_times[-1] != t:
             fields.append(exc.last_field)
-            field_times.append(times[-1])
+            field_times.append(t)
         exc.trajectory = partial()
         raise
     return partial()

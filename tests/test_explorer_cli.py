@@ -27,8 +27,8 @@ from mildns import (
     simulate,
 )
 from mildns import semigroup_flow
-from mildns.explorer_cli import STACK_SIZE, _chunks, sample_seed
-from mildns.semigroup_flow import MAX_STEPS, _plan_steps, march
+from mildns.explorer_cli import STACK_SIZE, sample_seed
+from mildns.semigroup_flow import MAX_STEPS, _plan_steps, _split, march
 
 
 SMALL = dict(grid_n=8, dt=0.02, horizon=0.5, a_list=(0.1, 0.2), samples_per_a=2,
@@ -205,13 +205,16 @@ class TestEstimateF:
         with pytest.raises(ValueError, match=f"no datum for seed {bad}"):
             estimate_F(small_cfg(), threads=threads, generator=gen)
 
-    @pytest.mark.parametrize("threads, samples, workers", [(8, 2, 2), (2, 4, 2), (3, 1, None)])
-    def test_pool_capped_at_task_count(self, monkeypatch, threads, samples, workers):
+    @staticmethod
+    def pool_sizes(monkeypatch, cpus):
+        """Replace the process pool by one that records its size and runs
+        the tasks here, on a machine of ``cpus`` usable CPUs."""
         import concurrent.futures.process as cfp
+        import mildns.explorer_cli as cli
 
         seen = []
 
-        class InProcessPool:  # records the pool size, runs the tasks here
+        class InProcessPool:
             def __init__(self, max_workers, mp_context, initializer, initargs):
                 seen.append(max_workers)
                 initializer(*initargs)
@@ -226,10 +229,24 @@ class TestEstimateF:
                 return map(fn, tasks)
 
         monkeypatch.setattr(cfp, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cpus)
+        return seen
+
+    @pytest.mark.parametrize("threads, samples, workers", [(8, 2, 2), (2, 4, 2), (3, 1, None)])
+    def test_pool_capped_at_task_count(self, monkeypatch, threads, samples, workers):
+        seen = self.pool_sizes(monkeypatch, 8)
         cfg = small_cfg(a_list=(0.1,), samples_per_a=samples)
         assert (estimate_F(cfg, threads=threads).to_json()
                 == estimate_F(cfg, threads=1).to_json())
         assert seen == ([] if workers is None else [workers])
+
+    def test_pool_capped_at_usable_cores(self, monkeypatch):
+        # --threads is an upper bound: 8 asked for on 2 CPUs fork 2 workers
+        seen = self.pool_sizes(monkeypatch, 2)
+        cfg = small_cfg(a_list=(0.1, 0.2), samples_per_a=4)
+        assert (estimate_F(cfg, threads=8).to_json()
+                == estimate_F(cfg, threads=1).to_json())
+        assert seen == [2]
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
@@ -319,7 +336,7 @@ class TestChunkedEnsemble:
                                                 (24, 2), (3, 3), (1, 1), (9, 4)])
     def test_chunk_split(self, count, workers):
         tasks = list(range(count))
-        chunks = _chunks(tasks, workers)
+        chunks = [tasks[a:b] for a, b in _split(count, STACK_SIZE, workers)]
         assert [t for chunk in chunks for t in chunk] == tasks  # contiguous, in order
         assert all(1 <= len(chunk) <= STACK_SIZE for chunk in chunks)
         assert len(chunks) >= workers

@@ -25,6 +25,7 @@ from mildns import (
     xt_norm,
 )
 from mildns import picard_wellposedness
+from mildns.apriori_diagnostics import compactness_horizon
 
 from oracles import reference_phi_map
 
@@ -121,6 +122,15 @@ class TestLocalTime:
         with pytest.raises(ValueError, match=named):
             local_time(A, c)
 
+    def test_infinite_c_rejected(self, grid8):
+        # it would cap the horizon at T = 1 without a word
+        u0 = random_divfree(1.0, 3, 2.0, grid8)
+        for run in (lambda: local_time(1.0, math.inf),
+                    lambda: picard_solve(u0, c=math.inf),
+                    lambda: compactness_horizon(u0, math.inf)):
+            with pytest.raises(ValueError, match="^c must be positive and finite$"):
+                run()
+
 
 class TestPhiMap:
     def test_zero_input_gives_heat_flow(self, grid8):
@@ -154,6 +164,24 @@ class TestPhiMap:
         u = phi_map(heat_trajectory(u0, 0.01, intervals), u0)
         got, want = phi_map(u, u0), reference_phi_map(u, u0)
         assert len(got.fields) == len(want.fields) == intervals + 1
+        assert all(np.array_equal(a.coef, b.coef) for a, b in zip(got.fields, want.fields))
+
+    @pytest.mark.parametrize("n, sizes", [(16, [3, 3, 3, 4]), (32, [1] * 13)])
+    def test_stacks_follow_the_march_rule(self, monkeypatch, n, sizes):
+        # balanced stacks of up to STACK_SIZE below P = 24, one node per call
+        # from there on, as march steps its states
+        seen = []
+        stack = picard_wellposedness._nonlinear_stack
+
+        def recording(coefs, grid):
+            seen.append(len(coefs))
+            return stack(coefs, grid)
+
+        monkeypatch.setattr(picard_wellposedness, "_nonlinear_stack", recording)
+        u0 = random_divfree(1.0, 3, 2.0, GridSpec(n))
+        u = heat_trajectory(u0, 0.01, 12)
+        got, want = phi_map(u, u0), reference_phi_map(u, u0)
+        assert seen == sizes
         assert all(np.array_equal(a.coef, b.coef) for a, b in zip(got.fields, want.fields))
 
     @pytest.mark.parametrize("node", [0, 5, 16])

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,25 @@ class TestSimulate:
         traj = simulate(named_flow("shear", 1.0, grid8), 0.105, 1e-2)
         assert traj.norm_series.times[-1] == 0.105
         assert len(traj.norm_series.times) == 12  # 10 full steps + shortened last
+
+    def test_norm_rows_bounded_per_step(self):
+        # a step's norms take one 32-byte column of an array sized to the
+        # plan, not four Python floats in four lists (about 150 bytes); the
+        # peaks of two runs differ by their steps' rows alone
+        u0 = random_divfree(1.0, 3, 2.0, GridSpec(4))
+        simulate(u0, 0.01, 1e-3)  # caches and transform workspace warmed
+
+        def peak_growth(steps):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                traj = simulate(u0, steps * 1e-3, 1e-3, store_every=10**9)
+                assert len(traj.norm_series.times) == steps + 1
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        assert (peak_growth(600) - peak_growth(100)) / 500 <= 40
 
     def test_store_every_thinning(self, grid8):
         u0 = random_divfree(0.5, 2, 2.0, grid8)
@@ -332,8 +352,7 @@ class TestMarch:
         u0 = SpectralField.zero(grid8)
         assert march([u0], 10.0, 1e-6) == "accepted"  # exactly MAX_STEPS steps
         assert semigroup_flow._plan_steps(10.0, 1e-6) == semigroup_flow.MAX_STEPS
-        for T, dt in [(10.0, 0.99e-6), (1e300, 1e-10), (math.nan, 1e-2),
-                      (math.inf, math.inf)]:  # 1e310 overflows to inf; inf / inf is NaN
+        for T, dt in [(10.0, 0.99e-6), (1e300, 1e-10)]:
             with pytest.raises(ValueError,
                                match=rf"dt = {dt:.6g} plans .* steps, over the limit of 10000000"):
                 march([u0], T, dt)
@@ -348,6 +367,21 @@ class TestMarch:
             march([u0, SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
         with pytest.raises(ValueError, match="grid"):
             sup_distances(u0, [SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
+
+    @pytest.mark.parametrize("T, dt, message", [
+        (math.nan, 1e-2, "horizon T must be positive and finite, got nan"),
+        (math.inf, 1e-2, "horizon T must be positive and finite, got inf"),
+        (1.0, math.nan, "dt must be positive and finite, got nan"),
+        # T / inf = 0 passes the step limit, but the one step it plans
+        # has length T - 0 * inf = NaN
+        (1.0, math.inf, "dt must be positive and finite, got inf"),
+    ])
+    def test_non_finite_arguments_named(self, grid8, T, dt, message):
+        # refused before the step count, which would blame dt for a bad T
+        u0 = SpectralField.zero(grid8)
+        for run in (lambda: march([u0], T, dt), lambda: simulate(u0, T, dt)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run()
 
     @pytest.mark.parametrize("fault, message", [
         ("gradient", r"nonlinear_term requires a divergence-free field \(div_linf=1\.000e\+00\)"),
@@ -373,6 +407,26 @@ class TestMarch:
             with pytest.raises(ValueError, match=message):
                 run()
         assert steps == []
+
+
+class TestSplit:
+    """The one rule that cuts fields into transform stacks and ensemble
+    samples into chunks."""
+
+    def test_pairs(self):
+        for count in range(1, 71):
+            for size in range(1, 6):
+                for parts in range(1, min(4, count) + 1):
+                    pairs = semigroup_flow._split(count, size, parts)
+                    assert [k for a, b in pairs for k in range(a, b)] == list(range(count))
+                    lengths = [b - a for a, b in pairs]
+                    assert len(pairs) >= parts
+                    assert 1 <= min(lengths) and max(lengths) <= size
+                    assert max(lengths) - min(lengths) <= 1
+
+    def test_stack_size(self):
+        assert semigroup_flow._stack_size(GridSpec(16)) == semigroup_flow.STACK_SIZE
+        assert semigroup_flow._stack_size(GridSpec(24)) == 1  # P = 24
 
 
 class TestStackedMarch:
@@ -413,6 +467,27 @@ class TestStackedMarch:
             assert str(exc) == ("left the Galerkin ball |u|_H1 <= sqrt(3) K |u0|_L2 "
                                 f"at t={single.value.time:.6g}")
             assert np.array_equal(exc.last_field.coef, last_finite.coef)
+
+    def test_stacks_are_balanced(self, monkeypatch):
+        # five states at P = 16 step as stacks of 2 and 3; a lone state's
+        # stack is a view of its datum
+        seen = []
+        step = semigroup_flow._if_rk4_step
+
+        def recording(coefs, *args):
+            seen.append(coefs)
+            return step(coefs, *args)
+
+        monkeypatch.setattr(semigroup_flow, "_if_rk4_step", recording)
+        grid = GridSpec(16)
+        states = [random_divfree(0.5, seed, 2.0, grid) for seed in range(5)]
+        for _ in march(states, 0.02, 1e-2):
+            pass
+        assert [len(c) for c in seen] == [2, 3, 2, 3]
+        seen.clear()
+        for _ in march(states[:1], 0.01, 1e-2):
+            pass
+        assert len(seen) == 1 and np.shares_memory(seen[0], states[0].coef)
 
     def test_rows_are_independent(self):
         # the stacked step treats each row as alone, so a dead row can stay
