@@ -268,9 +268,9 @@ def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> Ensem
     STACK_SIZE, at least one per worker, and each chunk runs as one lockstep
     march, whose rows are bitwise those of the samples' own marches.  There
     are min(threads, samples, usable CPUs) workers, forked processes if more
-    than one (the N=16 work is GIL-bound numpy glue, so threads would not
-    overlap it).  Forking lets ``generator`` be any callable, a local
-    closure included; call it from a process that runs no other threads.
+    than one: at N=16 a chunk is one stack, which its march steps on one
+    thread.  Forking lets ``generator`` be any callable, a local closure
+    included; call it from a process that runs no other threads.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")

@@ -23,7 +23,7 @@ from .spectral_field import (
     _write_json,
     hs_norm,
 )
-from .semigroup_flow import _split, _stack_size, heat_propagate
+from .semigroup_flow import _split, _stack_size, _stack_threads, heat_propagate
 
 __all__ = [
     "TrajectoryX",
@@ -76,9 +76,7 @@ class TrajectoryX:
         return w
 
     def __sub__(self, other: "TrajectoryX") -> "TrajectoryX":
-        if (self.T, len(self.fields), self.grid) != (other.T, len(other.fields), other.grid):
-            raise ValueError("trajectory grids do not match")
-        return TrajectoryX(self.T, [a - b for a, b in zip(self.fields, other.fields)])
+        return TrajectoryX(self.T, list(_node_differences(self, other)))
 
 
 @dataclass
@@ -98,13 +96,27 @@ class PicardReport:
         return _write_json(asdict(self), path)
 
 
-def xt_norm(u: TrajectoryX, s: float) -> float:
+def xt_norm(u: TrajectoryX, s: float, minus: TrajectoryX | None = None) -> float:
     """Space-time norm: sup-in-time H^s plus the L^2-in-time H^(s+1) integral,
-    the latter by trapezoid quadrature over the trajectory's nodes."""
-    sup = max(hs_norm(f, s) for f in u.fields)
-    w = u.trapezoid_weights
-    sq = sum(wi * hs_norm(f, s + 1.0) ** 2 for wi, f in zip(w, u.fields))
+    the latter by trapezoid quadrature over the trajectory's nodes.
+
+    With ``minus`` it is the norm of ``u - minus``, formed one node at a
+    time rather than as a whole difference trajectory; the value is bitwise
+    ``xt_norm(u - minus, s)``.
+    """
+    fields = u.fields if minus is None else _node_differences(u, minus)
+    norms = [(hs_norm(f, s), hs_norm(f, s + 1.0)) for f in fields]  # one pass
+    sup = max(a for a, _ in norms)
+    sq = sum(wi * b**2 for wi, (_, b) in zip(u.trapezoid_weights, norms))
     return sup + math.sqrt(sq)
+
+
+def _node_differences(u: TrajectoryX, v: TrajectoryX):
+    """``u - v`` node by node, lazily; the trajectories must share T, node
+    count and grid."""
+    if (u.T, len(u.fields), u.grid) != (v.T, len(v.fields), v.grid):
+        raise ValueError("trajectory grids do not match")
+    return (a - b for a, b in zip(u.fields, v.fields))
 
 
 def local_time(A: float, c: float) -> float:
@@ -148,20 +160,29 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
     time grid is uniform, so the quadrature weights are computed once.
 
     The nodes' nonlinear terms are evaluated in the stacks a lockstep march
-    would use on this grid (``_split`` by ``_stack_size``), each stack
-    checked first as :func:`~mildns.spectral_field.nonlinear_term` checks
-    its input; every term is bitwise that of the node alone.
+    would use on this grid (``_split`` by ``_stack_size``), on its threads
+    (``_stack_threads``).  Every stack is checked first, in node order, as
+    :func:`~mildns.spectral_field.nonlinear_term` checks its input, so the
+    first faulty node is the one reported.  Every term is bitwise that of
+    the node alone, and the helper threads end before the map returns.
     """
     if u0.grid != u.grid:
         raise ValueError("initial datum and trajectory use different grids")
     _require_projected(u0.coef[None], u0.grid)
     widths = np.diff(u.nodes)
     _, k2, _ = _wavenumbers(u.grid)
-    g = []
-    for a, b in _split(len(u.fields), _stack_size(u.grid)):
-        batch = np.stack([f.coef for f in u.fields[a:b]])
-        _require_projected(batch, u.grid)
-        g.extend(_nonlinear_stack(batch, u.grid))
+    pairs = _split(len(u.fields), _stack_size(u.grid))
+
+    def stack(pair):
+        return np.stack([f.coef for f in u.fields[slice(*pair)]])
+
+    for pair in pairs:
+        _require_projected(stack(pair), u.grid)
+    # each stack is built again where its terms are computed, so the node
+    # copies are never all alive at once
+    with _stack_threads(len(pairs)) as run:
+        terms = run(lambda pair: _nonlinear_stack(stack(pair), u.grid), pairs)
+    g = [row for rows in terms for row in rows]
     decay, a0, a1 = _duhamel_weights(k2, float(widths[0]))
 
     out = [u0.copy()]
@@ -209,7 +230,7 @@ def picard_solve(
     for _ in range(max_iter):
         nxt = phi_map(current, u0)
         x1 = xt_norm(nxt, 1.0)
-        d = xt_norm(nxt - current, 1.0)
+        d = xt_norm(nxt, 1.0, minus=current)
         x1_norms.append(x1)
         diff_norms.append(d)
         if len(diff_norms) >= 2:

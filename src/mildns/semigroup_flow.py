@@ -5,8 +5,10 @@ du/dt = Laplace(u) + D(u (x) u) in Fourier space, where the linear part is
 diagonal (-|k|^2 per mode) and handled exactly by the integrating factor.
 """
 
+import contextlib
 import csv
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -39,11 +41,12 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("t", "l2", "h1", "enstrophy", "div_linf")
-# Smallest padded grid on which a lockstep march steps its states on several
-# threads.  The FFT and array kernels release the GIL, but below P = 24 the
-# Python glue between them, which holds it, outweighs the overlap.
-THREADED_PAD_SIZE = 24
-# Most threads a lockstep march uses.  The gain and the memory cost (the extra
+# Smallest padded grid on which every field goes through the transforms
+# alone: from P = 24 on, a stack of STACK_SIZE fields was slower per field
+# than one field at a time (8.6% at N = 32, break-even at N = 24).
+UNSTACKED_PAD_SIZE = 24
+# Most threads that step the stacks of one stacked transform (a march's
+# states, the Duhamel map's nodes).  The gain and the memory cost (the extra
 # thread's transform workspace and temporaries, about 6 MB at N = 32) were
 # measured at two.
 LOCKSTEP_THREADS = 2
@@ -183,15 +186,16 @@ def march(states, T: float, dt: float):
     reads None from that step on, and the other states march on unchanged.
     Once every state has retired the march ends, before T.
 
-    Below ``THREADED_PAD_SIZE`` points per axis of the padded grid the
+    Below ``UNSTACKED_PAD_SIZE`` points per axis of the padded grid the
     states are stepped in balanced stacks of up to STACK_SIZE (``_split``),
-    which share the Python glue around the FFTs.  At or above it each state
-    is stepped alone, and two or more states on up to LOCKSTEP_THREADS
-    threads, one per usable core.  The stacks are fixed for the whole march:
-    a retired state's row stays in its stack and is stepped, unread, until
-    the march ends.  Every state's arithmetic is unchanged either way, so
-    the results are bitwise those of a march of that state alone.  The
-    helper threads end when the generator finishes or is closed.
+    which share the Python glue around the FFTs; at or above it each state
+    is stepped alone.  Two or more stacks are stepped on up to
+    LOCKSTEP_THREADS threads, one per usable core (``_stack_threads``).
+    The stacks are fixed for the whole march: a retired state's row stays
+    in its stack and is stepped, unread, until the march ends.  Every
+    state's arithmetic is unchanged either way, so the results are bitwise
+    those of a march of that state alone.  The helper threads end when the
+    generator finishes or is closed.
     """
     states = list(states)
     if not 0 < T < math.inf:  # NaN fails too
@@ -213,7 +217,6 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
     yield 0.0, states
     n = _plan_steps(T, dt)
     full = _decay_factors(grid, dt) if n > 1 else None
-    w = _worker_count(len(states), grid)
     # fixed for the whole march: a retired state's row stays in its stack,
     # stepped but unread, until the march ends; a lone state's stack is a
     # view of its data, not a copy
@@ -224,15 +227,9 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
         ball = np.minimum(3.0 * (1.0 + 1e-12) * grid.cutoff**2
                           * _squared_norms(stacks, _norm_weights(grid, 0.0)), np.finfo(float).max)
     live = np.ones(len(states), dtype=bool)
-    pool = None
-    if w > 1:
-        # imported here so that only threaded marches pay for the import; made
-        # after the t = 0 yield and shut down when the generator finishes or
-        # is closed, so no helper thread outlives the march
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(w - 1, thread_name_prefix="lockstep")
-    try:
+    # the helper threads start after the t = 0 yield and end when the
+    # generator finishes or is closed, so none outlives the march
+    with _stack_threads(len(stacks)) as run:
         for i in range(n):
             last = i == n - 1
             if last:
@@ -241,29 +238,50 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
             else:
                 h, (e_half, e_full) = dt, full
             t = T if last else (i + 1) * dt
-            helpers = [pool.submit(_advance, stacks[r::w], grid, h, e_half, e_full)
-                       for r in range(1, w)]
-            stacks[0::w] = _advance(stacks[0::w], grid, h, e_half, e_full)
-            for r, future in enumerate(helpers, start=1):
-                stacks[r::w] = future.result()
+            stacks = run(lambda c: _if_rk4_step(c, grid, h, e_half, e_full), stacks)
             live &= _squared_norms(stacks, _norm_weights(grid, 1.0)) <= ball  # NaN fails too
             states = [SpectralField(grid, row) if ok else None
                       for ok, row in zip(live, (row for c in stacks for row in c))]
             yield t, states
             if not live.any():
                 return
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
-def _worker_count(count: int, grid: GridSpec) -> int:
-    """Threads that step a lockstep march of ``count`` states: one per state
-    and usable core, at most LOCKSTEP_THREADS, on grids of at least
-    THREADED_PAD_SIZE points per axis."""
-    if grid.pad_size < THREADED_PAD_SIZE:
-        return 1
-    return min(count, LOCKSTEP_THREADS, _usable_cores())
+@contextlib.contextmanager
+def _stack_threads(count: int):
+    """The threads of a stacked transform of ``count`` stacks: ``w =
+    _worker_count(count)``, the calling thread and ``w - 1`` helpers that
+    end with the block.  Yields ``run(fn, stacks)``, which returns ``[fn(c)
+    for c in stacks]`` in stack order (a stack may be given by anything
+    ``fn`` takes); the calling thread computes ``stacks[0::w]`` and helper
+    ``r`` computes ``stacks[r::w]``."""
+    w = _worker_count(count)
+    if w == 1:
+        yield _each
+        return
+    # imported here so that only threaded transforms pay for the import
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(w - 1, thread_name_prefix="lockstep") as pool:
+        def run(fn, stacks):
+            helpers = [pool.submit(_each, fn, stacks[r::w]) for r in range(1, w)]
+            out = list(stacks)
+            out[0::w] = _each(fn, stacks[0::w])
+            for r, future in enumerate(helpers, start=1):
+                out[r::w] = future.result()
+            return out
+
+        yield run
+
+
+def _each(fn, stacks) -> list:
+    return [fn(c) for c in stacks]
+
+
+def _worker_count(stacks: int) -> int:
+    """Threads that compute a stacked transform of ``stacks`` stacks: one
+    per stack and usable core, at most LOCKSTEP_THREADS."""
+    return min(stacks, LOCKSTEP_THREADS, _usable_cores())
 
 
 def _split(count: int, size: int, parts: int = 1) -> list:
@@ -276,9 +294,9 @@ def _split(count: int, size: int, parts: int = 1) -> list:
 
 
 def _stack_size(grid: GridSpec) -> int:
-    """Most fields one stack of transforms carries: 1 from THREADED_PAD_SIZE
+    """Most fields one stack of transforms carries: 1 from UNSTACKED_PAD_SIZE
     points per axis of the padded grid on, where a stack was slower."""
-    return STACK_SIZE if grid.pad_size < THREADED_PAD_SIZE else 1
+    return STACK_SIZE if grid.pad_size < UNSTACKED_PAD_SIZE else 1
 
 
 def _usable_cores() -> int:
@@ -286,11 +304,6 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):  # Linux only
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _advance(stacks, grid, h, e_half, e_full):
-    """One IF-RK4 step of each stack."""
-    return [_if_rk4_step(coefs, grid, h, e_half, e_full) for coefs in stacks]
 
 
 def _squared_norms(stacks, w):
@@ -332,8 +345,8 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1) -> Tr
     retained modes relax on the 1/(3K^2) scale, so dt <= 1/(2K^2) keeps the
     nonlinear stages accurate at desk resolutions.
     """
-    if store_every < 1:
-        raise ValueError("store_every must be >= 1")
+    if not isinstance(store_every, numbers.Integral) or store_every < 1:
+        raise ValueError(f"store_every must be an integer >= 1, got {store_every!r}")
     steps = _unretired(march([u0], T, dt))  # march checks T and dt
     # rows t, L2, H1, div_linf, a column per yield: 32 bytes a step
     norms = np.empty((4, _plan_steps(T, dt) + 1))

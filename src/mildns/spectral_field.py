@@ -310,7 +310,7 @@ def _product_stack(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 # Most fields one stack of transforms carries: the Duhamel map's nodes, a
-# lockstep march's states below THREADED_PAD_SIZE, an ensemble worker's
+# lockstep march's states below UNSTACKED_PAD_SIZE, an ensemble worker's
 # samples.  A stack shares the Python glue around the FFTs, most of a call at
 # N = 16, between its fields, and its peak memory grows with it: a Picard
 # solve at N = 16 peaked 0.9 MB above one node at a time with 4 nodes, 4.8 MB

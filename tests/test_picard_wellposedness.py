@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from mildns import (
     single_mode_field,
     xt_norm,
 )
-from mildns import picard_wellposedness
+from mildns import picard_wellposedness, semigroup_flow
 from mildns.apriori_diagnostics import compactness_horizon
 
 from oracles import reference_phi_map
@@ -169,20 +170,89 @@ class TestPhiMap:
     @pytest.mark.parametrize("n, sizes", [(16, [3, 3, 3, 4]), (32, [1] * 13)])
     def test_stacks_follow_the_march_rule(self, monkeypatch, n, sizes):
         # balanced stacks of up to STACK_SIZE below P = 24, one node per call
-        # from there on, as march steps its states
+        # from there on, as march steps its states; threads may compute them
+        # in any order, so each stack is named by its first node
         seen = []
+        stack = picard_wellposedness._nonlinear_stack
+        u0 = random_divfree(1.0, 3, 2.0, GridSpec(n))
+        u = heat_trajectory(u0, 0.01, 12)
+
+        def recording(coefs, grid):
+            first = next(j for j, f in enumerate(u.fields) if np.array_equal(f.coef, coefs[0]))
+            seen.append((first, len(coefs)))
+            return stack(coefs, grid)
+
+        monkeypatch.setattr(picard_wellposedness, "_nonlinear_stack", recording)
+        got, want = phi_map(u, u0), reference_phi_map(u, u0)
+        firsts = np.cumsum([0] + sizes[:-1]).tolist()
+        assert sorted(seen) == list(zip(firsts, sizes))
+        assert all(np.array_equal(a.coef, b.coef) for a, b in zip(got.fields, want.fields))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_threaded_map_equals_per_node_map(self, monkeypatch, n):
+        # two threads with a tiny switch interval: a workspace shared between
+        # them would mix their transforms
+        monkeypatch.setattr(semigroup_flow, "_usable_cores", lambda: 2)
+        threads = set()
         stack = picard_wellposedness._nonlinear_stack
 
         def recording(coefs, grid):
-            seen.append(len(coefs))
+            threads.add(threading.get_ident())
             return stack(coefs, grid)
 
         monkeypatch.setattr(picard_wellposedness, "_nonlinear_stack", recording)
         u0 = random_divfree(1.0, 3, 2.0, GridSpec(n))
-        u = heat_trajectory(u0, 0.01, 12)
-        got, want = phi_map(u, u0), reference_phi_map(u, u0)
-        assert seen == sizes
+        u = phi_map(heat_trajectory(u0, 0.01, 16), u0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = phi_map(u, u0)
+        finally:
+            sys.setswitchinterval(interval)
+        want = reference_phi_map(u, u0)
+        assert len(threads) == 2
         assert all(np.array_equal(a.coef, b.coef) for a, b in zip(got.fields, want.fields))
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["calling-thread", "helper-thread"])
+    def test_helper_threads_end_with_the_map(self, monkeypatch, grid16, failing):
+        monkeypatch.setattr(semigroup_flow, "_usable_cores", lambda: 2)
+        u0 = random_divfree(1.0, 3, 2.0, grid16)
+        u = heat_trajectory(u0, 0.01, 16)  # 17 nodes: stacks of 3, 3, 4, 3, 4
+        start = threading.active_count()
+        phi_map(u, u0)
+        assert threading.active_count() == start
+        stack = picard_wellposedness._nonlinear_stack
+        # stack 0 is the calling thread's, stack 1 the helper's
+        bad = u.fields[3 * failing].coef
+
+        def failing_stack(coefs, grid):
+            if np.array_equal(coefs[0], bad):
+                raise RuntimeError("transform failed")
+            return stack(coefs, grid)
+
+        monkeypatch.setattr(picard_wellposedness, "_nonlinear_stack", failing_stack)
+        with pytest.raises(RuntimeError, match="transform failed"):
+            phi_map(u, u0)
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("faults", [("gradient", "nan"), ("nan", "gradient")])
+    def test_first_faulty_node_reported(self, monkeypatch, grid16, faults):
+        # nodes 1 and 4 sit on stacks 0 and 1, which two threads would compute
+        monkeypatch.setattr(semigroup_flow, "_usable_cores", lambda: 2)
+        u0 = random_divfree(1.0, 3, 2.0, grid16)
+        u = heat_trajectory(u0, 0.01, 16)
+        K = grid16.cutoff
+        for node, fault in zip((1, 4), faults):
+            bad = u.fields[node].coef
+            if fault == "gradient":  # (2 cos x1, 0, 0) added
+                bad[0, K + 1, K, 0] += 1.0
+                bad[0, K - 1, K, 0] += 1.0
+            else:
+                bad[1, K, K, 1] = np.nan
+        message = {"gradient": r"^nonlinear_term requires a divergence-free field \(div_linf=",
+                   "nan": r"^field has non-finite coefficients$"}[faults[0]]
+        with pytest.raises(ValueError, match=message):
+            phi_map(u, u0)
 
     @pytest.mark.parametrize("node", [0, 5, 16])
     @pytest.mark.parametrize("fault, message", [

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mildns import ExperimentConfig, cli_main
-from mildns.semigroup_flow import MAX_STEPS, THREADED_PAD_SIZE
+from mildns.semigroup_flow import MAX_STEPS, UNSTACKED_PAD_SIZE
 from mildns.spectral_field import STACK_SIZE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -74,14 +74,14 @@ def test_flag_table_row_matches_help(flag, key, command, capsys):
     assert f"{flag} {key.upper()}" in _help([command], capsys)
 
 
-def test_stated_stack_size_and_thread_threshold():
-    # the prose states the stack size and the padded-grid size at which a
-    # march switches from stacks to threads; a retune must update it
+def test_stated_stack_size_and_stacking_threshold():
+    # the prose states the stack size and the padded-grid size from which
+    # every field goes through the transforms alone; a retune must update it
     text = README.read_text(encoding="utf-8")
     sizes = re.findall(r"(?:stacks of up to|chunks of at most) (\d+)", text)
     thresholds = re.findall(r"`P [<=≥] (\d+)`", text)
     assert len(sizes) >= 3 and {int(n) for n in sizes} == {STACK_SIZE}
-    assert len(thresholds) >= 3 and {int(n) for n in thresholds} == {THREADED_PAD_SIZE}
+    assert len(thresholds) >= 3 and {int(n) for n in thresholds} == {UNSTACKED_PAD_SIZE}
 
 
 def test_stated_step_limit():

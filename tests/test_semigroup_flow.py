@@ -285,6 +285,18 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(named_flow("shear", 1.0, grid8), 0.0, 1e-2)
 
+    @pytest.mark.parametrize("every", [2.5, 2.0, "2", None, 0, -1])
+    def test_store_every_must_be_a_positive_integer(self, grid8, every):
+        # 2.5 stored every 5th step (i % 2.5 == 0), which no caller asked for
+        with pytest.raises(ValueError, match=f"^store_every must be an integer >= 1, got {every!r}$"):
+            simulate(named_flow("shear", 1.0, grid8), 0.012, 1e-3, store_every=every)
+
+    def test_store_every_numpy_integer(self, grid8):
+        u0 = named_flow("shear", 1.0, grid8)
+        want = simulate(u0, 0.012, 1e-3, store_every=5).field_times
+        got = simulate(u0, 0.012, 1e-3, store_every=np.int64(5)).field_times
+        assert np.array_equal(got, want) and np.array_equal(want, [0.0, 0.005, 0.01, 0.012])
+
     # simulate takes no ceiling (a TypeError): the Galerkin ball of its datum
     # is its own
     @pytest.mark.parametrize("kw, named", [
@@ -483,7 +495,8 @@ class TestStackedMarch:
         states = [random_divfree(0.5, seed, 2.0, grid) for seed in range(5)]
         for _ in march(states, 0.02, 1e-2):
             pass
-        assert [len(c) for c in seen] == [2, 3, 2, 3]
+        # two stacks may step on two threads, in either order within a step
+        assert [sorted(len(c) for c in seen[i:i + 2]) for i in (0, 2)] == [[2, 3], [2, 3]]
         seen.clear()
         for _ in march(states[:1], 0.01, 1e-2):
             pass
@@ -531,8 +544,9 @@ class TestStackedMarch:
 
 
 class TestThreadedMarch:
-    """A march of 2 or more states on a grid with P >= 24 steps them on
-    several threads; each state's arithmetic is that of a serial march."""
+    """A march of 2 or more stacks steps them on several threads (at
+    P >= 24 every state is a stack); each state's arithmetic is that of a
+    serial march."""
 
     def test_every_state_matches_its_single_march(self):
         grid = GridSpec(32)
@@ -545,12 +559,19 @@ class TestThreadedMarch:
                 assert np.array_equal(step_states[j].coef, v.coef)
 
     def test_worker_count(self, monkeypatch):
+        # one thread per stack and usable core, at most LOCKSTEP_THREADS
+        def threads(states, grid):
+            return semigroup_flow._worker_count(len(semigroup_flow._split(
+                states, semigroup_flow._stack_size(grid))))
+
         monkeypatch.setattr(semigroup_flow, "_usable_cores", lambda: 8)
-        assert semigroup_flow._worker_count(4, GridSpec(32)) == semigroup_flow.LOCKSTEP_THREADS == 2
-        assert semigroup_flow._worker_count(1, GridSpec(32)) == 1
-        assert semigroup_flow._worker_count(4, GridSpec(16)) == 1  # P = 16: serial
+        assert threads(4, GridSpec(32)) == semigroup_flow.LOCKSTEP_THREADS == 2
+        assert threads(1, GridSpec(32)) == 1
+        assert threads(4, GridSpec(16)) == 1  # P = 16: one stack of four
+        assert threads(8, GridSpec(16)) == 2  # two stacks of four
         monkeypatch.setattr(semigroup_flow, "_usable_cores", lambda: 1)
-        assert semigroup_flow._worker_count(4, GridSpec(32)) == 1
+        assert threads(4, GridSpec(32)) == 1
+        assert threads(8, GridSpec(16)) == 1
 
     @pytest.mark.parametrize("cpus, workers", [(4, 2), (None, 1)])
     def test_marches_without_cpu_affinity(self, monkeypatch, cpus, workers):
@@ -559,7 +580,7 @@ class TestThreadedMarch:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         grid = GridSpec(24)
         states = [random_divfree(0.5, seed, 2.0, grid) for seed in (1, 2, 3)]
-        assert semigroup_flow._worker_count(len(states), grid) == workers
+        assert semigroup_flow._worker_count(len(states)) == workers  # P = 24: stacks of one
         [*_, (_, together)] = march(states, 2e-2, 1e-2)
         for u, v in zip(states, together):
             [*_, (_, (alone,))] = march([u], 2e-2, 1e-2)
@@ -568,7 +589,7 @@ class TestThreadedMarch:
     def test_five_threads_match_single_marches(self, monkeypatch):
         # five workers with a tiny switch interval: a workspace shared between
         # threads would mix their transforms
-        monkeypatch.setattr(semigroup_flow, "_worker_count", lambda count, grid: count)
+        monkeypatch.setattr(semigroup_flow, "_worker_count", lambda stacks: stacks)
         grid = GridSpec(24)
         states = [random_divfree(0.5, seed, 2.0, grid) for seed in range(5)]
         interval = sys.getswitchinterval()
@@ -624,7 +645,7 @@ class TestThreadedMarch:
         next(steps)  # t = 0: no thread yet
         assert threading.active_count() == start
         next(steps)  # the first step, on every worker but the calling thread
-        helpers = semigroup_flow._worker_count(len(good), grid) - 1
+        helpers = semigroup_flow._worker_count(len(good)) - 1  # P = 24: stacks of one
         assert threading.active_count() == start + helpers
         steps.close()
         assert threading.active_count() == start
