@@ -87,8 +87,8 @@ def pigeonhole_time(series: NormSeries, eps: float) -> PigeonholeResult:
     series.  A series shorter than the window is searched in full and the
     result flagged partial.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:  # NaN fails too
+        raise ValueError(f"eps must be positive, got {eps!r}")
     window = 1.0 / eps**2
     in_window = series.times <= window * (1.0 + 1e-12)
     if not np.any(in_window):

@@ -9,6 +9,7 @@ H^1 size A, capped at 1.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 
@@ -18,6 +19,7 @@ from .spectral_field import (
     GridSpec,
     SpectralField,
     _nonlinear_stack,
+    _norm_weights,
     _require_projected,
     _wavenumbers,
     _write_json,
@@ -76,7 +78,8 @@ class TrajectoryX:
         return w
 
     def __sub__(self, other: "TrajectoryX") -> "TrajectoryX":
-        return TrajectoryX(self.T, list(_node_differences(self, other)))
+        _require_same_nodes(self, other)
+        return TrajectoryX(self.T, [a - b for a, b in zip(self.fields, other.fields)])
 
 
 @dataclass
@@ -100,23 +103,67 @@ def xt_norm(u: TrajectoryX, s: float, minus: TrajectoryX | None = None) -> float
     """Space-time norm: sup-in-time H^s plus the L^2-in-time H^(s+1) integral,
     the latter by trapezoid quadrature over the trajectory's nodes.
 
-    With ``minus`` it is the norm of ``u - minus``, formed one node at a
-    time rather than as a whole difference trajectory; the value is bitwise
-    ``xt_norm(u - minus, s)``.
+    The nodes are read in the stacks a lockstep march would use on this grid
+    (``_split`` by ``_stack_size``), one einsum per Sobolev order per stack,
+    and each node's two norms are bitwise its ``hs_norm`` values: a node
+    whose sum is not finite (its squares overflow, or it is not finite
+    itself) is read by ``hs_norm``, with its overflow rescale.  With
+    ``minus`` it is the norm of ``u - minus``, formed one stack at a time
+    rather than as a whole difference trajectory; the value is bitwise
+    ``xt_norm(u - minus, s)``.  The norm reads inf where its integral is
+    beyond the float range.
     """
-    fields = u.fields if minus is None else _node_differences(u, minus)
-    norms = [(hs_norm(f, s), hs_norm(f, s + 1.0)) for f in fields]  # one pass
-    sup = max(a for a, _ in norms)
-    sq = sum(wi * b**2 for wi, (_, b) in zip(u.trapezoid_weights, norms))
-    return sup + math.sqrt(sq)
+    return _xt_norms(u, s, [minus])[0]
 
 
-def _node_differences(u: TrajectoryX, v: TrajectoryX):
-    """``u - v`` node by node, lazily; the trajectories must share T, node
-    count and grid."""
+def _xt_norms(u: TrajectoryX, s: float, minus: list) -> list:
+    """``xt_norm(u, s, v)`` for each ``v`` of ``minus`` (None for the norm
+    of ``u`` itself), from one pass over the node stacks of ``u``."""
+    for v in minus:
+        if v is not None:
+            _require_same_nodes(u, v)
+    norms = [[] for _ in minus]
+    for pair in _split(len(u.fields), _stack_size(u.grid)):
+        coefs = _node_stack(u, pair)
+        for v, out in zip(minus, norms):
+            out += _node_norms(coefs if v is None else coefs - _node_stack(v, pair), u.grid, s)
+    w = u.trapezoid_weights
+    return [max(a for a, _ in n) + math.sqrt(_weighted_squares(w, [b for _, b in n]))
+            for n in norms]
+
+
+def _weighted_squares(w, norms) -> float:
+    """``sum(wi * b**2)`` in node order; inf where it is beyond the float
+    range (where a square is, Python's float ``**`` raises)."""
+    try:
+        with np.errstate(over="ignore"):
+            return sum(wi * b**2 for wi, b in zip(w, norms))
+    except OverflowError:
+        return math.inf
+
+
+def _node_norms(coefs: np.ndarray, grid: GridSpec, s: float) -> list:
+    """``(hs_norm(f, s), hs_norm(f, s + 1))`` of each field ``f`` of a stack
+    (B, 3, M, M, K+1), bitwise; a field whose sum is not finite is read by
+    ``hs_norm`` itself."""
+    orders = (s, s + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag2 = coefs.real**2 + coefs.imag**2
+        sums = [np.einsum("bcxyz,xyz->b", mag2, _norm_weights(grid, float(t))) for t in orders]
+    return [tuple(float(np.sqrt(total[j])) if np.isfinite(total[j])
+                  else hs_norm(SpectralField(grid, coef), t) for total, t in zip(sums, orders))
+            for j, coef in enumerate(coefs)]
+
+
+def _node_stack(u: TrajectoryX, pair) -> np.ndarray:
+    """The coefficients of the nodes ``range(*pair)`` of ``u``, stacked."""
+    return np.stack([f.coef for f in u.fields[slice(*pair)]])
+
+
+def _require_same_nodes(u: TrajectoryX, v: TrajectoryX) -> None:
+    """Reject trajectories that differ in T, node count or grid."""
     if (u.T, len(u.fields), u.grid) != (v.T, len(v.fields), v.grid):
         raise ValueError("trajectory grids do not match")
-    return (a - b for a, b in zip(u.fields, v.fields))
 
 
 def local_time(A: float, c: float) -> float:
@@ -161,28 +208,34 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
 
     The nodes' nonlinear terms are evaluated in the stacks a lockstep march
     would use on this grid (``_split`` by ``_stack_size``), on its threads
-    (``_stack_threads``).  Every stack is checked first, in node order, as
-    :func:`~mildns.spectral_field.nonlinear_term` checks its input, so the
-    first faulty node is the one reported.  Every term is bitwise that of
-    the node alone, and the helper threads end before the map returns.
+    (``_stack_threads``).  ``u0`` and then every stack are checked first, in
+    node order, as :func:`~mildns.spectral_field.nonlinear_term` checks its
+    input, so the first faulty node is the one reported.  Every term is
+    bitwise that of the node alone, and the helper threads end before the
+    map returns.  :func:`picard_solve` runs the same map on threads of its
+    own.
     """
     if u0.grid != u.grid:
         raise ValueError("initial datum and trajectory use different grids")
     _require_projected(u0.coef[None], u0.grid)
-    widths = np.diff(u.nodes)
-    _, k2, _ = _wavenumbers(u.grid)
     pairs = _split(len(u.fields), _stack_size(u.grid))
+    with _stack_threads(len(pairs)) as run:
+        return _duhamel_map(u, u0, run, pairs, [])
 
-    def stack(pair):
-        return np.stack([f.coef for f in u.fields[slice(*pair)]])
 
+def _duhamel_map(u: TrajectoryX, u0: SpectralField, run, pairs, g: list) -> TrajectoryX:
+    """The Duhamel map of ``u`` from ``u0``, given the nonlinear terms ``g``
+    of the nodes before the stacks ``pairs`` (``(start, stop)`` node
+    ranges that cover the rest).  The stacks are checked, in node order,
+    then transformed by ``run`` from :func:`_stack_threads`."""
     for pair in pairs:
-        _require_projected(stack(pair), u.grid)
+        _require_projected(_node_stack(u, pair), u.grid)
     # each stack is built again where its terms are computed, so the node
     # copies are never all alive at once
-    with _stack_threads(len(pairs)) as run:
-        terms = run(lambda pair: _nonlinear_stack(stack(pair), u.grid), pairs)
-    g = [row for rows in terms for row in rows]
+    terms = run(lambda pair: _nonlinear_stack(_node_stack(u, pair), u.grid), pairs)
+    g = [*g, *(row for rows in terms for row in rows)]
+    widths = np.diff(u.nodes)
+    _, k2, _ = _wavenumbers(u.grid)
     decay, a0, a1 = _duhamel_weights(k2, float(widths[0]))
 
     out = [u0.copy()]
@@ -207,43 +260,53 @@ def picard_solve(
     Works on a uniform 64-interval time grid, starts from the heat flow of
     u0 and stops once successive iterates are within ``tol`` in the
     space-time norm; every iterate equals u0 exactly at t = 0.
-    Non-convergence within ``max_iter`` returns converged=False (the
-    chosen c is too large for this datum).  Iterates that leave a generous
-    ball or whose successive differences double are aborted early,
-    unconverged.  Raises ValueError, naming c and A, if the horizon's node
-    spacing underflows.
+    Non-convergence within ``max_iter`` (an integer >= 1) returns
+    converged=False (the chosen c is too large for this datum).  Iterates
+    that leave a generous ball or whose successive differences double are
+    aborted early, unconverged.  Raises ValueError, naming c and A, if the
+    horizon's node spacing underflows.
+
+    Each iterate is bitwise :func:`phi_map` of the last, but the solve does
+    the per-solve work once: u0 is checked and its nonlinear term, that of
+    node 0 in every iterate, computed once; only nodes 1..64 are
+    transformed per iterate, on one block of ``_stack_threads`` whose
+    helper ends with the solve.  Each iterate's norm and its distance to
+    the last come from one pass over its node stacks (see :func:`xt_norm`).
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tolerance must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     A = hs_norm(u0, 1.0)
     T = local_time(A, c)
     if _spacing_underflows(T, INTERVALS):
         raise ValueError(f"the local horizon c A^-4 underflows to 0 at c={c:g}, A={A:g}")
-    current = heat_trajectory(u0, T, INTERVALS)
+    _require_projected(u0.coef[None], u0.grid)
+    g0 = list(_nonlinear_stack(u0.coef[None], u0.grid))
+    pairs = [(a + 1, b + 1) for a, b in _split(INTERVALS, _stack_size(u0.grid))]
+    current = heat_trajectory(u0, T, INTERVALS)  # node 0 is u0 bitwise: e^0 = 1
     x1_norms = [xt_norm(current, 1.0)]
     diff_norms: list[float] = []
     factors: list[float] = []
     ball = 10.0 * max(x1_norms[0], A, 1e-300)
     converged = False
-    for _ in range(max_iter):
-        nxt = phi_map(current, u0)
-        x1 = xt_norm(nxt, 1.0)
-        d = xt_norm(nxt, 1.0, minus=current)
-        x1_norms.append(x1)
-        diff_norms.append(d)
-        if len(diff_norms) >= 2:
-            prev = diff_norms[-2]
-            factors.append(d / prev if prev > 0 else 0.0)
-        current = nxt
-        if d <= tol:
-            converged = True
-            break
-        if not np.isfinite(d) or x1 > ball or (
-            factors and factors[-1] > 2.0 and d > 100.0 * tol
-        ):
-            break
+    with _stack_threads(len(pairs)) as run:
+        for _ in range(max_iter):
+            nxt = _duhamel_map(current, u0, run, pairs, g0)
+            x1, d = _xt_norms(nxt, 1.0, [None, current])
+            x1_norms.append(x1)
+            diff_norms.append(d)
+            if len(diff_norms) >= 2:
+                prev = diff_norms[-2]
+                factors.append(d / prev if prev > 0 else 0.0)
+            current = nxt
+            if d <= tol:
+                converged = True
+                break
+            if not np.isfinite(d) or x1 > ball or (
+                factors and factors[-1] > 2.0 and d > 100.0 * tol
+            ):
+                break
     report = PicardReport(
         iterate_count=len(x1_norms),
         T_used=T,

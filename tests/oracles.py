@@ -14,7 +14,11 @@ modes as the current pipeline, which prunes its FFT passes to the lines
 holding those modes, so the two must agree exactly, not just to rounding.
 ``reference_phi_map`` is the Duhamel map as it was before its nodes were
 batched through the transforms: one checked ``nonlinear_term`` call per
-node.  It must agree with ``phi_map`` exactly.
+node.  It must agree with ``phi_map`` exactly.  ``reference_xt_norm`` reads
+the space-time norm one node at a time with ``hs_norm``, and
+``reference_picard_solve`` is the fixed-point loop built on the two, with a
+map call per iterate and node 0 transformed every time.  Both must agree
+with the package's stacked forms exactly.
 
 A field stores only the k3 >= 0 half of its mode cube; every transform
 oracle reads and returns whole (.., M, M, M) cubes, built by
@@ -24,11 +28,22 @@ oracle reads and returns whole (.., M, M, M) cubes, built by
 solutions: the dilation symmetry of the truncated system.
 """
 
+import math
+
 import numpy as np
 import scipy.fft as _fft
 
-from mildns import GridSpec, SpectralField, TrajectoryX, nonlinear_term
-from mildns.picard_wellposedness import _duhamel_weights
+from mildns import (
+    GridSpec,
+    PicardReport,
+    SpectralField,
+    TrajectoryX,
+    heat_trajectory,
+    hs_norm,
+    local_time,
+    nonlinear_term,
+)
+from mildns.picard_wellposedness import INTERVALS, _duhamel_weights
 from mildns.spectral_field import _wavenumbers
 
 
@@ -216,6 +231,42 @@ def reference_phi_map(u, u0):
         homog = decay * homog
         out.append(SpectralField(u.grid, homog + integral))
     return TrajectoryX(u.T, out)
+
+
+def reference_xt_norm(u, s):
+    """The space-time norm with two ``hs_norm`` calls per node."""
+    norms = [(hs_norm(f, s), hs_norm(f, s + 1.0)) for f in u.fields]
+    sup = max(a for a, _ in norms)
+    sq = sum(wi * b**2 for wi, (_, b) in zip(u.trapezoid_weights, norms))
+    return sup + math.sqrt(sq)
+
+
+def reference_picard_solve(u0, c=0.01, tol=1e-10, max_iter=40):
+    """The Picard loop with ``reference_phi_map`` per iterate and
+    ``reference_xt_norm`` of each iterate and of its difference to the last."""
+    A = hs_norm(u0, 1.0)
+    T = local_time(A, c)
+    current = heat_trajectory(u0, T, INTERVALS)
+    x1_norms = [reference_xt_norm(current, 1.0)]
+    diff_norms, factors = [], []
+    ball = 10.0 * max(x1_norms[0], A, 1e-300)
+    converged = False
+    for _ in range(max_iter):
+        nxt = reference_phi_map(current, u0)
+        x1 = reference_xt_norm(nxt, 1.0)
+        d = reference_xt_norm(nxt - current, 1.0)
+        x1_norms.append(x1)
+        diff_norms.append(d)
+        if len(diff_norms) >= 2:
+            prev = diff_norms[-2]
+            factors.append(d / prev if prev > 0 else 0.0)
+        current = nxt
+        if d <= tol:
+            converged = True
+            break
+        if not np.isfinite(d) or x1 > ball or (factors and factors[-1] > 2.0 and d > 100.0 * tol):
+            break
+    return current, PicardReport(len(x1_norms), T, c, A, x1_norms, diff_norms, factors, converged)
 
 
 def dilate(u, lam):

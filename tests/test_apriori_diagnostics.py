@@ -111,6 +111,13 @@ class TestPigeonholeTime:
         assert out.partial
         assert out.T_prime <= 0.5
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_eps_must_be_positive(self, eps):
+        # a NaN eps once read as a series that misses the window
+        s = heat_series(1.0, 1.0, np.linspace(0.0, 2.0, 21))
+        with pytest.raises(ValueError, match="^eps must be positive"):
+            pigeonhole_time(s, eps)
+
     def test_json_export(self, tmp_path):
         t = np.linspace(0.0, 2.0, 21)
         out = pigeonhole_time(heat_series(1.0, 1.0, t), 1.0)

@@ -28,7 +28,7 @@ from mildns import (
 from mildns import picard_wellposedness, semigroup_flow
 from mildns.apriori_diagnostics import compactness_horizon
 
-from oracles import reference_phi_map
+from oracles import reference_phi_map, reference_picard_solve, reference_xt_norm
 
 
 def constant_trajectory(f, T, n):
@@ -100,6 +100,60 @@ class TestXtNorm:
         assert errs[0] <= 1e-4 * want
         order = math.log2(errs[0] / errs[1])
         assert abs(order - 2.0) <= 0.3
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("s", [1.0, 0.0])
+    def test_stacked_norm_equals_per_node_norm(self, n, s):
+        # stacks of 3 and 4 nodes at N=16, one node each at N=32
+        u0 = random_divfree(1.0, 3, 2.0, GridSpec(n))
+        v = heat_trajectory(u0, 0.01, 64)
+        u = phi_map(v, u0)
+        assert xt_norm(u, s) == reference_xt_norm(u, s)
+        assert xt_norm(u, s, minus=v) == reference_xt_norm(u - v, s)
+
+    def test_overflowing_node_takes_the_rescale_path(self, monkeypatch, grid16):
+        # node 5 at |k|^2 = 75 with coefficients near 6e154: their squares
+        # overflow, yet at s = -4 both of its norms and the integral are finite
+        u0 = random_divfree(1.0, 3, 2.0, grid16)
+        v = heat_trajectory(u0, 0.01, 16)
+        u = heat_trajectory(u0, 0.01, 16)
+        u.fields[5] = single_mode_field(grid16, (5, 5, 5), (1.0, -1.0, 0.0), 1e156)
+        rescaled = []
+        norm = picard_wellposedness.hs_norm
+
+        def recording(f, s):
+            rescaled.append(s)
+            return norm(f, s)
+
+        want = reference_xt_norm(u, -4.0), reference_xt_norm(u - v, -4.0)
+        monkeypatch.setattr(picard_wellposedness, "hs_norm", recording)
+        got = xt_norm(u, -4.0), xt_norm(u, -4.0, minus=v)
+        assert got == want and all(map(math.isfinite, got))
+        assert rescaled == [-4.0, -3.0] * 2  # node 5 alone, in each pass
+
+    def test_norm_beyond_float_range_reads_inf(self, grid16):
+        # a node of H^2 size 4e200: its square is beyond the float range, where
+        # Python's float ** raises OverflowError rather than return inf
+        u = heat_trajectory(random_divfree(1.0, 3, 2.0, grid16), 0.01, 16)
+        u.fields[5] = u.fields[5] * 1e200
+        assert xt_norm(u, 1.0) == math.inf
+        assert xt_norm(u, 1.0, minus=u) == 0.0
+
+    @pytest.mark.parametrize("value, reads", [(math.nan, "nan"), (math.inf, "inf")])
+    def test_non_finite_node_reads_as_per_node_norm(self, grid16, value, reads):
+        u0 = random_divfree(1.0, 3, 2.0, grid16)
+        v = heat_trajectory(u0, 0.01, 16)
+        u = heat_trajectory(u0, 0.01, 16)
+        u.fields[5].coef[1, 4, 6, 1] = value
+        assert repr(xt_norm(u, 1.0)) == repr(reference_xt_norm(u, 1.0)) == reads
+        assert repr(xt_norm(u, 1.0, minus=v)) == repr(reference_xt_norm(u - v, 1.0))
+
+    @pytest.mark.parametrize("T, n, grid", [(0.5, 16, 8), (1.0, 32, 8), (1.0, 16, 16)])
+    def test_mismatched_trajectories_rejected(self, grid8, T, n, grid):
+        u = constant_trajectory(SpectralField.zero(grid8), 1.0, 16)
+        other = constant_trajectory(SpectralField.zero(GridSpec(grid)), T, n)
+        with pytest.raises(ValueError, match="do not match"):
+            xt_norm(u, 1.0, minus=other)
 
 
 class TestLocalTime:
@@ -297,16 +351,78 @@ class TestPhiMap:
 
 
 class TestPicardSolve:
-    @pytest.mark.parametrize("A", [0.5, 1.0, 1.5])
-    def test_report_bytes_equal_per_node_map(self, A, monkeypatch):
-        # the picard16 benchmark cases: N=16, c=0.01
-        u0 = random_divfree(A, 2, 2.0, GridSpec(16))
-        traj, rep = picard_solve(u0, c=0.01)
-        monkeypatch.setattr(picard_wellposedness, "phi_map", reference_phi_map)
-        ref_traj, ref = picard_solve(u0, c=0.01)
+    @pytest.mark.parametrize("n, c, A", [(16, 0.01, 0.5), (16, 0.01, 1.0), (16, 0.01, 1.5),
+                                         (32, 1.0, 1.5)],
+                             ids=["0.5", "1.0", "1.5", "N32-c1-1.5"])
+    def test_report_bytes_equal_per_node_map(self, n, c, A):
+        # the picard16 benchmark cases (N=16, c=0.01) and a long N=32 solve
+        u0 = random_divfree(A, 2, 2.0, GridSpec(n))
+        traj, rep = picard_solve(u0, c=c)
+        ref_traj, ref = reference_picard_solve(u0, c=c)
         assert rep.to_json() == ref.to_json()
+        assert rep == ref
+        assert len(traj.fields) == len(ref_traj.fields)
         assert all(np.array_equal(a.coef, b.coef)
                    for a, b in zip(traj.fields, ref_traj.fields))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_initial_term_computed_once(self, monkeypatch, n):
+        # node 0 of every iterate is u0: its term is computed once per solve,
+        # and each iterate transforms nodes 1..64
+        rows = []
+        stack = picard_wellposedness._nonlinear_stack
+
+        def counting(coefs, grid):
+            rows.append(len(coefs))
+            return stack(coefs, grid)
+
+        monkeypatch.setattr(picard_wellposedness, "_nonlinear_stack", counting)
+        _, rep = picard_solve(random_divfree(1.0, 3, 2.0, GridSpec(n)), c=0.01)
+        assert rep.iterate_count > 2
+        assert sum(rows) == 1 + 64 * (rep.iterate_count - 1)
+        assert rows[0] == 1 and set(rows[1:]) == {4}  # 16 stacks of 4
+
+    def test_one_thread_block_per_solve(self, monkeypatch, grid16):
+        monkeypatch.setattr(semigroup_flow, "_usable_cores", lambda: 2)
+        entered = []
+        threads = picard_wellposedness._stack_threads
+
+        def counting(count):
+            entered.append(count)
+            return threads(count)
+
+        monkeypatch.setattr(picard_wellposedness, "_stack_threads", counting)
+        _, rep = picard_solve(random_divfree(1.0, 3, 2.0, grid16), c=0.01)
+        assert rep.iterate_count > 2
+        assert entered == [16]
+
+    @pytest.mark.parametrize("failing", [None, 0, 1], ids=["none", "calling-thread", "helper-thread"])
+    def test_helper_thread_ends_with_the_solve(self, monkeypatch, grid16, failing):
+        monkeypatch.setattr(semigroup_flow, "_usable_cores", lambda: 2)
+        u0 = random_divfree(1.0, 3, 2.0, grid16)
+        start = threading.active_count()
+        calling = threading.get_ident()
+        alive = []
+        stack = picard_wellposedness._nonlinear_stack
+
+        def failing_stack(coefs, grid):
+            alive.append(threading.active_count())
+            # u0's lone row is computed before the threads start; the node
+            # stacks of an iterate alternate between the calling thread (0)
+            # and the helper (1)
+            if len(coefs) > 1 and (threading.get_ident() != calling) == failing:
+                raise RuntimeError("transform failed")
+            return stack(coefs, grid)
+
+        monkeypatch.setattr(picard_wellposedness, "_nonlinear_stack", failing_stack)
+        if failing is None:
+            _, rep = picard_solve(u0, c=0.01)
+            assert rep.converged
+        else:
+            with pytest.raises(RuntimeError, match="transform failed"):
+                picard_solve(u0, c=0.01)
+        assert alive[0] == start and max(alive) == start + 1
+        assert threading.active_count() == start
 
     def test_shear_converges_immediately(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
@@ -379,10 +495,20 @@ class TestPicardSolve:
         ({"tol": 0.0}, "tolerance"),
         ({"max_iter": 0}, "max_iter"),
         ({"max_iter": -3}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter"),
+        ({"max_iter": 2.0}, "max_iter"),
+        ({"max_iter": "3"}, "max_iter"),
+        ({"max_iter": None}, "max_iter"),
     ])
     def test_bad_tolerance_or_iteration_count_rejected(self, grid8, kw, named):
         with pytest.raises(ValueError, match=named):
             picard_solve(random_divfree(0.5, 2, 2.0, grid8), **kw)
+
+    def test_max_iter_numpy_integer(self, grid8):
+        u0 = random_divfree(0.5, 2, 2.0, grid8)
+        _, rep = picard_solve(u0, max_iter=np.int64(2))
+        assert rep == picard_solve(u0, max_iter=2)[1]
+        assert rep.iterate_count == 3
 
     @pytest.mark.parametrize("kw, named", [({"tol": math.nan}, "tolerance must"),
                                            ({"c": math.nan}, "c must")])
