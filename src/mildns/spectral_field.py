@@ -240,28 +240,32 @@ def _from_padded_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     shape (nb, M, M, K+1), last axis index = k3.  The k3=0 plane is
     symmetrized, so it is exactly Hermitian.
 
-    The mirror image of :func:`_to_physical`: r2c along axis 3, the 1/P^3
-    scale on its real and imaginary parts (where pocketfft's whole-cube
-    rfftn applies it), then c2c along axis 1 over the k3 <= K slab and along
-    axis 2 over the 2K+1 retained k1 rows of it, so the retained modes are
-    bitwise those of a whole-cube rfftn."""
+    The mirror image of :func:`_to_physical`: r2c along axis 3, then c2c
+    along axis 1 over the k3 <= K slab and along axis 2 over the 2K+1
+    retained k1 rows of it, so the retained modes are bitwise those of an
+    unscaled whole-cube rfftn.  The 1/P^3 scale goes on their real and
+    imaginary parts as the four blocks are copied out, so it touches only
+    the retained modes."""
     K, m, P = grid.cutoff, grid.modes_per_axis, grid.pad_size
     spec = _fft.rfftn(values, axes=(3,))
-    re_im = spec.view(np.float64)
-    re_im *= np.float64(1 / np.longdouble(P) ** 3)
     slab = spec[..., : K + 1]
     _fft.fft(slab, axis=1, overwrite_x=True)
     for rows in (slice(None, K + 1), slice(P - K, None)):
         _fft.fft(slab[:, rows], axis=2, overwrite_x=True)
     half = np.empty((values.shape[0], m, m, K + 1), dtype=np.complex128)
+    scale = np.float64(1 / np.longdouble(P) ** 3)
     for c1, c2, f1, f2 in _blocks(K, P):
-        half[:, c1, c2] = slab[:, f1, f2]
+        # real views (last axes contiguous): the scale multiplies re and im
+        np.multiply(slab[:, f1, f2].view(np.float64), scale,
+                    out=half[:, c1, c2].view(np.float64))
     half[..., 0] = 0.5 * (half[..., 0] + np.conj(half[:, ::-1, ::-1, 0]))
     return half
 
 
-_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # distinct (l, m) of u (x) u
-_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # _ROWS[l][m]: position of (l, m) in _PAIRS
+# u (x) u - u3^2 I differs from u (x) u by a gradient, which the projection
+# removes, and has five distinct entries: T11 = u1^2 - u3^2, T12, T13,
+# T22 = u2^2 - u3^2, T23, in this order; T33 = 0.
+_ROWS = ((0, 1, 2), (1, 3, 4), (2, 4))  # positions of T_l1, T_l2 (, T_l3) per row l
 
 
 class _Workspace(threading.local):
@@ -276,7 +280,7 @@ _workspace = _Workspace()
 
 def _buffers(grid: GridSpec, states: int):
     """This thread's padded rfft-layout scratch (3B, P, P, P//2+1) and
-    six-product array (6B, P, P, P) for a stack of B = ``states`` states on
+    five-product array (5B, P, P, P) for a stack of B = ``states`` states on
     ``grid``: the leading rows of buffers rebuilt when the grid changes and
     grown when a larger stack comes.  :func:`_to_physical` zeroes the padded
     scratch on every call and transforms it in place, so nothing carries
@@ -285,28 +289,35 @@ def _buffers(grid: GridSpec, states: int):
     if ws.grid != grid or ws.padded.shape[0] < 3 * states:
         P = grid.pad_size
         ws.padded = np.empty((3 * states, P, P, P // 2 + 1), dtype=np.complex128)
-        ws.prods = np.empty((6 * states, P, P, P), dtype=np.float64)
+        ws.prods = np.empty((5 * states, P, P, P), dtype=np.float64)
         ws.grid = grid
-    return ws.padded[: 3 * states], ws.prods[: 6 * states]
+    return ws.padded[: 3 * states], ws.prods[: 5 * states]
 
 
 def _product_stack(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The six distinct dealiased entries of u (x) u, in ``_PAIRS`` order,
-    for each state u of a stack (B, 3, M, M, K+1); shape (B, 6, M, M, K+1),
-    field layout (k3 >= 0).  Computed pseudo-spectrally on the alias-safe
-    padded grid, then truncated to the retained modes, so each equals the
-    exact convolution of the retained modes.  The B states go through each
-    FFT pass together; every line is transformed as it would be alone, so a
-    row is bitwise that of a stack of one.  The padded buffers are this
-    thread's workspace; the returned array is new."""
+    """The five distinct dealiased entries of u (x) u - u3^2 I (T11, T12,
+    T13, T22, T23) for each state u of a stack (B, 3, M, M, K+1); shape
+    (B, 5, M, M, K+1), field layout (k3 >= 0).  Computed pseudo-spectrally
+    on the alias-safe padded grid, then truncated to the retained modes, so
+    each equals the exact convolution of the retained modes.  The B states
+    go through each FFT pass together; every line is transformed as it
+    would be alone, so a row is bitwise that of a stack of one.  The padded
+    buffers are this thread's workspace; the returned array is new."""
     B, m, K, P = coefs.shape[0], grid.modes_per_axis, grid.cutoff, grid.pad_size
     padded, prods = _buffers(grid, B)
     phys = _to_physical(coefs.reshape(3 * B, m, m, K + 1), K, padded).reshape(B, 3, P, P, P)
-    per_state = prods.reshape(B, 6, P, P, P)
-    for c, (l, mm) in enumerate(_PAIRS):
-        np.multiply(phys[:, l], phys[:, mm], out=per_state[:, c])
-    del phys  # freed before the forward transform allocates its own arrays
-    return _from_padded_physical(prods, grid).reshape(B, 6, m, m, K + 1)
+    u1, u2, u3 = phys[:, 0], phys[:, 1], phys[:, 2]
+    t11, t12, t13, t22, t23 = prods.reshape(B, 5, P, P, P).swapaxes(0, 1)
+    np.multiply(u1, u2, out=t12)
+    np.multiply(u1, u3, out=t13)
+    np.multiply(u2, u3, out=t23)
+    np.multiply(u1, u1, out=t11)
+    np.multiply(u2, u2, out=t22)
+    np.multiply(u3, u3, out=u3)  # u3 is not read again
+    t11 -= u3
+    t22 -= u3
+    del phys, u1, u2, u3  # freed before the forward transform allocates its own arrays
+    return _from_padded_physical(prods, grid).reshape(B, 5, m, m, K + 1)
 
 
 # Most fields one stack of transforms carries: the Duhamel map's nodes, a
@@ -321,14 +332,28 @@ STACK_SIZE = 4
 def _nonlinear_stack(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """:func:`nonlinear_term` of each state of a stack (B, 3, M, M, K+1),
     without its input check; shape (B, 3, M, M, K+1), each row bitwise the
-    term of that state alone."""
+    term of that state alone.
+
+    The divergence k_m T_lm of the five-entry tensor is built in the
+    returned array and projected there; the factor -i (the i of the
+    derivative and the minus sign of D) is applied once at the end, which
+    gives the same values as applying it first, since multiplying by -i is
+    exact."""
     K = grid.cutoff
     kv, _, inv_k2 = _wavenumbers(grid)
-    w = _product_stack(coefs, grid)
-    flux = 1j * np.stack([kv[0] * w[:, a] + kv[1] * w[:, b] + kv[2] * w[:, c]
-                          for a, b, c in _ROWS], axis=1)
-    kdotf = kv[0] * flux[:, 0] + kv[1] * flux[:, 1] + kv[2] * flux[:, 2]
-    out = -(flux - kv * (kdotf * inv_k2)[:, None])
+    t = _product_stack(coefs, grid)
+    out = np.empty(coefs.shape, dtype=np.complex128)
+    for l, cols in enumerate(_ROWS):
+        row = out[:, l]
+        np.multiply(kv[0], t[:, cols[0]], out=row)
+        for k, c in zip(kv[1:], cols[1:]):
+            row += k * t[:, c]
+    kdot = kv[0] * out[:, 0]
+    kdot += kv[1] * out[:, 1]
+    kdot += kv[2] * out[:, 2]
+    kdot *= inv_k2
+    out -= kv * kdot[:, None]
+    out *= -1j
     out[:, :, K, K, 0] = 0.0
     return out
 
@@ -394,10 +419,13 @@ def random_divfree(A: float, seed: int, slope: float, grid: GridSpec) -> Spectra
     rescale holds only to rounding: hs_norm(., 1) may read a few ulps above
     or below A (|hs_norm(., 1) - A| <= 8 eps A, eps the float64 machine
     epsilon, on the grids up to N=32 the tests check; the gap grows with the
-    number of modes summed).  A = 0 gives the zero field; A must be finite.
+    number of modes summed).  A = 0 gives the zero field; A and ``slope``
+    must be finite.
     """
     if not 0 <= A < np.inf:  # NaN fails too
         raise ValueError("amplitude A must be finite and nonnegative")
+    if not np.isfinite(slope):
+        raise ValueError(f"slope must be finite, got {slope!r}")
     if A == 0.0:
         return SpectralField.zero(grid)
     m, K = grid.modes_per_axis, grid.cutoff
@@ -465,7 +493,8 @@ def single_mode_field(
     """One conjugate pair amp * p * sin(k.x) scaled to a given H^1 norm.
 
     The polarization is projected orthogonal to k so the field is
-    divergence-free.  A k beyond the dealias cutoff, or a non-finite h1_norm, is rejected.
+    divergence-free.  A k beyond the dealias cutoff, a non-finite
+    polarization or a non-finite h1_norm is rejected.
     """
     if not np.isfinite(h1_norm):
         raise ValueError("h1_norm must be finite")
@@ -476,6 +505,8 @@ def single_mode_field(
     if np.max(np.abs(karr)) > K:
         raise ValueError(f"mode {k} exceeds the dealias cutoff K={K}")
     p = np.asarray(polarization, dtype=np.float64)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"polarization must be finite, got {polarization!r}")
     kf = karr.astype(np.float64)
     p = p - kf * (p @ kf) / (kf @ kf)
     pnorm = np.linalg.norm(p)

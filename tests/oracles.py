@@ -5,13 +5,19 @@ the convolution oracle is a direct O(M^6) sum over retained mode pairs,
 and the convective-form oracle uses plain full-complex numpy FFTs.
 
 The exceptions are ``reference_nonlinearity`` / ``reference_tensor_product``,
-``reference_sample_on_grid`` and ``reference_phi_map``.  The first three are
-frozen copies of an earlier form of that pipeline (index-array gathers and
-scatters between the mode cube and the padded rfft layout, whole-cube
-rfftn/irfftn, the full 3x3 product tensor, einsum contractions on the whole
-cube).  They perform the same floating-point operations on the retained
+their five-product forms ``reference_five_product_nonlinearity`` /
+``reference_five_product_tensor``, ``reference_sample_on_grid`` and
+``reference_phi_map``.  The first five are frozen copies of an earlier
+form of that pipeline (index-array gathers and scatters between the mode
+cube and the padded rfft layout, whole-cube rfftn/irfftn, the full 3x3
+product tensor, einsum contractions on the whole cube).  The five-product
+forms take the tensor u (x) u - u3^2 I, which differs from u (x) u by a
+gradient, and apply the 1/P^3 scale to the gathered cube instead of inside
+the rfftn; they perform the same floating-point operations on the retained
 modes as the current pipeline, which prunes its FFT passes to the lines
 holding those modes, so the two must agree exactly, not just to rounding.
+The six-product forms are the pipeline before it moved to five products;
+they agree with the five-product ones to rounding.
 ``reference_phi_map`` is the Duhamel map as it was before its nodes were
 batched through the transforms: one checked ``nonlinear_term`` call per
 node.  It must agree with ``phi_map`` exactly.  ``reference_xt_norm`` reads
@@ -159,15 +165,20 @@ def _ref_to_padded_physical(coef, grid):
     return _fft.irfftn(half, s=(P, P, P), axes=(1, 2, 3), norm="forward")
 
 
-def _ref_from_padded_physical(values, grid):
+def _ref_from_padded_physical(values, grid, scale_cube=False):
+    """``scale_cube`` takes an unscaled rfftn and applies 1/P^3 to the real
+    and imaginary parts of the gathered cube, instead of inside the rfftn."""
     K, P = grid.cutoff, grid.pad_size
     pos, neg = _ref_embed_indices(K, P)
     nb = values.shape[0]
-    half = _fft.rfftn(values, axes=(1, 2, 3), norm="forward")
+    half = _fft.rfftn(values, axes=(1, 2, 3), norm="backward" if scale_cube else "forward")
     m = 2 * K + 1
     cube = np.empty((nb, m, m, m), dtype=np.complex128)
     cube[:, :, :, K:] = half[np.ix_(range(nb), pos, pos, range(K + 1))]
     cube[:, :, :, :K] = np.conj(half[np.ix_(range(nb), neg, neg, range(K, 0, -1))])
+    if scale_cube:
+        re_im = cube.view(np.float64)
+        re_im *= np.float64(1 / np.longdouble(P) ** 3)
     plane = cube[:, :, :, K]
     cube[:, :, :, K] = 0.5 * (plane + np.conj(plane[:, ::-1, ::-1]))
     return cube
@@ -200,17 +211,44 @@ def reference_tensor_product(u):
     return out
 
 
-def reference_nonlinearity(u):
+def reference_five_product_tensor(u):
+    """Dealiased coefficients of u (x) u - u3^2 I, shape (3, 3, M, M, M),
+    by the gather/scatter pipeline: five padded products, T33 = 0, and the
+    1/P^3 scale on the gathered cube."""
+    phys = _ref_to_padded_physical(full_cube(u.coef), u.grid)
+    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]
+    prods = np.empty((5,) + phys.shape[1:], dtype=np.float64)
+    for c, (l, m) in enumerate(pairs):
+        np.multiply(phys[l], phys[m], out=prods[c])
+    u3_sq = phys[2] * phys[2]
+    prods[0] -= u3_sq
+    prods[3] -= u3_sq
+    cubes = _ref_from_padded_physical(prods, u.grid, scale_cube=True)
+    m = u.grid.modes_per_axis
+    out = np.zeros((3, 3, m, m, m), dtype=np.complex128)
+    for c, (l, mm) in enumerate(pairs):
+        out[l, mm] = cubes[c]
+        out[mm, l] = cubes[c]
+    return out
+
+
+def reference_nonlinearity(u, tensor=None):
     """Projected flux divergence from the full product tensor by einsum
-    contractions over the whole mode cube."""
+    contractions over the whole mode cube; ``tensor`` picks the product
+    tensor oracle (default the six-product one)."""
     kv, inv_k2 = _ref_wavenumbers(u.grid.cutoff)
-    w = reference_tensor_product(u)
+    w = (tensor or reference_tensor_product)(u)
     flux = 1j * np.einsum("mxyz,lmxyz->lxyz", kv, w)
     kdotf = np.einsum("cxyz,cxyz->xyz", kv, flux)
     out = -(flux - kv * (kdotf * inv_k2))
     K = u.grid.cutoff
     out[:, K, K, K] = 0.0
     return out
+
+
+def reference_five_product_nonlinearity(u):
+    """:func:`reference_nonlinearity` on the five-product tensor."""
+    return reference_nonlinearity(u, reference_five_product_tensor)
 
 
 def reference_phi_map(u, u0):

@@ -26,9 +26,10 @@ from mildns import (
     run_verify,
     simulate,
 )
-from mildns import semigroup_flow
+from mildns import explorer_cli, semigroup_flow
 from mildns.explorer_cli import STACK_SIZE, sample_seed
 from mildns.semigroup_flow import MAX_STEPS, _plan_steps, _split, march
+from mildns.spectral_field import FLOW_NAMES
 
 
 SMALL = dict(grid_n=8, dt=0.02, horizon=0.5, a_list=(0.1, 0.2), samples_per_a=2,
@@ -253,6 +254,12 @@ class TestEstimateF:
         with pytest.raises(ValueError):
             estimate_F(small_cfg(), threads=threads)
 
+    @pytest.mark.parametrize("threads", ["2", 2.5, 1.0, None])
+    def test_non_integer_threads_rejected(self, threads):
+        # the rule store_every and max_iter follow: an integer >= 1
+        with pytest.raises(ValueError, match="threads"):
+            estimate_F(small_cfg(), threads=threads)
+
     def test_censoring_reported_as_infinity(self):
         cfg = small_cfg(a_list=(1e3, 1e4))  # every datum leaves its Galerkin ball
         s = estimate_F(cfg)
@@ -387,6 +394,21 @@ class TestVerifySuite:
         failed = [name for name, ok, _ in checks if not ok]
         assert failed == []
         assert len(checks) >= 15
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_reference_flow_check_covers_every_named_flow(self, monkeypatch, n):
+        # every named flow's flux is a pure gradient, the identity the
+        # five-product tensor relies on; abc is the only one with all three
+        # components
+        seen = []
+        real = explorer_cli.named_flow
+        monkeypatch.setattr(explorer_cli, "named_flow",
+                            lambda name, a, g: seen.append(name) or real(name, a, g))
+        checks = {name: (ok, detail) for name, ok, detail in run_verify(n=n)}
+        assert len(checks) == 17
+        assert set(FLOW_NAMES) <= set(seen)
+        ok, detail = checks["nonlinearity_annihilated_on_reference_flows"]
+        assert ok, detail
 
 
 class TestCli:

@@ -38,6 +38,8 @@ from oracles import (
     dense_convolution_nonlinearity,
     full_cube,
     quadrature_rms,
+    reference_five_product_nonlinearity,
+    reference_five_product_tensor,
     reference_nonlinearity,
     reference_sample_on_grid,
     reference_tensor_product,
@@ -56,8 +58,9 @@ def pair_field(grid, k, vec):
     return f
 
 
-# the six distinct (l, m) entries of u (x) u, in the order _product_stack uses
-PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+# the five distinct (l, m) entries of u (x) u - u3^2 I, in the order
+# _product_stack uses; the (2, 2) entry is 0
+PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
 
 
 class TestGridSpec:
@@ -257,7 +260,8 @@ class TestNonlinearTerm:
             nonlinear_term(f)
 
     def test_tensor_coef_symmetric_hermitian(self, rand8):
-        # six entries stand for the symmetric 3x3 tensor; each is Hermitian
+        # five entries stand for the symmetric 3x3 tensor u (x) u - u3^2 I,
+        # whose (2, 2) entry is 0; each is Hermitian
         w = full_cube(_product_stack(rand8.coef[None], rand8.grid)[0])
         flipped = np.conj(w[:, ::-1, ::-1, ::-1])
         assert np.max(np.abs(w - flipped)) == 0.0
@@ -265,13 +269,15 @@ class TestNonlinearTerm:
 
 class TestTransformReference:
     """The block-slice, half-spectrum transform path with its pruned FFT
-    passes reproduces the gather/scatter whole-cube reference exactly (K=1
-    and K=n/2-1 are the edge cases; N=48 pads to P=50, not a power of 2)."""
+    passes reproduces the five-product gather/scatter whole-cube reference
+    exactly (K=1 and K=n/2-1 are the edge cases; N=48 pads to P=50, not a
+    power of 2)."""
 
     @staticmethod
     def assert_exact(u):
-        assert np.array_equal(full_cube(nonlinear_term(u).coef), reference_nonlinearity(u))
-        ref = reference_tensor_product(u)
+        want_nl = reference_five_product_nonlinearity(u)
+        assert np.array_equal(full_cube(nonlinear_term(u).coef), want_nl)
+        ref = reference_five_product_tensor(u)
         want = np.stack([ref[l, m] for l, m in PAIRS])
         assert np.array_equal(full_cube(_product_stack(u.coef[None], u.grid)[0]), want)
 
@@ -284,6 +290,24 @@ class TestTransformReference:
     @pytest.mark.parametrize("name", ["shear", "taylor_green", "abc"])
     def test_named_flows_exact(self, name, grid16):
         self.assert_exact(named_flow(name, 1.3, grid16))
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 48])
+    def test_five_product_oracle_agrees_with_six_product(self, n):
+        # u (x) u - u3^2 I differs from u (x) u by the gradient of u3^2,
+        # which the projection removes, so the two fluxes differ by
+        # rounding only (seen up to 9e-16 of the largest coefficient at
+        # N=48); so do the tensors, against u (x) u less u3^2 on the diagonal
+        grid = GridSpec(n)
+        for seed, slope in ((3, 2.0), (11, 6.0), (5, 0.0)):
+            u = random_divfree(1.5, seed, slope, grid)
+            six = reference_nonlinearity(u)
+            five = reference_five_product_nonlinearity(u)
+            assert np.max(np.abs(five - six)) <= 4e-15 * np.max(np.abs(six))
+            w = reference_tensor_product(u)
+            shifted = w - np.eye(3)[:, :, None, None, None] * w[2, 2]
+            t = reference_five_product_tensor(u)
+            assert np.max(np.abs(t - shifted)) <= 4e-15 * np.max(np.abs(w))
+            assert np.all(t[2, 2] == 0.0)
 
     @pytest.mark.parametrize("n, k", [(8, None), (10, 1), (16, 7), (32, None), (48, None)])
     def test_sample_on_grid_exact(self, n, k):
@@ -347,7 +371,7 @@ class TestTransformWorkspace:
         nl, prod = _nonlinear_stack(stack(states), grid), _product_stack(stack(states), grid)
         kept = nl.copy(), prod.copy()
         ws = spectral_field._workspace
-        assert ws.padded.shape[0] >= 12 and ws.prods.shape[0] >= 24
+        assert ws.padded.shape[0] >= 12 and ws.prods.shape[0] >= 20
         for other in states[:2]:
             nonlinear_term(other)
             _nonlinear_stack(stack(states[1:3]), grid)
@@ -368,13 +392,13 @@ class TestTransformWorkspace:
         grid = GridSpec(32)
         states = [random_divfree(1.5, seed, 6.0, grid) for seed in (3, 4, 5, 6)]
         rows = _nonlinear_stack(stack(states), grid)
-        assert ws.padded.shape[0] == 3 * 4  # grown to the stack
+        assert ws.padded.shape[0] == 3 * 4 and ws.prods.shape[0] == 5 * 4  # grown to the stack
         for row, u in zip(rows, states):
-            assert np.array_equal(full_cube(row), reference_nonlinearity(u))
+            assert np.array_equal(full_cube(row), reference_five_product_nonlinearity(u))
         TestTransformReference.assert_exact(states[2])  # one state, grown buffers
         assert ws.padded.shape[0] == 3 * 4  # kept for the grid
         TestTransformReference.assert_exact(random_divfree(1.5, 3, 6.0, GridSpec(16, 7)))
-        assert ws.padded.shape[0] == 3  # rebuilt for the new grid
+        assert ws.padded.shape[0] == 3 and ws.prods.shape[0] == 5  # rebuilt for the new grid
 
     def test_thread_stress(self):
         # more threads than cores; two threads share a grid value, so a
@@ -490,6 +514,14 @@ class TestRandomDivfree:
         with pytest.raises(ValueError, match="finite"):
             random_divfree(A, 1, 2.0, grid16)
 
+    @pytest.mark.parametrize("slope", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slope_rejected(self, grid16, slope):
+        # NaN gave an all-NaN field, -inf an overflow warning
+        with pytest.raises(ValueError, match="slope must be finite"):
+            random_divfree(1.0, 1, slope, grid16)
+        with pytest.raises(ValueError, match="slope must be finite"):
+            random_divfree(0.0, 1, slope, grid16)
+
 
 class TestNamedFlow:
     def test_unknown_name(self, grid16):
@@ -557,6 +589,13 @@ class TestSingleModeField:
     def test_non_finite_h1_norm_rejected(self, grid16, h1_norm):
         with pytest.raises(ValueError, match="h1_norm must be finite"):
             single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), h1_norm)
+
+    @pytest.mark.parametrize("polarization", [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
+                                              (0.0, -math.inf, 0.0), (0.0, 1.0, math.nan)])
+    def test_non_finite_polarization_rejected(self, grid16, polarization):
+        # NaN gave a NaN field, inf an invalid-value warning
+        with pytest.raises(ValueError, match="polarization must be finite"):
+            single_mode_field(grid16, (1, 0, 0), polarization)
 
 
 def nsf1_bytes(n, k, full):
