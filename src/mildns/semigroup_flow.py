@@ -21,6 +21,7 @@ from .spectral_field import (
     _nonlinear_stack,
     _norm_weights,
     _require_projected,
+    _stack_size,
     _wavenumbers,
     divergence_linf,
     hs_norm,
@@ -41,10 +42,6 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("t", "l2", "h1", "enstrophy", "div_linf")
-# Smallest padded grid on which every field goes through the transforms
-# alone: from P = 24 on, a stack of STACK_SIZE fields was slower per field
-# than one field at a time (8.6% at N = 32, break-even at N = 24).
-UNSTACKED_PAD_SIZE = 24
 # Most threads that step the stacks of one stacked transform (a march's
 # states, the Duhamel map's nodes).  The gain and the memory cost (the extra
 # thread's transform workspace and temporaries, about 6 MB at N = 32) were
@@ -291,12 +288,6 @@ def _split(count: int, size: int, parts: int = 1) -> list:
     n = max(parts, -(-count // size))
     bounds = [count * k // n for k in range(n + 1)]
     return list(zip(bounds, bounds[1:]))
-
-
-def _stack_size(grid: GridSpec) -> int:
-    """Most fields one stack of transforms carries: 1 from UNSTACKED_PAD_SIZE
-    points per axis of the padded grid on, where a stack was slower."""
-    return STACK_SIZE if grid.pad_size < UNSTACKED_PAD_SIZE else 1
 
 
 def _usable_cores() -> int:

@@ -270,7 +270,8 @@ _ROWS = ((0, 1, 2), (1, 3, 4), (2, 4))  # positions of T_l1, T_l2 (, T_l3) per r
 
 class _Workspace(threading.local):
     """One thread's transform buffers for the grid it used last, sized for
-    the largest stack of states it transformed on that grid."""
+    the largest stack of states it transformed on that grid, and for at
+    least a full stack there (``_stack_size``)."""
 
     grid = None
 
@@ -284,12 +285,19 @@ def _buffers(grid: GridSpec, states: int):
     ``grid``: the leading rows of buffers rebuilt when the grid changes and
     grown when a larger stack comes.  :func:`_to_physical` zeroes the padded
     scratch on every call and transforms it in place, so nothing carries
-    over between calls."""
+    over between calls.
+
+    The buffers are built for at least a full stack on the grid, so a lone
+    state first (a Picard solve's N(u0)) does not make them grow in the
+    middle of a solve.  Regrown there, this long-lived block sat just below
+    the solve's short-lived arrays; whether the allocator returned the
+    memory freed above it then varied with thread timing, and with it the
+    cost of the process's next large allocations."""
     ws = _workspace
     if ws.grid != grid or ws.padded.shape[0] < 3 * states:
-        P = grid.pad_size
-        ws.padded = np.empty((3 * states, P, P, P // 2 + 1), dtype=np.complex128)
-        ws.prods = np.empty((5 * states, P, P, P), dtype=np.float64)
+        P, rows = grid.pad_size, max(states, _stack_size(grid))
+        ws.padded = np.empty((3 * rows, P, P, P // 2 + 1), dtype=np.complex128)
+        ws.prods = np.empty((5 * rows, P, P, P), dtype=np.float64)
         ws.grid = grid
     return ws.padded[: 3 * states], ws.prods[: 5 * states]
 
@@ -327,6 +335,16 @@ def _product_stack(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:
 # solve at N = 16 peaked 0.9 MB above one node at a time with 4 nodes, 4.8 MB
 # with 8, 8.2 MB with 13 and 38 MB with all 65, on a process of about 64 MB.
 STACK_SIZE = 4
+# Smallest padded grid on which every field goes through the transforms
+# alone: from P = 24 on, a stack of STACK_SIZE fields was slower per field
+# than one field at a time (8.6% at N = 32, break-even at N = 24).
+UNSTACKED_PAD_SIZE = 24
+
+
+def _stack_size(grid: GridSpec) -> int:
+    """Most fields one stack of transforms carries: 1 from UNSTACKED_PAD_SIZE
+    points per axis of the padded grid on, where a stack was slower."""
+    return STACK_SIZE if grid.pad_size < UNSTACKED_PAD_SIZE else 1
 
 
 def _nonlinear_stack(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:

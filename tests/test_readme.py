@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from mildns import ExperimentConfig, cli_main
-from mildns.semigroup_flow import MAX_STEPS, UNSTACKED_PAD_SIZE
-from mildns.spectral_field import STACK_SIZE
+from mildns.semigroup_flow import MAX_STEPS
+from mildns.spectral_field import STACK_SIZE, UNSTACKED_PAD_SIZE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -27,6 +27,7 @@ from mildns import (
 )
 from mildns import spectral_field
 from mildns.spectral_field import (
+    STACK_SIZE,
     _nonlinear_stack,
     _norm_weights,
     _product_stack,
@@ -398,7 +399,21 @@ class TestTransformWorkspace:
         TestTransformReference.assert_exact(states[2])  # one state, grown buffers
         assert ws.padded.shape[0] == 3 * 4  # kept for the grid
         TestTransformReference.assert_exact(random_divfree(1.5, 3, 6.0, GridSpec(16, 7)))
-        assert ws.padded.shape[0] == 3 and ws.prods.shape[0] == 5  # rebuilt for the new grid
+        # rebuilt for the new grid, for a full stack there (P = 22)
+        assert ws.padded.shape[0] == 3 * STACK_SIZE and ws.prods.shape[0] == 5 * STACK_SIZE
+
+    def test_buffers_built_once_per_grid(self):
+        # one state and then full stacks, as a Picard solve transforms N(u0)
+        # and then its nodes: the buffers are not regrown in between
+        ws = spectral_field._workspace
+        for grid, rows in ((GridSpec(16), STACK_SIZE), (GridSpec(32), 1)):
+            states = [random_divfree(1.5, seed, 6.0, grid) for seed in range(STACK_SIZE)]
+            nonlinear_term(random_divfree(1.5, 1, 6.0, GridSpec(12)))  # a known start
+            nonlinear_term(states[0])
+            padded, prods = ws.padded, ws.prods
+            assert padded.shape[0] == 3 * rows and prods.shape[0] == 5 * rows
+            _nonlinear_stack(stack(states[:rows]), grid)
+            assert ws.padded is padded and ws.prods is prods
 
     def test_thread_stress(self):
         # more threads than cores; two threads share a grid value, so a
