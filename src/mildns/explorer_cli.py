@@ -80,10 +80,6 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def _parse_a_list(text: str):
-    return tuple(float(v) for v in text.split(","))
-
-
 def ensemble_csv_name(a: float) -> str:
     """Per-amplitude ensemble CSV name; amplitudes are written with {a:g}."""
     return f"ensemble_A{a:g}.csv"
@@ -106,21 +102,23 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        # one stored type per key, so that equal settings hash equally
+        for key, lo in {"grid_n": 1, "samples_per_a": 1, "base_seed": 0, "store_every": 1}.items():
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or value < lo:
+                raise ConfigError(key, f"must be an integer >= {lo}, got {value!r}")
+            object.__setattr__(self, key, int(value))
         for key in ("dt", "horizon", "c", "picard_tol", "slope"):
             value = getattr(self, key)
-            if not value > 0:  # NaN fails too
-                raise ConfigError(key, "must be positive")
-            if math.isinf(value):
-                raise ConfigError(key, "must be finite")
-        for key in ("grid_n", "samples_per_a", "store_every"):
-            if getattr(self, key) < 1:
-                raise ConfigError(key, "must be a positive integer")
-        if self.base_seed < 0:
-            raise ConfigError("base_seed", "must be a nonnegative integer")
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):  # NaN fails too
+                raise ConfigError(key, f"must be a positive finite number, got {value!r}")
+            object.__setattr__(self, key, float(value))
         if len(self.a_list) == 0:
             raise ConfigError("a_list", "must not be empty")
-        if not all(0 < a < math.inf for a in self.a_list):  # NaN fails too
-            raise ConfigError("a_list", "amplitudes must be positive and finite")
+        if not all(isinstance(a, numbers.Real) and 0 < a < math.inf  # NaN fails too
+                   for a in self.a_list):
+            raise ConfigError("a_list", "amplitudes must be positive and finite numbers")
+        object.__setattr__(self, "a_list", tuple(map(float, self.a_list)))
         if any(b <= a for a, b in zip(self.a_list, self.a_list[1:])):
             raise ConfigError("a_list", "amplitudes must be strictly increasing")
         names = [ensemble_csv_name(a) for a in self.a_list]
@@ -145,7 +143,7 @@ class ExperimentConfig:
             if f.name == "out_dir":
                 continue
             v = getattr(self, f.name)
-            canon = ",".join(repr(float(x)) for x in v) if isinstance(v, tuple) else repr(v)
+            canon = ",".join(map(repr, v)) if isinstance(v, tuple) else repr(v)
             items.append(f"{f.name}={canon}")
         return hashlib.sha256("\n".join(items).encode()).hexdigest()
 
@@ -153,7 +151,7 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         """Parse a flat key=value file with # comments; each key at most once."""
         converters = {f.name: type(f.default) for f in fields(cls)}
-        converters["a_list"] = _parse_a_list
+        converters["a_list"] = lambda text: tuple(map(float, text.split(",")))
         values = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -395,7 +393,6 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
     _report(checks, "semigroup_law", d <= 1e-14, f"max coef diff {d:.3e} <= 1e-14")
 
     ok = True
-    detail = []
     for t in (0.1, 1.0, 3.0):
         lhs = hs_norm(heat_propagate(u, t), 0.0)
         rhs = math.exp(-t) * hs_norm(u, 0.0)

@@ -19,8 +19,8 @@ from .spectral_field import (
     GridSpec,
     SpectralField,
     _nonlinear_stack,
-    _norm_weights,
     _require_projected,
+    _stack_norms,
     _wavenumbers,
     _write_json,
     hs_norm,
@@ -104,14 +104,11 @@ def xt_norm(u: TrajectoryX, s: float, minus: TrajectoryX | None = None) -> float
     the latter by trapezoid quadrature over the trajectory's nodes.
 
     The nodes are read in the stacks a lockstep march would use on this grid
-    (``_split`` by ``_stack_size``), one einsum per Sobolev order per stack,
-    and each node's two norms are bitwise its ``hs_norm`` values: a node
-    whose sum is not finite (its squares overflow, or it is not finite
-    itself) is read by ``hs_norm``, with its overflow rescale.  With
-    ``minus`` it is the norm of ``u - minus``, formed one stack at a time
-    rather than as a whole difference trajectory; the value is bitwise
-    ``xt_norm(u - minus, s)``.  The norm reads inf where its integral is
-    beyond the float range.
+    (``_split`` by ``_stack_size``) with ``_stack_norms``, so each node's
+    two norms are bitwise its ``hs_norm`` values.  With ``minus`` it is the
+    norm of ``u - minus``, formed one stack at a time rather than as a whole
+    difference trajectory; the value is bitwise ``xt_norm(u - minus, s)``.
+    The norm reads inf where its integral is beyond the float range.
     """
     return _xt_norms(u, s, [minus])[0]
 
@@ -119,14 +116,14 @@ def xt_norm(u: TrajectoryX, s: float, minus: TrajectoryX | None = None) -> float
 def _xt_norms(u: TrajectoryX, s: float, minus: list) -> list:
     """``xt_norm(u, s, v)`` for each ``v`` of ``minus`` (None for the norm
     of ``u`` itself), from one pass over the node stacks of ``u``."""
-    for v in minus:
-        if v is not None:
-            _require_same_nodes(u, v)
+    for v in filter(None, minus):
+        _require_same_nodes(u, v)
     norms = [[] for _ in minus]
     for pair in _split(len(u.fields), _stack_size(u.grid)):
         coefs = _node_stack(u, pair)
         for v, out in zip(minus, norms):
-            out += _node_norms(coefs if v is None else coefs - _node_stack(v, pair), u.grid, s)
+            c = coefs if v is None else coefs - _node_stack(v, pair)
+            out += zip(*(_stack_norms(c, u.grid, t).tolist() for t in (s, s + 1.0)))
     w = u.trapezoid_weights
     return [max(a for a, _ in n) + math.sqrt(_weighted_squares(w, [b for _, b in n]))
             for n in norms]
@@ -140,19 +137,6 @@ def _weighted_squares(w, norms) -> float:
             return sum(wi * b**2 for wi, b in zip(w, norms))
     except OverflowError:
         return math.inf
-
-
-def _node_norms(coefs: np.ndarray, grid: GridSpec, s: float) -> list:
-    """``(hs_norm(f, s), hs_norm(f, s + 1))`` of each field ``f`` of a stack
-    (B, 3, M, M, K+1), bitwise; a field whose sum is not finite is read by
-    ``hs_norm`` itself."""
-    orders = (s, s + 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mag2 = coefs.real**2 + coefs.imag**2
-        sums = [np.einsum("bcxyz,xyz->b", mag2, _norm_weights(grid, float(t))) for t in orders]
-    return [tuple(float(np.sqrt(total[j])) if np.isfinite(total[j])
-                  else hs_norm(SpectralField(grid, coef), t) for total, t in zip(sums, orders))
-            for j, coef in enumerate(coefs)]
 
 
 def _node_stack(u: TrajectoryX, pair) -> np.ndarray:

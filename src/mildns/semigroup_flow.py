@@ -19,8 +19,8 @@ from .spectral_field import (
     GridSpec,
     SpectralField,
     _nonlinear_stack,
-    _norm_weights,
     _require_projected,
+    _stack_norms,
     _stack_size,
     _wavenumbers,
     divergence_linf,
@@ -181,7 +181,10 @@ def march(states, T: float, dt: float):
     flow never leaves (every |k|^2 <= 3K^2, and the flux does no work on
     L^2), so only a failed step, non-finite ones included, does: its slot
     reads None from that step on, and the other states march on unchanged.
-    Once every state has retired the march ends, before T.
+    Once every state has retired the march ends, before T.  The ball is
+    read in norm form, |u|_H1 <= sqrt(3 (1 + 1e-12)) K |u0|_L2, from the
+    stacked ``hs_norm`` of each stack (``_stack_norms``), so no square
+    overflows.
 
     Below ``UNSTACKED_PAD_SIZE`` points per axis of the padded grid the
     states are stepped in balanced stacks of up to STACK_SIZE (``_split``),
@@ -221,8 +224,9 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
               for a, b in _split(len(states), _stack_size(grid))]
     # each state's Galerkin ball (see march), capped so that inf lies outside
     with np.errstate(over="ignore"):
-        ball = np.minimum(3.0 * (1.0 + 1e-12) * grid.cutoff**2
-                          * _squared_norms(stacks, _norm_weights(grid, 0.0)), np.finfo(float).max)
+        ball = np.minimum(math.sqrt(3.0 * (1.0 + 1e-12)) * grid.cutoff
+                          * np.concatenate([_stack_norms(c, grid, 0.0) for c in stacks]),
+                          np.finfo(float).max)
     live = np.ones(len(states), dtype=bool)
     # the helper threads start after the t = 0 yield and end when the
     # generator finishes or is closed, so none outlives the march
@@ -236,7 +240,7 @@ def _lockstep(states, grid: GridSpec, T: float, dt: float):
                 h, (e_half, e_full) = dt, full
             t = T if last else (i + 1) * dt
             stacks = run(lambda c: _if_rk4_step(c, grid, h, e_half, e_full), stacks)
-            live &= _squared_norms(stacks, _norm_weights(grid, 1.0)) <= ball  # NaN fails too
+            live &= np.concatenate([_stack_norms(c, grid, 1.0) for c in stacks]) <= ball
             states = [SpectralField(grid, row) if ok else None
                       for ok, row in zip(live, (row for c in stacks for row in c))]
             yield t, states
@@ -295,14 +299,6 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):  # Linux only
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _squared_norms(stacks, w):
-    """Squared norm with mode weights ``w`` (from ``_norm_weights``) of each
-    state of each stack, in order; NaN or inf for a non-finite state."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.concatenate([np.einsum("bcxyz,xyz->b", c.real**2 + c.imag**2, w)
-                               for c in stacks])
 
 
 def _unretired(steps):

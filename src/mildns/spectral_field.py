@@ -15,6 +15,7 @@ Conventions used throughout the package:
 """
 
 import json
+import numbers
 import struct
 import threading
 from dataclasses import dataclass
@@ -55,6 +56,9 @@ class GridSpec:
     cutoff: int | None = None
 
     def __post_init__(self):
+        for name, value in (("resolution n", self.n), ("cutoff", self.cutoff)):
+            if not isinstance(value, (numbers.Integral, type(None))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"resolution must be an even integer >= 4, got {self.n}")
         if self.cutoff is None:
@@ -117,6 +121,8 @@ class SpectralField:
     package returns a new field and never mutates its inputs, so fields are
     safe to share across threads.  The transform scratch buffers behind
     :func:`nonlinear_term` are per thread, and no returned array views them.
+    :func:`nonlinear_term`, :func:`hs_norm`, :func:`divergence_linf` and
+    :func:`leray_project` each run one private stacked form on a stack of one.
     """
 
     grid: GridSpec
@@ -175,17 +181,23 @@ def hs_norm(f: SpectralField, s: float) -> float:
     are rescaled by the largest of them first, so the norm reads ``inf``
     only when it is beyond the float range itself, and never warns.
     """
-    w = _norm_weights(f.grid, float(s))
+    return float(_stack_norms(f.coef[None], f.grid, s)[0])
+
+
+def _stack_norms(coefs: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
+    """:func:`hs_norm` of each field of a stack (B, 3, M, M, K+1), shape (B,):
+    one einsum over the stack, then the overflow rescale field by field."""
+    w = _norm_weights(grid, float(s))
     with np.errstate(over="ignore", invalid="ignore"):
-        mag2 = f.coef.real**2 + f.coef.imag**2
-        total = np.einsum("cxyz,xyz->", mag2, w)
-        if not np.isfinite(total) and np.all(np.isfinite(f.coef)):
-            # the squares overflow: rescale by the largest real or imaginary
-            # part, which unlike a complex modulus cannot overflow itself
-            big = np.max(np.abs(f.coef.view(np.float64)))
-            c = f.coef / big
-            return float(big * np.sqrt(np.einsum("cxyz,xyz->", c.real**2 + c.imag**2, w)))
-    return float(np.sqrt(total))
+        norms = np.sqrt(np.einsum("bcxyz,xyz->b", coefs.real**2 + coefs.imag**2, w))
+        for j in np.flatnonzero(~np.isfinite(norms)):
+            if np.all(np.isfinite(coefs[j])):
+                # the squares overflow: rescale by the largest real or imaginary
+                # part, which unlike a complex modulus cannot overflow itself
+                big = np.max(np.abs(coefs[j].view(np.float64)))
+                c = coefs[j] / big
+                norms[j] = big * np.sqrt(np.einsum("cxyz,xyz->", c.real**2 + c.imag**2, w))
+    return norms
 
 
 def leray_project(f: SpectralField) -> SpectralField:
@@ -193,16 +205,29 @@ def leray_project(f: SpectralField) -> SpectralField:
 
     Idempotent; annihilates gradient fields; leaves the k=0 slot untouched.
     """
-    kv, _, inv_k2 = _wavenumbers(f.grid)
-    kdotv = np.einsum("cxyz,cxyz->xyz", kv, f.coef)
-    return SpectralField(f.grid, f.coef - kv * (kdotv * inv_k2))
+    coef = f.coef.copy()
+    _project_stack(coef[None], f.grid)
+    return SpectralField(f.grid, coef)
+
+
+def _project_stack(coefs: np.ndarray, grid: GridSpec) -> None:
+    """Leray-project each field of a stack (B, 3, M, M, K+1) in place."""
+    kv, _, inv_k2 = _wavenumbers(grid)
+    kdot = _stack_divergence(coefs, grid)
+    kdot *= inv_k2
+    coefs -= kv * kdot[:, None]
 
 
 def divergence_linf(f: SpectralField) -> float:
     """max_k |k . coef(k)|, the spectral divergence magnitude."""
-    kv, _, _ = _wavenumbers(f.grid)
-    kdotv = np.einsum("cxyz,cxyz->xyz", kv, f.coef)
-    return float(np.max(np.abs(kdotv)))
+    return float(np.max(np.abs(_stack_divergence(f.coef[None], f.grid))))
+
+
+def _stack_divergence(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """k . coef(k) per mode of each field of a stack (B, 3, M, M, K+1);
+    shape (B, M, M, K+1), a new array."""
+    kv, _, _ = _wavenumbers(grid)
+    return kv[0] * coefs[:, 0] + kv[1] * coefs[:, 1] + kv[2] * coefs[:, 2]
 
 
 def _blocks(K: int, P: int):
@@ -288,11 +313,9 @@ def _buffers(grid: GridSpec, states: int):
     over between calls.
 
     The buffers are built for at least a full stack on the grid, so a lone
-    state first (a Picard solve's N(u0)) does not make them grow in the
-    middle of a solve.  Regrown there, this long-lived block sat just below
-    the solve's short-lived arrays; whether the allocator returned the
-    memory freed above it then varied with thread timing, and with it the
-    cost of the process's next large allocations."""
+    state first (a Picard solve's N(u0)) does not regrow them mid-solve,
+    where the allocator's return of the memory above them, and with it the
+    cost of later allocations, varied with thread timing."""
     ws = _workspace
     if ws.grid != grid or ws.padded.shape[0] < 3 * states:
         P, rows = grid.pad_size, max(states, _stack_size(grid))
@@ -358,7 +381,7 @@ def _nonlinear_stack(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:
     gives the same values as applying it first, since multiplying by -i is
     exact."""
     K = grid.cutoff
-    kv, _, inv_k2 = _wavenumbers(grid)
+    kv, _, _ = _wavenumbers(grid)
     t = _product_stack(coefs, grid)
     out = np.empty(coefs.shape, dtype=np.complex128)
     for l, cols in enumerate(_ROWS):
@@ -366,11 +389,7 @@ def _nonlinear_stack(coefs: np.ndarray, grid: GridSpec) -> np.ndarray:
         np.multiply(kv[0], t[:, cols[0]], out=row)
         for k, c in zip(kv[1:], cols[1:]):
             row += k * t[:, c]
-    kdot = kv[0] * out[:, 0]
-    kdot += kv[1] * out[:, 1]
-    kdot += kv[2] * out[:, 2]
-    kdot *= inv_k2
-    out -= kv * kdot[:, None]
+    _project_stack(out, grid)
     out *= -1j
     out[:, :, K, K, 0] = 0.0
     return out
@@ -381,18 +400,15 @@ def _require_projected(coefs: np.ndarray, grid: GridSpec) -> None:
     coefficients, or with divergence above 1e-8 max(1, H^1 norm): the input
     the nonlinear term needs.  One vectorised pass over the stack; the H^1
     norms are read only when some divergence exceeds 1e-8."""
-    kv, _, _ = _wavenumbers(grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        div = np.max(np.abs(np.einsum("cxyz,bcxyz->bxyz", kv, coefs)), axis=(1, 2, 3))
+        div = np.max(np.abs(_stack_divergence(coefs, grid)), axis=(1, 2, 3))
     if np.all(div <= 1e-8):  # NaN fails the comparison
         return
-    for d, coef in zip(div, coefs):
+    for d, h1 in zip(div, _stack_norms(coefs, grid, 1.0)):
         if not np.isfinite(d):  # a non-finite coefficient makes k . coef one
             raise ValueError("field has non-finite coefficients")
-        if d > 1e-8 * max(1.0, hs_norm(SpectralField(grid, coef), 1.0)):
-            raise ValueError(
-                f"nonlinear_term requires a divergence-free field (div_linf={d:.3e})"
-            )
+        if d > 1e-8 * max(1.0, h1):
+            raise ValueError(f"nonlinear_term requires a divergence-free field (div_linf={d:.3e})")
 
 
 def sample_on_grid(f: SpectralField, points: int | None = None) -> np.ndarray:

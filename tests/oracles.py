@@ -20,8 +20,12 @@ The six-product forms are the pipeline before it moved to five products;
 they agree with the five-product ones to rounding.
 ``reference_phi_map`` is the Duhamel map as it was before its nodes were
 batched through the transforms: one checked ``nonlinear_term`` call per
-node.  It must agree with ``phi_map`` exactly.  ``reference_xt_norm`` reads
-the space-time norm one node at a time with ``hs_norm``, and
+node.  It must agree with ``phi_map`` exactly.  ``reference_hs_norm``,
+``reference_divergence_linf`` and ``reference_leray_project`` are frozen
+copies of the one-field readings from before each became the package's
+stacked form on a stack of one; both forms must agree exactly.
+``reference_xt_norm`` reads the space-time norm one node at a time with
+``reference_hs_norm``, and
 ``reference_picard_solve`` is the fixed-point loop built on the two, with a
 map call per iterate and node 0 transformed every time.  Both must agree
 with the package's stacked forms exactly.
@@ -45,12 +49,11 @@ from mildns import (
     SpectralField,
     TrajectoryX,
     heat_trajectory,
-    hs_norm,
     local_time,
     nonlinear_term,
 )
 from mildns.picard_wellposedness import INTERVALS, _duhamel_weights
-from mildns.spectral_field import _wavenumbers
+from mildns.spectral_field import _norm_weights, _wavenumbers
 
 
 def full_cube(half):
@@ -251,6 +254,34 @@ def reference_five_product_nonlinearity(u):
     return reference_nonlinearity(u, reference_five_product_tensor)
 
 
+def reference_hs_norm(f, s):
+    """The H^s norm of one field by one whole-field einsum, with the overflow
+    rescale by the largest real or imaginary part."""
+    w = _norm_weights(f.grid, float(s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag2 = f.coef.real**2 + f.coef.imag**2
+        total = np.einsum("cxyz,xyz->", mag2, w)
+        if not np.isfinite(total) and np.all(np.isfinite(f.coef)):
+            big = np.max(np.abs(f.coef.view(np.float64)))
+            c = f.coef / big
+            return float(big * np.sqrt(np.einsum("cxyz,xyz->", c.real**2 + c.imag**2, w)))
+    return float(np.sqrt(total))
+
+
+def reference_leray_project(f):
+    """The projection of one field, k . coef by einsum, into a new array."""
+    kv, _, inv_k2 = _wavenumbers(f.grid)
+    kdotv = np.einsum("cxyz,cxyz->xyz", kv, f.coef)
+    return SpectralField(f.grid, f.coef - kv * (kdotv * inv_k2))
+
+
+def reference_divergence_linf(f):
+    """max_k |k . coef(k)| of one field, k . coef by einsum."""
+    kv, _, _ = _wavenumbers(f.grid)
+    kdotv = np.einsum("cxyz,cxyz->xyz", kv, f.coef)
+    return float(np.max(np.abs(kdotv)))
+
+
 def reference_phi_map(u, u0):
     """The Duhamel map with one nonlinear_term call per node."""
     if u0.grid != u.grid:
@@ -272,8 +303,8 @@ def reference_phi_map(u, u0):
 
 
 def reference_xt_norm(u, s):
-    """The space-time norm with two ``hs_norm`` calls per node."""
-    norms = [(hs_norm(f, s), hs_norm(f, s + 1.0)) for f in u.fields]
+    """The space-time norm with two ``reference_hs_norm`` calls per node."""
+    norms = [(reference_hs_norm(f, s), reference_hs_norm(f, s + 1.0)) for f in u.fields]
     sup = max(a for a, _ in norms)
     sq = sum(wi * b**2 for wi, (_, b) in zip(u.trapezoid_weights, norms))
     return sup + math.sqrt(sq)
@@ -282,7 +313,7 @@ def reference_xt_norm(u, s):
 def reference_picard_solve(u0, c=0.01, tol=1e-10, max_iter=40):
     """The Picard loop with ``reference_phi_map`` per iterate and
     ``reference_xt_norm`` of each iterate and of its difference to the last."""
-    A = hs_norm(u0, 1.0)
+    A = reference_hs_norm(u0, 1.0)
     T = local_time(A, c)
     current = heat_trajectory(u0, T, INTERVALS)
     x1_norms = [reference_xt_norm(current, 1.0)]

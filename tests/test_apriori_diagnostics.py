@@ -44,6 +44,29 @@ class TestEnergyIdentity:
         res = energy_identity_residual(traj.norm_series)
         assert np.all(res.residuals == 0.0)
 
+    def test_verify_march_at_n32_within_tolerance(self):
+        # run_verify's own energy march at N = 32: 250 steps of dt 1e-3, where
+        # the trapezoid rule's error alone read 3.9e-6 against the 1e-6 bound
+        u0 = random_divfree(1.0, 7, 2.0, GridSpec(32))
+        traj = simulate(u0, 0.25, 1e-3)
+        res = energy_identity_residual(traj.norm_series)
+        assert res.residuals.size == 125
+        assert res.max_residual <= 1e-6 * max(1.0, traj.norm_series.l2[0] ** 2)
+
+    def test_pairs_exact_for_quadratic_dissipation_on_unequal_steps(self):
+        # h1^2 = 1 + t + t^2 and l2^2 = 10 - 2 (t + t^2/2 + t^3/3) satisfy the
+        # identity exactly; the three-point rule integrates the quadratic
+        # exactly on unequal steps, and an odd last step is a trapezoid
+        t = np.array([0.0, 0.1, 0.3, 0.4, 0.45, 0.6])
+        h1sq = 1.0 + t + t**2
+        l2sq = 10.0 - 2.0 * (t + t**2 / 2 + t**3 / 3)
+        res = energy_identity_residual(NormSeries(t, np.sqrt(l2sq), np.sqrt(h1sq), 0 * t))
+        assert list(res.times) == [0.3, 0.45, 0.6]
+        assert np.max(res.residuals[:2]) <= 1e-14
+        trapezoid = 0.5 * (h1sq[-2] + h1sq[-1]) * 0.15
+        exact = 0.15 + (0.6**2 - 0.45**2) / 2 + (0.6**3 - 0.45**3) / 3
+        assert res.residuals[2] == pytest.approx(2.0 * abs(trapezoid - exact), rel=1e-9)
+
     def test_random_run_within_default_tolerance(self, grid16):
         u0 = random_divfree(1.0, 3, 2.0, grid16)
         traj = simulate(u0, 0.25, 1e-3)

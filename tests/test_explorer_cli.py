@@ -126,6 +126,38 @@ class TestExperimentConfig:
         assert (ExperimentConfig.from_file(a).config_hash()
                 == ExperimentConfig.from_file(b).config_hash())
 
+    def test_equal_settings_hash_equally(self):
+        assert (ExperimentConfig(a_list=[0.1, 0.2]).config_hash()
+                == ExperimentConfig(a_list=(0.1, 0.2)).config_hash())
+        assert ExperimentConfig(dt=1).config_hash() == ExperimentConfig(dt=1.0).config_hash()
+        assert ExperimentConfig(grid_n=np.int64(16)) == ExperimentConfig()
+        cfg = ExperimentConfig(a_list=[1, 2], dt=1, samples_per_a=np.int64(2))
+        assert cfg.a_list == (1.0, 2.0) and type(cfg.a_list[0]) is float
+        assert type(cfg.dt) is float and type(cfg.samples_per_a) is int
+
+    def test_hashes_pinned(self, tmp_path):
+        # the stored types changed, the hashes of existing configs did not
+        assert ExperimentConfig().config_hash() == (
+            "d2ddce4a9b0c7f1df3bd46ba09014967fbfe266646d62f86b7426620557cc179")
+        p = tmp_path / "ensemble16.cfg"
+        p.write_text("grid_n = 16\ndt = 0.01\nhorizon = 0.25\na_list = 16.0\n"
+                     "samples_per_a = 8\nbase_seed = 10000\nslope = 6.0\n")
+        assert ExperimentConfig.from_file(p).config_hash() == (
+            "302e87779e4c87171d622cfb2d21ced54e167276e1f2869049a93a3c5acf7152")
+
+    @pytest.mark.parametrize("key", ["grid_n", "samples_per_a", "base_seed", "store_every"])
+    def test_non_integer_count_named(self, key):
+        with pytest.raises(ConfigError, match="must be an integer") as exc:
+            ExperimentConfig(**{key: 2.5})
+        assert exc.value.key == key
+
+    @pytest.mark.parametrize("key, value", [("dt", "0.01"), ("a_list", "0.1,0.2"),
+                                            ("a_list", (0.1, None))])
+    def test_non_number_named(self, key, value):
+        with pytest.raises(ConfigError, match="finite numbers?") as exc:
+            ExperimentConfig(**{key: value})
+        assert exc.value.key == key
+
     def test_hash_ignores_out_dir(self):
         c1 = ExperimentConfig(out_dir="x")
         c2 = ExperimentConfig(out_dir="y")

@@ -31,3 +31,13 @@ def test_package_imports_only_exported_names():
     stale = [f"{module}.{name}" for module, name in imported
              if name not in importlib.import_module(f"mildns.{module}").__all__]
     assert stale == []
+
+
+@pytest.mark.parametrize("name", ["semigroup_flow", "picard_wellposedness"])
+def test_solvers_read_norms_through_the_stacked_form(name):
+    # the half-spectrum weighting rule lives in spectral_field alone: the
+    # solvers read norms by _stack_norms and never import the weights
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"mildns.{name}")))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_norm_weights" not in imported

@@ -27,8 +27,14 @@ from mildns import (
 )
 from mildns import picard_wellposedness, semigroup_flow
 from mildns.apriori_diagnostics import compactness_horizon
+from mildns.spectral_field import _norm_weights
 
-from oracles import reference_phi_map, reference_picard_solve, reference_xt_norm
+from oracles import (
+    reference_hs_norm,
+    reference_phi_map,
+    reference_picard_solve,
+    reference_xt_norm,
+)
 
 
 def constant_trajectory(f, T, n):
@@ -111,25 +117,25 @@ class TestXtNorm:
         assert xt_norm(u, s) == reference_xt_norm(u, s)
         assert xt_norm(u, s, minus=v) == reference_xt_norm(u - v, s)
 
-    def test_overflowing_node_takes_the_rescale_path(self, monkeypatch, grid16):
+    def test_overflowing_node_takes_the_rescale_path(self, grid16):
         # node 5 at |k|^2 = 75 with coefficients near 6e154: their squares
         # overflow, yet at s = -4 both of its norms and the integral are finite
         u0 = random_divfree(1.0, 3, 2.0, grid16)
         v = heat_trajectory(u0, 0.01, 16)
         u = heat_trajectory(u0, 0.01, 16)
         u.fields[5] = single_mode_field(grid16, (5, 5, 5), (1.0, -1.0, 0.0), 1e156)
-        rescaled = []
-        norm = picard_wellposedness.hs_norm
-
-        def recording(f, s):
-            rescaled.append(s)
-            return norm(f, s)
-
-        want = reference_xt_norm(u, -4.0), reference_xt_norm(u - v, -4.0)
-        monkeypatch.setattr(picard_wellposedness, "hs_norm", recording)
+        for w in (u, u - v):
+            # node 5 alone has a plain sum of squares beyond the float range,
+            # so it alone takes the rescale, at both orders
+            for t in (-4.0, -3.0):
+                weights = _norm_weights(grid16, t)
+                with np.errstate(over="ignore"):
+                    sums = [np.sum(np.abs(f.coef) ** 2 * weights) for f in w.fields]
+                assert [j for j, x in enumerate(sums) if not math.isfinite(x)] == [5]
+                assert math.isfinite(reference_hs_norm(w.fields[5], t))
         got = xt_norm(u, -4.0), xt_norm(u, -4.0, minus=v)
-        assert got == want and all(map(math.isfinite, got))
-        assert rescaled == [-4.0, -3.0] * 2  # node 5 alone, in each pass
+        assert got == (reference_xt_norm(u, -4.0), reference_xt_norm(u - v, -4.0))
+        assert all(map(math.isfinite, got))
 
     def test_norm_beyond_float_range_reads_inf(self, grid16):
         # a node of H^2 size 4e200: its square is beyond the float range, where

@@ -31,6 +31,9 @@ from mildns.spectral_field import (
     _nonlinear_stack,
     _norm_weights,
     _product_stack,
+    _project_stack,
+    _stack_divergence,
+    _stack_norms,
     hermitian_residual,
 )
 
@@ -40,12 +43,27 @@ from oracles import (
     full_cube,
     quadrature_rms,
     reference_five_product_nonlinearity,
+    reference_divergence_linf,
     reference_five_product_tensor,
+    reference_hs_norm,
+    reference_leray_project,
     reference_nonlinearity,
     reference_sample_on_grid,
     reference_tensor_product,
     torus_mesh,
 )
+
+
+def gaussian_field(grid, seed):
+    """A real field of Gaussian coefficients, mean zero but not projected."""
+    rng = np.random.default_rng(seed)
+    m, K = grid.modes_per_axis, grid.cutoff
+    shape = (3, m, m, K + 1)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # a real field: the k3=0 plane holds both modes of each pair
+    raw[..., 0] = 0.5 * (raw[..., 0] + np.conj(raw[:, ::-1, ::-1, 0]))
+    raw[:, K, K, 0] = 0.0
+    return SpectralField(grid, raw)
 
 
 def pair_field(grid, k, vec):
@@ -79,6 +97,12 @@ class TestGridSpec:
     def test_bad_cutoff(self, k):
         with pytest.raises(ValueError):
             GridSpec(16, k)
+
+    @pytest.mark.parametrize("args, named", [((16.0,), "resolution n"), ((16, 5.0), "cutoff"),
+                                             ((16, "5"), "cutoff")])
+    def test_non_integral_rejected(self, args, named):
+        with pytest.raises(ValueError, match=f"{named} must be an integer"):
+            GridSpec(*args)
 
     def test_pad_size_alias_safe(self):
         for n in (8, 12, 16, 32):
@@ -185,14 +209,7 @@ class TestLerayProject:
         assert np.max(np.abs(p2.coef - p1.coef)) <= 1e-15
 
     def test_projected_divergence(self, grid16):
-        rng = np.random.default_rng(0)
-        m, K = grid16.modes_per_axis, grid16.cutoff
-        shape = (3, m, m, K + 1)
-        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        # a real field: the k3=0 plane holds both modes of each pair
-        raw[..., 0] = 0.5 * (raw[..., 0] + np.conj(raw[:, ::-1, ::-1, 0]))
-        raw[:, K, K, 0] = 0.0
-        f = SpectralField(grid16, raw)
+        f = gaussian_field(grid16, 0)
         f = SpectralField(grid16, f.coef / max(1.0, hs_norm(f, 1.0)))
         assert divergence_linf(leray_project(f)) <= 1e-12
 
@@ -209,6 +226,51 @@ class TestDivergenceLinf:
 
     def test_zero_for_projected(self, rand16):
         assert divergence_linf(rand16) <= 1e-12
+
+
+class TestStackedReadings:
+    """Each row of a stacked reading is bitwise the frozen one-field reading
+    of that row alone, whatever its neighbours hold, and the public readings
+    (stacks of one) are too."""
+
+    KINDS = ("gaussian", "zero", "overflow", "inf", "nan")
+
+    @staticmethod
+    def row(kind, grid, seed):
+        f = gaussian_field(grid, seed)
+        if kind == "zero":
+            return SpectralField.zero(grid)
+        if kind == "overflow":  # finite, but the squares overflow: rescaled
+            return 1e160 * f
+        if kind in ("inf", "nan"):
+            f.coef[1, 1, 2, 1] = math.inf if kind == "inf" else math.nan
+        return f
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 48])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_rows_equal_one_field_readings(self, n, size):
+        grid = GridSpec(n)
+        kinds = [self.KINDS[(size + j) % 5] for j in range(size)]
+        fields = [self.row(kind, grid, seed) for seed, kind in enumerate(kinds)]
+        stack = np.stack([f.coef for f in fields])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the inf and NaN rows
+            for s in (0.0, 1.0, 2.0, -4.0, 0.5):
+                want = [repr(reference_hs_norm(f, s)) for f in fields]
+                assert [repr(float(x)) for x in _stack_norms(stack, grid, s)] == want
+                assert [repr(hs_norm(f, s)) for f in fields] == want
+            want = [repr(reference_divergence_linf(f)) for f in fields]
+            div = np.max(np.abs(_stack_divergence(stack, grid)), axis=(1, 2, 3))
+            assert [repr(float(d)) for d in div] == want
+            assert [repr(divergence_linf(f)) for f in fields] == want
+        finite = [f for f, kind in zip(fields, kinds) if kind not in ("inf", "nan")]
+        if finite:
+            projected = np.stack([f.coef for f in finite])
+            _project_stack(projected, grid)
+            for f, row in zip(finite, projected):
+                want = reference_leray_project(f).coef.tobytes()
+                assert row.tobytes() == want
+                assert leray_project(f).coef.tobytes() == want
 
 
 class TestNonlinearTerm:
