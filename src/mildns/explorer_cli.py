@@ -224,21 +224,17 @@ def sample_seed(base_seed: int, a_index: int, sample: int) -> int:
 
 def _run_chunk(cfg: ExperimentConfig, grid: GridSpec, tasks, generator) -> list:
     """The records of a chunk of (j, i) samples, marched together in one
-    lockstep march.  Each sample's H^1 norm is read at t = 0 and after every
-    step while it marches; a sample the march retired (its final slot is
-    None) is censored."""
+    lockstep march: each sample's largest H^1 norm (t = 0 included) and the
+    first time it is reached; a sample the march retired is censored."""
     seeds = [sample_seed(cfg.base_seed, j, i) for j, i in tasks]
     data = [generator(cfg.a_list[j], seed, grid) for (j, _), seed in zip(tasks, seeds)]
-    best = [(-math.inf, 0.0)] * len(tasks)
-    for t, states in march(data, cfg.horizon, cfg.dt):
-        for r, u in enumerate(states):
-            if u is not None:
-                h1 = hs_norm(u, 1.0)
-                if h1 > best[r][0]:  # strict: the first time the maximum is reached
-                    best[r] = (h1, t)
-    return [SampleRecord(j, i, seed, math.nan, math.nan, True) if u is None
-            else SampleRecord(j, i, seed, sup, at, False)
-            for (j, i), seed, (sup, at), u in zip(tasks, seeds, best, states)]
+    best, at = np.full(len(tasks), -math.inf), np.zeros(len(tasks))
+    for t, _, h1 in march(data, cfg.horizon, cfg.dt):
+        up = h1 > best  # strict: the first time the maximum is reached; NaN never wins
+        best[up], at[up] = h1[up], t
+    best, at = np.where(np.isnan(h1), math.nan, (best, at))  # retired: censored
+    return [SampleRecord(j, i, seed, sup, when, math.isnan(sup))
+            for (j, i), seed, sup, when in zip(tasks, seeds, best.tolist(), at.tolist())]
 
 
 # The ensemble a pool worker runs: bound once per forked worker by the pool

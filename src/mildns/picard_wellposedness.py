@@ -99,23 +99,23 @@ class PicardReport:
         return _write_json(asdict(self), path)
 
 
-def xt_norm(u: TrajectoryX, s: float, minus: TrajectoryX | None = None) -> float:
+def xt_norm(u: TrajectoryX, s: float) -> float:
     """Space-time norm: sup-in-time H^s plus the L^2-in-time H^(s+1) integral,
     the latter by trapezoid quadrature over the trajectory's nodes.
 
     The nodes are read in the stacks a lockstep march would use on this grid
     (``_split`` by ``_stack_size``) with ``_stack_norms``, so each node's
-    two norms are bitwise its ``hs_norm`` values.  With ``minus`` it is the
-    norm of ``u - minus``, formed one stack at a time rather than as a whole
-    difference trajectory; the value is bitwise ``xt_norm(u - minus, s)``.
-    The norm reads inf where its integral is beyond the float range.
+    two norms are bitwise its ``hs_norm`` values.  The norm reads inf where
+    its integral is beyond the float range.
     """
-    return _xt_norms(u, s, [minus])[0]
+    return _xt_norms(u, s, [None])[0]
 
 
 def _xt_norms(u: TrajectoryX, s: float, minus: list) -> list:
-    """``xt_norm(u, s, v)`` for each ``v`` of ``minus`` (None for the norm
-    of ``u`` itself), from one pass over the node stacks of ``u``."""
+    """``xt_norm(u - v, s)`` for each ``v`` of ``minus`` (None for the norm
+    of ``u`` itself), from one pass over the node stacks of ``u``; each
+    difference is formed one stack at a time rather than as a whole
+    trajectory, and its norm is bitwise that of ``u - v``."""
     for v in filter(None, minus):
         _require_same_nodes(u, v)
     norms = [[] for _ in minus]

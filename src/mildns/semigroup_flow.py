@@ -169,8 +169,8 @@ def _plan_steps(T: float, dt: float):
 def march(states, T: float, dt: float):
     """Advance several states in lockstep from 0 to T with IF-RK4 steps.
 
-    Returns a generator yielding ``(t, states)``: first ``(0.0, states)``
-    with the data as given, then a new list once after every step.  All
+    Returns a generator yielding ``(t, states, h1)``: first at t = 0 with
+    the data as given, then a new list once after every step.  All
     states share one step plan: steps of size dt, the last one shortened to
     land exactly on T, so only the final yield has ``t == T``.  Arguments
     are checked before the generator is returned (ValueError otherwise):
@@ -181,10 +181,10 @@ def march(states, T: float, dt: float):
     flow never leaves (every |k|^2 <= 3K^2, and the flux does no work on
     L^2), so only a failed step, non-finite ones included, does: its slot
     reads None from that step on, and the other states march on unchanged.
-    Once every state has retired the march ends, before T.  The ball is
-    read in norm form, |u|_H1 <= sqrt(3 (1 + 1e-12)) K |u0|_L2, from the
-    stacked ``hs_norm`` of each stack (``_stack_norms``), so no square
-    overflows.
+    Once every state has retired the march ends, before T.  ``h1`` holds
+    each state's ``hs_norm(u, 1.0)`` (bitwise: one ``_stack_norms`` per
+    stack), NaN on a retired slot; the ball is read against it in norm form,
+    |u|_H1 <= sqrt(3 (1 + 1e-12)) K |u0|_L2, so no square overflows.
 
     Below ``UNSTACKED_PAD_SIZE`` points per axis of the padded grid the
     states are stepped in balanced stacks of up to STACK_SIZE (``_split``),
@@ -214,36 +214,37 @@ def march(states, T: float, dt: float):
 
 
 def _lockstep(states, grid: GridSpec, T: float, dt: float):
-    yield 0.0, states
-    n = _plan_steps(T, dt)
-    full = _decay_factors(grid, dt) if n > 1 else None
-    # fixed for the whole march: a retired state's row stays in its stack,
-    # stepped but unread, until the march ends; a lone state's stack is a
-    # view of its data, not a copy
+    # fixed for the whole march (see march); a lone state's stack is a view of its datum
     stacks = [states[a].coef[None] if b - a == 1 else np.stack([u.coef for u in states[a:b]])
               for a, b in _split(len(states), _stack_size(grid))]
+
+    def norms(s):
+        return np.concatenate([_stack_norms(c, grid, s) for c in stacks])
+
+    yield 0.0, states, norms(1.0)
+    n = _plan_steps(T, dt)
+    full = _decay_factors(grid, dt) if n > 1 else None
     # each state's Galerkin ball (see march), capped so that inf lies outside
     with np.errstate(over="ignore"):
-        ball = np.minimum(math.sqrt(3.0 * (1.0 + 1e-12)) * grid.cutoff
-                          * np.concatenate([_stack_norms(c, grid, 0.0) for c in stacks]),
+        ball = np.minimum(math.sqrt(3.0 * (1.0 + 1e-12)) * grid.cutoff * norms(0.0),
                           np.finfo(float).max)
     live = np.ones(len(states), dtype=bool)
     # the helper threads start after the t = 0 yield and end when the
     # generator finishes or is closed, so none outlives the march
     with _stack_threads(len(stacks)) as run:
         for i in range(n):
-            last = i == n - 1
-            if last:
-                h = T - i * dt
+            if i == n - 1:  # the last step lands exactly on T
+                t, h = T, T - i * dt
                 e_half, e_full = _decay_factors(grid, h)
             else:
-                h, (e_half, e_full) = dt, full
-            t = T if last else (i + 1) * dt
+                t, h, (e_half, e_full) = (i + 1) * dt, dt, full
             stacks = run(lambda c: _if_rk4_step(c, grid, h, e_half, e_full), stacks)
-            live &= np.concatenate([_stack_norms(c, grid, 1.0) for c in stacks]) <= ball
+            h1 = norms(1.0)
+            live &= h1 <= ball
+            h1[~live] = np.nan
             states = [SpectralField(grid, row) if ok else None
                       for ok, row in zip(live, (row for c in stacks for row in c))]
-            yield t, states
+            yield t, states, h1
             if not live.any():
                 return
 
@@ -302,19 +303,18 @@ def _usable_cores() -> int:
 
 
 def _unretired(steps):
-    """Pass on a march's ``(t, states)`` up to the first step that retired a
-    state, which raises :class:`BlowupError` instead, with the step's end
-    time and the first retired state in list order as it was before the
-    step.  The march is closed first, so its helper threads end with it."""
-    before = None
-    for t, states in steps:
-        lost = [u for u, v in zip(before or states, states) if v is None]
-        if lost:
+    """Pass on a march's ``(t, states, h1)`` up to the first step that retired
+    a state (NaN in ``h1``), which raises :class:`BlowupError` instead, with
+    the step's end time and the first retired state in list order as it was
+    before the step.  The march is closed first, so its helpers end with it."""
+    for t, states, h1 in steps:
+        lost = np.flatnonzero(np.isnan(h1))
+        if lost.size:
             steps.close()
             raise BlowupError(f"left the Galerkin ball |u|_H1 <= sqrt(3) K |u0|_L2 "
-                              f"at t={t:.6g}", time=t, last_field=lost[0])
+                              f"at t={t:.6g}", time=t, last_field=before[lost[0]])
         before = states  # rebound before the yield: no older states stay alive
-        yield t, states
+        yield t, states, h1
 
 
 def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1) -> Trajectory:
@@ -343,8 +343,8 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1) -> Tr
         return Trajectory(NormSeries(*norms[:, :i + 1]), np.asarray(field_times), fields)
 
     try:
-        for i, (t, (u,)) in enumerate(steps):
-            norms[:, i] = t, hs_norm(u, 0.0), hs_norm(u, 1.0), divergence_linf(u)
+        for i, (t, (u,), (h1,)) in enumerate(steps):
+            norms[:, i] = t, hs_norm(u, 0.0), h1, divergence_linf(u)
             if i % store_every == 0 or t == T:
                 fields.append(u.copy())
                 field_times.append(t)
@@ -376,7 +376,7 @@ def sup_distances(
     if not T >= t_min - eps:  # NaN fails too
         raise ValueError("no step times fall inside the comparison window")
     best = [(-1.0, 0.0)] * len(others)
-    for t, states in _unretired(march([base, *others], T, dt)):
+    for t, states, _ in _unretired(march([base, *others], T, dt)):
         if t >= t_min - eps:
             for j, u in enumerate(states[1:]):
                 d = hs_norm(u - states[0], 1.0)
@@ -400,13 +400,13 @@ def norms_to_csv(series: NormSeries, path) -> None:
 
 def norms_from_csv(path) -> NormSeries:
     """Read a norm series written by :func:`norms_to_csv`, dropping the
-    enstrophy column (it is h1**2).  A row with more or fewer fields than
-    the header raises ValueError naming its line."""
+    enstrophy column (it is h1**2).  A missing or unexpected header, or a row
+    with more or fewer fields than the header, raises ValueError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # [] for an empty file, or an empty first line
         if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header {header}")
+            raise ValueError(f"unexpected CSV header {header}" if header else "CSV header missing")
         cols = [[] for _ in CSV_COLUMNS]
         for row in reader:
             if len(row) != len(header):

@@ -494,6 +494,8 @@ def named_flow(name: str, amplitude: float, grid: GridSpec) -> SpectralField:
     if name not in FLOW_NAMES:
         raise ValueError(f"unknown flow {name!r}; expected one of {FLOW_NAMES}")
     a = float(amplitude)
+    if not np.isfinite(a):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     f = SpectralField.zero(grid)
     K = grid.cutoff
     c = f.coef
@@ -528,10 +530,10 @@ def single_mode_field(
 
     The polarization is projected orthogonal to k so the field is
     divergence-free.  A k beyond the dealias cutoff, a non-finite
-    polarization or a non-finite h1_norm is rejected.
+    polarization or an h1_norm that is negative or not finite is rejected.
     """
-    if not np.isfinite(h1_norm):
-        raise ValueError("h1_norm must be finite")
+    if not 0 <= h1_norm < np.inf:  # NaN fails too
+        raise ValueError(f"h1_norm must be finite and nonnegative, got {h1_norm!r}")
     K = grid.cutoff
     karr = np.asarray(k, dtype=np.int64)
     if np.all(karr == 0):

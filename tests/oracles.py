@@ -29,6 +29,10 @@ stacked form on a stack of one; both forms must agree exactly.
 ``reference_picard_solve`` is the fixed-point loop built on the two, with a
 map call per iterate and node 0 transformed every time.  Both must agree
 with the package's stacked forms exactly.
+``reference_run_chunk`` is the ensemble's chunk loop as it was before
+``march`` yielded its H^1 norms: a ``reference_hs_norm`` call per live
+state after every yield, and censoring read from the final ``None`` slots.
+It must give the same records as ``estimate_F``, bit for bit.
 
 A field stores only the k3 >= 0 half of its mode cube; every transform
 oracle reads and returns whole (.., M, M, M) cubes, built by
@@ -50,8 +54,10 @@ from mildns import (
     TrajectoryX,
     heat_trajectory,
     local_time,
+    march,
     nonlinear_term,
 )
+from mildns.explorer_cli import SampleRecord, sample_seed
 from mildns.picard_wellposedness import INTERVALS, _duhamel_weights
 from mildns.spectral_field import _norm_weights, _wavenumbers
 
@@ -336,6 +342,23 @@ def reference_picard_solve(u0, c=0.01, tol=1e-10, max_iter=40):
         if not np.isfinite(d) or x1 > ball or (factors and factors[-1] > 2.0 and d > 100.0 * tol):
             break
     return current, PicardReport(len(x1_norms), T, c, A, x1_norms, diff_norms, factors, converged)
+
+
+def reference_run_chunk(cfg, grid, tasks, generator):
+    """The records of one chunk of (j, i) samples from one march, each
+    sample's H^1 norm read by ``reference_hs_norm`` while it marches."""
+    seeds = [sample_seed(cfg.base_seed, j, i) for j, i in tasks]
+    data = [generator(cfg.a_list[j], seed, grid) for (j, _), seed in zip(tasks, seeds)]
+    best = [(-math.inf, 0.0)] * len(tasks)
+    for t, states, _ in march(data, cfg.horizon, cfg.dt):
+        for r, u in enumerate(states):
+            if u is not None:
+                h1 = reference_hs_norm(u, 1.0)
+                if h1 > best[r][0]:  # strict: the first time the maximum is reached
+                    best[r] = (h1, t)
+    return [SampleRecord(j, i, seed, math.nan, math.nan, True) if u is None
+            else SampleRecord(j, i, seed, sup, at, False)
+            for (j, i), seed, (sup, at), u in zip(tasks, seeds, best, states)]
 
 
 def dilate(u, lam):

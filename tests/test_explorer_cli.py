@@ -31,6 +31,8 @@ from mildns.explorer_cli import STACK_SIZE, sample_seed
 from mildns.semigroup_flow import MAX_STEPS, _plan_steps, _split, march
 from mildns.spectral_field import FLOW_NAMES
 
+from oracles import reference_run_chunk
+
 
 SMALL = dict(grid_n=8, dt=0.02, horizon=0.5, a_list=(0.1, 0.2), samples_per_a=2,
              base_seed=100)
@@ -418,6 +420,23 @@ class TestChunkedEnsemble:
         assert outputs[0] == outputs[1] == outputs[2]
         assert set(outputs[0]) == {"summary.json", "manifest.json",
                                    "ensemble_A0.5.csv", "ensemble_A1.csv"}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_records_match_the_per_state_norm_loop(self, threads):
+        # the march's yielded H^1 norms give the records, bit for bit, that a
+        # reference_hs_norm call per live state gave, censored samples included
+        cfg = ExperimentConfig(**CHUNKED)
+        grid = cfg.grid()
+
+        def rigged(a, seed, g):
+            return _rigged_data(a, seed, cfg.slope, g)
+
+        tasks = [(j, i) for j in range(2) for i in range(5)]
+        oracle = [rec for a, b in _split(len(tasks), STACK_SIZE)
+                  for rec in reference_run_chunk(cfg, grid, tasks[a:b], rigged)]
+        got = estimate_F(cfg, threads=threads, generator=rigged).samples
+        assert sum(rec.censored for rec in got) == 2
+        assert list(map(repr, got)) == list(map(repr, oracle))
 
 
 class TestVerifySuite:

@@ -27,6 +27,7 @@ from mildns import (
 )
 from mildns import picard_wellposedness, semigroup_flow
 from mildns.apriori_diagnostics import compactness_horizon
+from mildns.picard_wellposedness import _xt_norms
 from mildns.spectral_field import _norm_weights
 
 from oracles import (
@@ -115,7 +116,8 @@ class TestXtNorm:
         v = heat_trajectory(u0, 0.01, 64)
         u = phi_map(v, u0)
         assert xt_norm(u, s) == reference_xt_norm(u, s)
-        assert xt_norm(u, s, minus=v) == reference_xt_norm(u - v, s)
+        assert _xt_norms(u, s, [None, v]) == [reference_xt_norm(u, s),
+                                              reference_xt_norm(u - v, s)]
 
     def test_overflowing_node_takes_the_rescale_path(self, grid16):
         # node 5 at |k|^2 = 75 with coefficients near 6e154: their squares
@@ -133,8 +135,8 @@ class TestXtNorm:
                     sums = [np.sum(np.abs(f.coef) ** 2 * weights) for f in w.fields]
                 assert [j for j, x in enumerate(sums) if not math.isfinite(x)] == [5]
                 assert math.isfinite(reference_hs_norm(w.fields[5], t))
-        got = xt_norm(u, -4.0), xt_norm(u, -4.0, minus=v)
-        assert got == (reference_xt_norm(u, -4.0), reference_xt_norm(u - v, -4.0))
+        got = _xt_norms(u, -4.0, [None, v])
+        assert got == [reference_xt_norm(u, -4.0), reference_xt_norm(u - v, -4.0)]
         assert all(map(math.isfinite, got))
 
     def test_norm_beyond_float_range_reads_inf(self, grid16):
@@ -143,7 +145,7 @@ class TestXtNorm:
         u = heat_trajectory(random_divfree(1.0, 3, 2.0, grid16), 0.01, 16)
         u.fields[5] = u.fields[5] * 1e200
         assert xt_norm(u, 1.0) == math.inf
-        assert xt_norm(u, 1.0, minus=u) == 0.0
+        assert _xt_norms(u, 1.0, [None, u]) == [math.inf, 0.0]
 
     @pytest.mark.parametrize("value, reads", [(math.nan, "nan"), (math.inf, "inf")])
     def test_non_finite_node_reads_as_per_node_norm(self, grid16, value, reads):
@@ -152,14 +154,15 @@ class TestXtNorm:
         u = heat_trajectory(u0, 0.01, 16)
         u.fields[5].coef[1, 4, 6, 1] = value
         assert repr(xt_norm(u, 1.0)) == repr(reference_xt_norm(u, 1.0)) == reads
-        assert repr(xt_norm(u, 1.0, minus=v)) == repr(reference_xt_norm(u - v, 1.0))
+        [_, d] = _xt_norms(u, 1.0, [None, v])
+        assert repr(d) == repr(reference_xt_norm(u - v, 1.0))
 
     @pytest.mark.parametrize("T, n, grid", [(0.5, 16, 8), (1.0, 32, 8), (1.0, 16, 16)])
     def test_mismatched_trajectories_rejected(self, grid8, T, n, grid):
         u = constant_trajectory(SpectralField.zero(grid8), 1.0, 16)
         other = constant_trajectory(SpectralField.zero(GridSpec(grid)), T, n)
         with pytest.raises(ValueError, match="do not match"):
-            xt_norm(u, 1.0, minus=other)
+            _xt_norms(u, 1.0, [None, other])
 
 
 class TestLocalTime:

@@ -351,7 +351,7 @@ class TestSupDistances:
 class TestMarch:
     def test_plan_lands_on_horizon(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
-        times = [t for t, _ in march([u0], 0.105, 1e-2)]
+        times = [t for t, _, _ in march([u0], 0.105, 1e-2)]
         assert len(times) == 12  # t = 0, 10 full steps, shortened last
         assert times[0] == 0.0
         assert times[-1] == 0.105
@@ -458,18 +458,18 @@ class TestStackedMarch:
             simulate(bad, T, dt)
         alone = list(march([bad], T, dt))
         # a march whose every state retired ends at that step
-        assert [t for t, _ in alone] == [t for t, _ in march([good[0]], T, dt)
-                                         if t <= single.value.time]
+        assert [t for t, _, _ in alone] == [t for t, _, _ in march([good[0]], T, dt)
+                                            if t <= single.value.time]
         assert alone[-1][1] == [None] and alone[-1][0] == single.value.time
         last_finite = alone[-2][1][0]
         assert np.array_equal(single.value.last_field.coef, last_finite.coef)
 
         together = list(march(states, T, dt))
-        assert [t for t, _ in together] == [t for t, _ in march([good[0]], T, dt)]
-        for t, now in together:
+        assert [t for t, _, _ in together] == [t for t, _, _ in march([good[0]], T, dt)]
+        for t, now, _ in together:
             assert (now[1] is None) == (t >= single.value.time)
         for j, u in ((0, good[0]), (2, good[1]), (3, good[2])):
-            for (_, now), (_, (v,)) in zip(together, march([u], T, dt)):
+            for (_, now, _), (_, (v,), _) in zip(together, march([u], T, dt)):
                 assert np.array_equal(now[j].coef, v.coef)
 
         with pytest.raises(BlowupError) as distances:
@@ -531,11 +531,12 @@ class TestStackedMarch:
         assert blowup[2] < blowup[0]
         together = list(march(states, T, dt))
         assert together[-1][0] == T
-        for t, now in together:
+        for t, now, _ in together:
             for j, t_blow in blowup.items():
                 assert (now[j] is None) == (t >= t_blow)
         for j in (1, 3):
-            for (_, now), (_, (v,)) in zip(together, march([states[j]], T, dt), strict=True):
+            for (_, now, _), (_, (v,), _) in zip(together, march([states[j]], T, dt),
+                                                 strict=True):
                 assert np.array_equal(now[j].coef, v.coef)
         # a march whose every state retired ends at the last retirement
         bad_only = list(march([late, early], T, dt))
@@ -554,8 +555,8 @@ class TestThreadedMarch:
         together = list(march(states, 2.5e-3, 1e-3))
         for j, u in enumerate(states):
             alone = list(march([u], 2.5e-3, 1e-3))
-            assert [t for t, _ in together] == [t for t, _ in alone]
-            for (_, step_states), (_, (v,)) in zip(together, alone):
+            assert [t for t, _, _ in together] == [t for t, _, _ in alone]
+            for (_, step_states, _), (_, (v,), _) in zip(together, alone):
                 assert np.array_equal(step_states[j].coef, v.coef)
 
     def test_worker_count(self, monkeypatch):
@@ -581,9 +582,9 @@ class TestThreadedMarch:
         grid = GridSpec(24)
         states = [random_divfree(0.5, seed, 2.0, grid) for seed in (1, 2, 3)]
         assert semigroup_flow._worker_count(len(states)) == workers  # P = 24: stacks of one
-        [*_, (_, together)] = march(states, 2e-2, 1e-2)
+        [*_, (_, together, _)] = march(states, 2e-2, 1e-2)
         for u, v in zip(states, together):
-            [*_, (_, (alone,))] = march([u], 2e-2, 1e-2)
+            [*_, (_, (alone,), _)] = march([u], 2e-2, 1e-2)
             assert np.array_equal(v.coef, alone.coef)
 
     def test_five_threads_match_single_marches(self, monkeypatch):
@@ -595,11 +596,11 @@ class TestThreadedMarch:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            [*_, (_, together)] = march(states, 2e-2, 1e-2)
+            [*_, (_, together, _)] = march(states, 2e-2, 1e-2)
         finally:
             sys.setswitchinterval(interval)
         for u, v in zip(states, together):
-            [*_, (_, (alone,))] = march([u], 2e-2, 1e-2)
+            [*_, (_, (alone,), _)] = march([u], 2e-2, 1e-2)
             assert np.array_equal(v.coef, alone.coef)
 
     @staticmethod
@@ -617,11 +618,11 @@ class TestThreadedMarch:
             simulate(bad, 0.05, 1e-2)
         assert alone.value.time < 0.05
         # the bad state retires at the blowup time; the others march on to T
-        assert [t for t, _ in together] == [t for t, _ in march([states[0]], 0.05, 1e-2)]
-        for t, step_states in together:
+        assert [t for t, _, _ in together] == [t for t, _, _ in march([states[0]], 0.05, 1e-2)]
+        for t, step_states, _ in together:
             assert (step_states[1] is None) == (t >= alone.value.time)
             assert step_states[0] is not None and step_states[2] is not None
-        [(_, before)] = [(t, s) for t, s in together if t < alone.value.time][-1:]
+        [(_, before)] = [(t, s) for t, s, _ in together if t < alone.value.time][-1:]
         assert np.array_equal(before[1].coef, alone.value.last_field.coef)
         with pytest.raises(BlowupError) as distances:
             sup_distances(states[0], states[1:], 0.05, 1e-2)
@@ -635,7 +636,7 @@ class TestThreadedMarch:
         self.run(good)
         assert threading.active_count() == start
         mixed = [good[0], random_divfree(1e3, 1, 2.0, grid), good[1]]
-        *_, (_, last) = march(mixed, 0.05, 1e-2)
+        *_, (_, last, _) = march(mixed, 0.05, 1e-2)
         assert last[1] is None
         assert threading.active_count() == start
         with pytest.raises(BlowupError):
@@ -649,6 +650,77 @@ class TestThreadedMarch:
         assert threading.active_count() == start + helpers
         steps.close()
         assert threading.active_count() == start
+
+
+class TestMarchH1:
+    """``march`` yields each state's H^1 norm, read once per stack and
+    yield for the Galerkin ball: bitwise the state's ``hs_norm(u, 1.0)``
+    while it marches, NaN once it has retired."""
+
+    @staticmethod
+    def assert_h1_readings(steps, count):
+        retired = 0
+        for _, states, h1 in steps:
+            assert h1.dtype == np.float64 and h1.shape == (count,)
+            for u, value in zip(states, h1.tolist()):
+                if u is None:
+                    assert math.isnan(value)
+                else:
+                    assert value == hs_norm(u, 1.0)
+            retired += states.count(None)
+        return retired
+
+    def test_stacked_states_with_a_retirement(self):
+        grid = GridSpec(16)  # P = 16: stacks of 2 and 3
+        assert semigroup_flow._split(5, semigroup_flow._stack_size(grid)) == [(0, 2), (2, 5)]
+        states = [random_divfree(0.5, seed, 2.0, grid) for seed in (2, 3, 4, 6)]
+        states.insert(3, random_divfree(1e3, 1, 2.0, grid))  # leaves its ball before T
+        assert self.assert_h1_readings(march(states, 0.05, 1e-2), 5) > 0
+
+    def test_lone_states_on_two_threads(self, monkeypatch):
+        monkeypatch.setattr(semigroup_flow, "_usable_cores", lambda: 2)
+        grid = GridSpec(32)  # P = 32: every state is a stack
+        states = [random_divfree(1.0, seed, 2.0, grid) for seed in (1, 2)]
+        assert semigroup_flow._worker_count(len(states)) == 2
+        assert self.assert_h1_readings(march(states, 2.5e-3, 1e-3), 2) == 0
+
+    def test_one_h1_pass_per_stack_and_yield(self, monkeypatch):
+        # the march's ball reading is the only per-step H^1 pass: simulate and
+        # the ensemble read the norms it yields instead of their own hs_norm
+        from mildns import explorer_cli
+
+        passes, hs_orders = [], []
+        stack_norms, plain = semigroup_flow._stack_norms, semigroup_flow.hs_norm
+
+        def counted_stack_norms(coefs, grid, s):
+            passes.append((s, len(coefs)))
+            return stack_norms(coefs, grid, s)
+
+        def counted_hs_norm(f, s):
+            hs_orders.append(s)
+            return plain(f, s)
+
+        monkeypatch.setattr(semigroup_flow, "_stack_norms", counted_stack_norms)
+        monkeypatch.setattr(semigroup_flow, "hs_norm", counted_hs_norm)
+        monkeypatch.setattr(explorer_cli, "hs_norm", counted_hs_norm)
+        grid = GridSpec(16)
+        states = [random_divfree(0.5, seed, 2.0, grid) for seed in range(5)]
+        yields = sum(1 for _ in march(states, 0.03, 1e-2))
+        assert yields == 4
+        assert [rows for s, rows in passes if s == 1.0] == [2, 3] * yields
+        assert [rows for s, rows in passes if s == 0.0] == [2, 3]  # the ball, once
+
+        passes.clear()
+        traj = simulate(states[0], 0.03, 1e-2)
+        assert [rows for s, rows in passes if s == 1.0] == [1] * len(traj.norm_series.times)
+        assert 1.0 not in hs_orders
+
+        cfg = explorer_cli.ExperimentConfig(grid_n=16, horizon=0.03, dt=1e-2,
+                                            a_list=(0.5,), samples_per_a=5)
+        passes.clear()
+        explorer_cli.estimate_F(cfg)  # chunks of 2 and 3 samples, one march each
+        assert [rows for s, rows in passes if s == 1.0] == [2] * yields + [3] * yields
+        assert 1.0 not in hs_orders
 
 
 class TestNormSeriesCsv:
@@ -676,6 +748,14 @@ class TestNormSeriesCsv:
         path = tmp_path / "norms.csv"
         path.write_text(f"t,l2,h1,enstrophy,div_linf\n0.5,1,2,4,0\n{row}\n")
         with pytest.raises(ValueError, match=f"^line 3 has {count} fields, not 5$"):
+            norms_from_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n"], ids=["empty", "blank_first_line"])
+    def test_missing_header_rejected(self, tmp_path, text):
+        # an empty file raised StopIteration
+        path = tmp_path / "norms.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^CSV header missing$"):
             norms_from_csv(path)
 
     def test_validation(self):

@@ -27,6 +27,7 @@ from mildns import (
 )
 from mildns import spectral_field
 from mildns.spectral_field import (
+    FLOW_NAMES,
     STACK_SIZE,
     _nonlinear_stack,
     _norm_weights,
@@ -609,6 +610,13 @@ class TestNamedFlow:
         for name in ("shear", "taylor_green", "abc"):
             assert np.max(np.abs(named_flow(name, 0.0, grid16).coef)) == 0.0
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_rejected(self, grid16, amplitude):
+        # NaN gave an all-NaN field
+        for name in FLOW_NAMES:
+            with pytest.raises(ValueError, match=f"^amplitude must be finite, got {amplitude}$"):
+                named_flow(name, amplitude, grid16)
+
     def test_taylor_green_h1(self, grid16):
         assert hs_norm(named_flow("taylor_green", 1.0, grid16), 1.0) == pytest.approx(
             1.0, rel=1e-13
@@ -665,6 +673,13 @@ class TestSingleModeField:
     @pytest.mark.parametrize("h1_norm", [math.nan, math.inf, -math.inf])
     def test_non_finite_h1_norm_rejected(self, grid16, h1_norm):
         with pytest.raises(ValueError, match="h1_norm must be finite"):
+            single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), h1_norm)
+
+    @pytest.mark.parametrize("h1_norm", [-2.0, -1e-300])
+    def test_negative_h1_norm_rejected(self, grid16, h1_norm):
+        # -2.0 gave a field of H1 norm 2.0: the sign was dropped
+        with pytest.raises(ValueError,
+                           match=f"^h1_norm must be finite and nonnegative, got {h1_norm}$"):
             single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), h1_norm)
 
     @pytest.mark.parametrize("polarization", [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
