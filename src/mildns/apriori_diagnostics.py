@@ -9,7 +9,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectral_field import SpectralField, _write_json, hs_norm, single_mode_field
+from .spectral_field import (
+    SpectralField,
+    _require_projected,
+    _write_json,
+    hs_norm,
+    single_mode_field,
+)
 from .semigroup_flow import NormSeries, sup_distances
 from .picard_wellposedness import local_time
 
@@ -188,7 +194,8 @@ def compactness_experiment(
     The base run and all perturbed runs march once, in lockstep, to the
     horizon T = compactness_horizon(u0, c), and every step time in
     [eps_window, T] enters the supremum, so the result does not depend on
-    any storage thinning.
+    any storage thinning.  u0 is checked (finite, divergence-free) before
+    its H^1 norm sets the horizon.
     """
     freqs = [int(n) for n in freqs]
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
@@ -197,6 +204,7 @@ def compactness_experiment(
     for n in freqs:
         if n < 1 or n > K:
             raise ValueError(f"perturbation frequency {n} outside the cutoff (1..{K})")
+    _require_projected(u0.coef[None], u0.grid)
     T = compactness_horizon(u0, c)
     if not 0 <= eps_window < T:  # NaN fails too
         raise ValueError(f"eps_window must lie in [0, T) with T={T:.6g}")

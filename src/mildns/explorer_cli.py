@@ -322,14 +322,15 @@ def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> Ensem
 def write_manifest(out_dir, cfg_hash: str, seeds, file_names) -> Path:
     """Record provenance for one run: config hash, code version, seeds, files.
 
-    Paths are stored relative to the manifest so runs relocate cleanly.
+    Paths are stored relative to the manifest so runs relocate cleanly; the
+    file list is ``file_names`` plus ``manifest.json`` itself, sorted.
     """
     out = Path(out_dir)
     obj = {
         "config_hash": cfg_hash,
         "code_version": __version__,
         "seeds": list(seeds),
-        "files": sorted(str(f) for f in file_names),
+        "files": sorted(str(f) for f in [*file_names, "manifest.json"]),
     }
     path = out / "manifest.json"
     _write_json(obj, path)
@@ -552,7 +553,7 @@ def _cmd_simulate(args) -> int:
         files.append(name)
     save_nsf1(traj.fields[-1], out / "u_final.nsf1")
     files.append("u_final.nsf1")
-    write_manifest(out, cfg.config_hash(), [cfg.base_seed], files + ["manifest.json"])
+    write_manifest(out, cfg.config_hash(), [cfg.base_seed], files)
     print(f"simulated to t={traj.norm_series.times[-1]:.6g}; "
           f"final H1 {traj.norm_series.h1[-1]:.6g}")
     return status
@@ -565,7 +566,7 @@ def _cmd_picard(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report.to_json(out / "picard.json")
-    write_manifest(out, cfg.config_hash(), [cfg.base_seed], ["picard.json", "manifest.json"])
+    write_manifest(out, cfg.config_hash(), [cfg.base_seed], ["picard.json"])
     print(f"picard: converged={report.converged} iterates={report.iterate_count} "
           f"T={report.T_used:.6g} c={report.c_used:.6g}")
     return 0
@@ -604,7 +605,7 @@ def _cmd_ensemble(args) -> int:
                 ))
         files.append(name)
     seeds = [rec.seed for rec in summary.samples]
-    write_manifest(out, cfg.config_hash(), seeds, files + ["manifest.json"])
+    write_manifest(out, cfg.config_hash(), seeds, files)
     shown = ", ".join(
         "inf" if math.isinf(v) else f"{v:.6g}" for v in summary.f_hat
     )
@@ -627,8 +628,7 @@ def _cmd_compactness(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report.to_json(out / "compactness.json")
-    write_manifest(out, cfg.config_hash(), [cfg.base_seed],
-                   ["compactness.json", "manifest.json"])
+    write_manifest(out, cfg.config_hash(), [cfg.base_seed], ["compactness.json"])
     print("distances:", " ".join(f"{d:.6g}" for d in report.distances))
     return 0
 

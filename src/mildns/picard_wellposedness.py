@@ -192,17 +192,18 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
 
     The nodes' nonlinear terms are evaluated in the stacks a lockstep march
     would use on this grid (``_split`` by ``_stack_size``), on its threads
-    (``_stack_threads``).  ``u0`` and then every stack are checked first, in
-    node order, as :func:`~mildns.spectral_field.nonlinear_term` checks its
-    input, so the first faulty node is the one reported.  Every term is
-    bitwise that of the node alone, and the helper threads end before the
-    map returns.  :func:`picard_solve` runs the same map on threads of its
-    own.
+    (``_stack_threads``).  ``u0`` and then every stack are checked, in node
+    order, before the threads start, as
+    :func:`~mildns.spectral_field.nonlinear_term` checks its input, so the
+    first faulty node is the one reported.  Every term is bitwise that of
+    the node alone, and the helper threads end before the map returns.
     """
     if u0.grid != u.grid:
         raise ValueError("initial datum and trajectory use different grids")
     _require_projected(u0.coef[None], u0.grid)
     pairs = _split(len(u.fields), _stack_size(u.grid))
+    for pair in pairs:
+        _require_projected(_node_stack(u, pair), u.grid)
     with _stack_threads(len(pairs)) as run:
         return _duhamel_map(u, u0, run, pairs, [])
 
@@ -210,10 +211,8 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
 def _duhamel_map(u: TrajectoryX, u0: SpectralField, run, pairs, g: list) -> TrajectoryX:
     """The Duhamel map of ``u`` from ``u0``, given the nonlinear terms ``g``
     of the nodes before the stacks ``pairs`` (``(start, stop)`` node
-    ranges that cover the rest).  The stacks are checked, in node order,
-    then transformed by ``run`` from :func:`_stack_threads`."""
-    for pair in pairs:
-        _require_projected(_node_stack(u, pair), u.grid)
+    ranges that cover the rest), transformed by ``run`` from
+    :func:`_stack_threads`.  Its callers check every input first."""
     # each stack is built again where its terms are computed, so the node
     # copies are never all alive at once
     terms = run(lambda pair: _nonlinear_stack(_node_stack(u, pair), u.grid), pairs)
@@ -251,21 +250,22 @@ def picard_solve(
     horizon's node spacing underflows.
 
     Each iterate is bitwise :func:`phi_map` of the last, but the solve does
-    the per-solve work once: u0 is checked and its nonlinear term, that of
-    node 0 in every iterate, computed once; only nodes 1..64 are
-    transformed per iterate, on one block of ``_stack_threads`` whose
-    helper ends with the solve.  Each iterate's norm and its distance to
-    the last come from one pass over its node stacks (see :func:`xt_norm`).
+    the per-solve work once: u0 is checked, before its norm is read, and
+    its nonlinear term, that of node 0 in every iterate, computed once;
+    only nodes 1..64 are transformed per iterate, on one block of
+    ``_stack_threads`` whose helper ends with the solve, and never checked
+    (they are built from u0 and projected terms).  Each iterate's norm and
+    its distance to the last come from one pass over its node stacks.
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tolerance must be positive")
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _require_projected(u0.coef[None], u0.grid)
     A = hs_norm(u0, 1.0)
     T = local_time(A, c)
     if _spacing_underflows(T, INTERVALS):
         raise ValueError(f"the local horizon c A^-4 underflows to 0 at c={c:g}, A={A:g}")
-    _require_projected(u0.coef[None], u0.grid)
     g0 = list(_nonlinear_stack(u0.coef[None], u0.grid))
     pairs = [(a + 1, b + 1) for a, b in _split(INTERVALS, _stack_size(u0.grid))]
     current = heat_trajectory(u0, T, INTERVALS)  # node 0 is u0 bitwise: e^0 = 1

@@ -112,8 +112,8 @@ def smoothing_ratio(f: SpectralField, s: float, delta: float, t: float) -> float
     """
     if not 0 < t < math.inf:  # NaN fails too
         raise ValueError("smoothing ratio needs t > 0 and finite")
-    if not delta > 0:
-        raise ValueError("smoothing ratio needs delta > 0")
+    if not 0 < delta < math.inf:  # NaN fails too
+        raise ValueError("smoothing ratio needs delta > 0 and finite")
     denom = hs_norm(f, s)
     if denom == 0.0:
         raise ValueError("smoothing ratio undefined for the zero field")

@@ -176,17 +176,21 @@ def hs_norm(f: SpectralField, s: float) -> float:
     """Sobolev norm (sum over k != 0 of |k|^(2s) |coef(k)|^2)^(1/2).
 
     The squared Euclidean length of the complex coefficient 3-vector is
-    summed per mode; ``s`` may be negative or fractional.  The zero field
-    returns 0 for any ``s``.  Finite coefficients whose squares overflow
-    are rescaled by the largest of them first, so the norm reads ``inf``
-    only when it is beyond the float range itself, and never warns.
+    summed per mode; ``s`` must be finite, and may be negative or
+    fractional.  The zero field returns 0 for any ``s``.  Finite
+    coefficients whose squares overflow are rescaled by the largest of them
+    first, so the norm reads ``inf`` only when it is beyond the float range
+    itself, and never warns.
     """
     return float(_stack_norms(f.coef[None], f.grid, s)[0])
 
 
 def _stack_norms(coefs: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
     """:func:`hs_norm` of each field of a stack (B, 3, M, M, K+1), shape (B,):
-    one einsum over the stack, then the overflow rescale field by field."""
+    one einsum over the stack, then the overflow rescale field by field.
+    A non-finite order ``s`` is rejected before the weights are built."""
+    if not np.isfinite(s):
+        raise ValueError(f"Sobolev order s must be finite, got {s!r}")
     w = _norm_weights(grid, float(s))
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.einsum("bcxyz,xyz->b", coefs.real**2 + coefs.imag**2, w))
@@ -529,21 +533,26 @@ def single_mode_field(
     """One conjugate pair amp * p * sin(k.x) scaled to a given H^1 norm.
 
     The polarization is projected orthogonal to k so the field is
-    divergence-free.  A k beyond the dealias cutoff, a non-finite
-    polarization or an h1_norm that is negative or not finite is rejected.
+    divergence-free.  A k that is not three finite integers or lies beyond
+    the dealias cutoff, a non-finite polarization or an h1_norm that is
+    negative or not finite is rejected.
     """
     if not 0 <= h1_norm < np.inf:  # NaN fails too
         raise ValueError(f"h1_norm must be finite and nonnegative, got {h1_norm!r}")
     K = grid.cutoff
-    karr = np.asarray(k, dtype=np.int64)
-    if np.all(karr == 0):
+    karr = np.asarray(k)
+    if (karr.shape != (3,) or karr.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(karr)) or np.any(karr != np.trunc(karr))):
+        raise ValueError(f"mode k must be three finite integers, got {k!r}")
+    kf = karr.astype(np.float64)  # compared as floats: an int64 abs may overflow
+    if np.all(kf == 0):
         raise ValueError("mode k must be nonzero")
-    if np.max(np.abs(karr)) > K:
+    if np.max(np.abs(kf)) > K:
         raise ValueError(f"mode {k} exceeds the dealias cutoff K={K}")
+    karr = kf.astype(np.int64)
     p = np.asarray(polarization, dtype=np.float64)
     if not np.all(np.isfinite(p)):
         raise ValueError(f"polarization must be finite, got {polarization!r}")
-    kf = karr.astype(np.float64)
     p = p - kf * (p @ kf) / (kf @ kf)
     pnorm = np.linalg.norm(p)
     if pnorm < 1e-14:

@@ -245,6 +245,26 @@ class TestCompactness:
         with pytest.raises(ValueError, match=named):
             compactness_experiment(u0, [1, 2], eps_window, c, dt=1e-2)
 
+    @pytest.mark.parametrize("fault, message", [
+        ("nan", r"^field has non-finite coefficients$"),
+        ("inf", r"^field has non-finite coefficients$"),
+        ("gradient", r"^nonlinear_term requires a divergence-free field \(div_linf="),
+    ])
+    def test_faulty_datum_rejected_before_its_norm_is_read(self, fault, message):
+        # read later, a NaN norm is a negative A to local_time, and an infinite
+        # norm or the gradient's H^1 size a horizon shorter than eps_window,
+        # which would hide the fault
+        grid = GridSpec(8)
+        u0 = named_flow("shear", 1.0, grid)
+        K = grid.cutoff
+        if fault == "gradient":  # (2 cos x1, 0, 0) added
+            u0.coef[0, K + 1, K, 0] += 1.0
+            u0.coef[0, K - 1, K, 0] += 1.0
+        else:
+            u0.coef[1, K, K, 1] = float(fault)
+        with pytest.raises(ValueError, match=message):
+            compactness_experiment(u0, [1, 2], 0.01, 0.05, dt=0.01)
+
     def test_base_run_shared_across_frequencies(self, monkeypatch):
         # zero base: T = local_time(1, c) = c, so c = 0.05 at dt = 0.01 is
         # 5 steps; one base run plus one run per frequency, 4 stages a step,

@@ -539,6 +539,29 @@ class TestCli:
         assert f"config key '{key}': unknown key" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--flow", "shear", "--N", "8", "--T", "0.02", "--dt", "1e-2",
+         "--store-every", "1"],
+        ["picard", "--flow", "shear", "--N", "8", "--c", "0.01"],
+        ["compactness", "--flow", "shear", "--N", "8", "--freqs", "1,2",
+         "--eps-window", "0.01", "--c", "0.5", "--dt", "1e-2"],
+        ["ensemble"],
+    ], ids=["simulate", "picard", "compactness", "ensemble"])
+    def test_manifest_lists_every_file_once(self, tmp_path, argv):
+        # the manifest adds itself to its callers' lists
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("grid_n = 8\ndt = 0.02\nhorizon = 0.04\na_list = 0.1,0.2\n"
+                           "samples_per_a = 1\n")
+        out = tmp_path / "o"
+        assert cli_main(argv + ["--config", str(cfgfile), "--out-dir", str(out)]) == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert files == sorted(p.name for p in out.iterdir())
+
+    def test_write_manifest_adds_itself(self, tmp_path):
+        path = explorer_cli.write_manifest(tmp_path, "hash", [3], ["b.csv", "a.json"])
+        assert path == tmp_path / "manifest.json"
+        assert json.loads(path.read_text())["files"] == ["a.json", "b.csv", "manifest.json"]
+
     @pytest.mark.parametrize("argv, written", [
         (["simulate", "--flow", "shear", "--N", "8", "--T", "0.02", "--dt", "1e-2"],
          "norms.csv"),

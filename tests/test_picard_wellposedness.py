@@ -43,6 +43,25 @@ def constant_trajectory(f, T, n):
     return TrajectoryX(T, [f.copy() for _ in range(n + 1)])
 
 
+def record_checks(monkeypatch):
+    """Record, in order, each input check of the Picard layer as ("check",
+    stack size) and each thread block it enters as ("threads", stacks)."""
+    events = []
+    check, threads = picard_wellposedness._require_projected, picard_wellposedness._stack_threads
+
+    def counted_check(coefs, grid):
+        events.append(("check", len(coefs)))
+        return check(coefs, grid)
+
+    def counted_threads(count):
+        events.append(("threads", count))
+        return threads(count)
+
+    monkeypatch.setattr(picard_wellposedness, "_require_projected", counted_check)
+    monkeypatch.setattr(picard_wellposedness, "_stack_threads", counted_threads)
+    return events
+
+
 class TestTrajectoryX:
     def test_uniform(self, grid8):
         u = constant_trajectory(SpectralField.zero(grid8), 0.5, 10)
@@ -335,6 +354,14 @@ class TestPhiMap:
         with pytest.raises(ValueError, match=message):
             phi_map(u, u0)
 
+    def test_inputs_checked_once_before_the_threads_start(self, monkeypatch, grid16):
+        # u0, then the node stacks of 17 nodes in node order, then the thread
+        # block: 1 + 5 checks, and none inside the map
+        events = record_checks(monkeypatch)
+        u0 = random_divfree(1.0, 3, 2.0, grid16)
+        phi_map(heat_trajectory(u0, 0.01, 16), u0)
+        assert events == [("check", n) for n in (1, 3, 3, 4, 3, 4)] + [("threads", 5)]
+
     def test_non_projected_datum_rejected(self, grid8):
         u0 = random_divfree(1.0, 3, 2.0, grid8)
         u = heat_trajectory(u0, 0.01, 16)
@@ -432,6 +459,33 @@ class TestPicardSolve:
                 picard_solve(u0, c=0.01)
         assert alive[0] == start and max(alive) == start + 1
         assert threading.active_count() == start
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 40])
+    def test_datum_checked_once_per_solve(self, monkeypatch, grid16, max_iter):
+        # the iterates are built from u0 and projected terms: one check of u0,
+        # before the thread block, whatever the iterate count
+        events = record_checks(monkeypatch)
+        _, rep = picard_solve(random_divfree(1.0, 3, 2.0, grid16), c=0.01, max_iter=max_iter)
+        assert rep.iterate_count == max_iter + 1 or rep.converged
+        assert events == [("check", 1), ("threads", 16)]
+
+    @pytest.mark.parametrize("fault, message", [
+        ("nan", r"^field has non-finite coefficients$"),
+        ("inf", r"^field has non-finite coefficients$"),
+        ("gradient", r"^nonlinear_term requires a divergence-free field \(div_linf="),
+    ])
+    def test_faulty_datum_rejected_before_its_norm_is_read(self, grid8, fault, message):
+        # read later, a NaN norm is a negative A to local_time and an
+        # infinite one an underflowing horizon, which would hide the fault
+        u0 = random_divfree(1.0, 3, 2.0, grid8)
+        K = grid8.cutoff
+        if fault == "gradient":  # (2 cos x1, 0, 0) added
+            u0.coef[0, K + 1, K, 0] += 1.0
+            u0.coef[0, K - 1, K, 0] += 1.0
+        else:
+            u0.coef[1, K, K, 1] = float(fault)
+        with pytest.raises(ValueError, match=message):
+            picard_solve(u0)
 
     def test_shear_converges_immediately(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)

@@ -85,7 +85,8 @@ class TestSmoothingRatio:
 
     @pytest.mark.parametrize("delta, t, named", [(1.0, math.nan, "t > 0"),
                                                  (math.nan, 1.0, "delta > 0"),
-                                                 (1.0, math.inf, "t > 0 and finite")])
+                                                 (1.0, math.inf, "t > 0 and finite"),
+                                                 (math.inf, 1.0, "delta > 0 and finite")])
     def test_nan_rejected(self, rand16, delta, t, named):
         with pytest.raises(ValueError, match=named):
             smoothing_ratio(rand16, 1.0, delta, t)

@@ -15,6 +15,7 @@ from mildns import (
     GridSpec,
     SpectralField,
     divergence_linf,
+    heat_trajectory,
     hs_norm,
     leray_project,
     load_nsf1,
@@ -24,6 +25,8 @@ from mildns import (
     sample_on_grid,
     save_nsf1,
     single_mode_field,
+    smoothing_ratio,
+    xt_norm,
 )
 from mildns import spectral_field
 from mildns.spectral_field import (
@@ -177,6 +180,19 @@ class TestHsNorm:
         assert l2 == pytest.approx(1e308 * hs_norm(unit, 0.0), rel=1e-14)
         assert h2 == math.inf
         assert math.isnan(nan)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_rejected(self, rand16, s):
+        # each such call would read NaN and cache weights no later call matches
+        u = heat_trajectory(rand16, 0.01, 8)
+        cached = _norm_weights.cache_info().currsize
+        for read in (lambda: _stack_norms(rand16.coef[None], rand16.grid, s),
+                     lambda: hs_norm(rand16, s),
+                     lambda: xt_norm(u, s),
+                     lambda: smoothing_ratio(rand16, s, 1.0, 0.5)):
+            with pytest.raises(ValueError, match=f"^Sobolev order s must be finite, got {s}$"):
+                read()
+        assert _norm_weights.cache_info().currsize == cached
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_parseval_rms(self, n):
@@ -681,6 +697,25 @@ class TestSingleModeField:
         with pytest.raises(ValueError,
                            match=f"^h1_norm must be finite and nonnegative, got {h1_norm}$"):
             single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), h1_norm)
+
+    @pytest.mark.parametrize("k", [(1.5, 0, 0), (1, 0.5, 0), (1, math.nan, 0),
+                                   (1, 0, math.inf), (1, 0), (1, 0, 0, 0), ("1", 0, 0),
+                                   (1, None, 0), 1])
+    def test_non_integer_mode_rejected(self, grid8, k):
+        # a fraction must not be dropped: (1.5, 0, 0) is not the mode (1, 0, 0)
+        with pytest.raises(ValueError, match=r"^mode k must be three finite integers, got "):
+            single_mode_field(grid8, k, (0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("k", [(2.0, 0, 0), (np.int64(2), 0, 0), np.array([2, 0, 0]),
+                                   [2, -0.0, 0]])
+    def test_integer_valued_mode_accepted(self, grid8, k):
+        want = single_mode_field(grid8, (2, 0, 0), (0.0, 0.0, 1.0), 0.5)
+        assert np.array_equal(single_mode_field(grid8, k, (0.0, 0.0, 1.0), 0.5).coef, want.coef)
+
+    @pytest.mark.parametrize("k", [(2**63 - 1, 0, 0), (-2**63, 0, 0), (1e300, 0, 0)])
+    def test_huge_mode_beyond_cutoff(self, grid8, k):
+        with pytest.raises(ValueError, match="cutoff"):
+            single_mode_field(grid8, k, (0.0, 0.0, 1.0))
 
     @pytest.mark.parametrize("polarization", [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
                                               (0.0, -math.inf, 0.0), (0.0, 1.0, math.nan)])
