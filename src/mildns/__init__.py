@@ -33,7 +33,6 @@ from .semigroup_flow import (
     norms_to_csv,
     simulate,
     smoothing_ratio,
-    sup_distances,
 )
 from .picard_wellposedness import (
     PicardReport,

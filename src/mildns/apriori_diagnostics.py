@@ -16,7 +16,7 @@ from .spectral_field import (
     hs_norm,
     single_mode_field,
 )
-from .semigroup_flow import NormSeries, sup_distances
+from .semigroup_flow import NormSeries, _unretired, march
 from .picard_wellposedness import local_time
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "pigeonhole_time",
     "decay_envelope",
     "unit_time_contraction",
-    "compactness_horizon",
     "compactness_experiment",
     "poincare_violation",
 ]
@@ -174,9 +173,9 @@ class CompactnessReport:
         return _write_json(asdict(self), path)
 
 
-def compactness_horizon(u0: SpectralField, c: float) -> float:
+def _compactness_horizon(u0: SpectralField, c: float) -> float:
     """Horizon of :func:`compactness_experiment`: local_time(A + 1, c) with
-    A the H^1 norm of u0."""
+    A the H^1 norm of u0, which must already be checked."""
     return local_time(hs_norm(u0, 1.0) + 1.0, c)
 
 
@@ -192,12 +191,14 @@ def compactness_experiment(
     For each frequency n the datum is u0 plus a divergence-free pair at
     wavevector (n, 0, 0) with y-polarization and H^1 size 1.
     The base run and all perturbed runs march once, in lockstep, to the
-    horizon T = compactness_horizon(u0, c), and every step time in
-    [eps_window, T] enters the supremum, so the result does not depend on
-    any storage thinning.  u0 is checked (finite, divergence-free) before
-    its H^1 norm sets the horizon.
+    horizon T = local_time(A + 1, c), A the H^1 norm of u0, and every step
+    time in [eps_window, T] enters the supremum, so the result does not
+    depend on any storage thinning.  u0 is checked (finite, divergence-free)
+    before its H^1 norm sets the horizon, and every argument before the march.
     """
     freqs = [int(n) for n in freqs]
+    if not freqs:
+        raise ValueError("freqs must hold at least one frequency")
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise ValueError("frequencies must be strictly increasing")
     K = u0.grid.cutoff
@@ -205,13 +206,16 @@ def compactness_experiment(
         if n < 1 or n > K:
             raise ValueError(f"perturbation frequency {n} outside the cutoff (1..{K})")
     _require_projected(u0.coef[None], u0.grid)
-    T = compactness_horizon(u0, c)
+    T = _compactness_horizon(u0, c)
     if not 0 <= eps_window < T:  # NaN fails too
         raise ValueError(f"eps_window must lie in [0, T) with T={T:.6g}")
     perturbed = [u0 + single_mode_field(u0.grid, (n, 0, 0), (0.0, 1.0, 0.0), 1.0)
                  for n in freqs]
-    sups = sup_distances(u0, perturbed, T, dt, t_min=eps_window)
-    return CompactnessReport(freqs, [d for d, _ in sups], eps_window, T, c)
+    sups = [-1.0] * len(freqs)  # the last step time is T, inside the window
+    for t, (base, *runs), _ in _unretired(march([u0, *perturbed], T, dt)):
+        if t >= eps_window - 1e-12:
+            sups = [max(d, hs_norm(u - base, 1.0)) for d, u in zip(sups, runs)]
+    return CompactnessReport(freqs, sups, eps_window, T, c)
 
 
 def poincare_violation(s: NormSeries) -> float:

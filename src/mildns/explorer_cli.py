@@ -53,8 +53,8 @@ from .semigroup_flow import (
 )
 from .picard_wellposedness import picard_solve
 from .apriori_diagnostics import (
+    _compactness_horizon,
     compactness_experiment,
-    compactness_horizon,
     energy_identity_residual,
     poincare_violation,
 )
@@ -617,7 +617,7 @@ def _cmd_ensemble(args) -> int:
 def _cmd_compactness(args) -> int:
     cfg = _load_config(args)
     u0 = _initial_field(args, cfg)
-    K, T = cfg.grid().cutoff, compactness_horizon(u0, cfg.c)
+    K, T = cfg.grid().cutoff, _compactness_horizon(u0, cfg.c)
     freqs = args.freqs or [2**p for p in range(1, K.bit_length())] or [1]
     if freqs[-1] > K:  # argparse's usage error, exit code 2
         args.parser.error(f"argument --freqs: must not exceed the cutoff K={K}")

@@ -36,7 +36,6 @@ __all__ = [
     "smoothing_ratio",
     "march",
     "simulate",
-    "sup_distances",
     "norms_to_csv",
     "norms_from_csv",
 ]
@@ -357,34 +356,6 @@ def simulate(u0: SpectralField, T: float, dt: float, store_every: int = 1) -> Tr
     return partial()
 
 
-def sup_distances(
-    base: SpectralField,
-    others,
-    T: float,
-    dt: float,
-    t_min: float = 0.0,
-) -> list[tuple[float, float]]:
-    """Largest H^1 distance from the base run to each other run, over step
-    times >= t_min (t = 0 included when t_min is 0).
-
-    The base and every other datum march once, in lockstep on one step
-    plan, so the result is independent of any field-storage thinning.
-    Returns one (supremum, time attained) pair per entry of ``others``.
-    """
-    others = list(others)
-    eps = 1e-12
-    if not T >= t_min - eps:  # NaN fails too
-        raise ValueError("no step times fall inside the comparison window")
-    best = [(-1.0, 0.0)] * len(others)
-    for t, states, _ in _unretired(march([base, *others], T, dt)):
-        if t >= t_min - eps:
-            for j, u in enumerate(states[1:]):
-                d = hs_norm(u - states[0], 1.0)
-                if d > best[j][0]:
-                    best[j] = (d, t)
-    return best
-
-
 def norms_to_csv(series: NormSeries, path) -> None:
     """Write the norm series as CSV with 17-significant-digit floats; the
     enstrophy column is h1**2 (inf where that is beyond the float range)."""
@@ -400,8 +371,9 @@ def norms_to_csv(series: NormSeries, path) -> None:
 
 def norms_from_csv(path) -> NormSeries:
     """Read a norm series written by :func:`norms_to_csv`, dropping the
-    enstrophy column (it is h1**2).  A missing or unexpected header, or a row
-    with more or fewer fields than the header, raises ValueError."""
+    enstrophy column (it is h1**2).  A missing or unexpected header, a row
+    with more or fewer fields than the header, or a value that is not a
+    number raises ValueError naming the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])  # [] for an empty file, or an empty first line
@@ -411,7 +383,11 @@ def norms_from_csv(path) -> NormSeries:
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"line {reader.line_num} has {len(row)} fields, not {len(header)}")
-            for c, v in zip(cols, row):
-                c.append(float(v))
+            for name, c, v in zip(header, cols, row):
+                try:
+                    c.append(float(v))
+                except ValueError:
+                    raise ValueError(f"line {reader.line_num}, column {name}: "
+                                     f"{v!r} is not a number") from None
     arrays = [np.asarray(c) for c in cols]
     return NormSeries(arrays[0], arrays[1], arrays[2], arrays[4])

@@ -419,10 +419,16 @@ def sample_on_grid(f: SpectralField, points: int | None = None) -> np.ndarray:
     """Sample the field on a uniform collocation grid.
 
     Returns a real array (3, points, points, points) over x_j = 2 pi j / points.
-    ``points`` must be at least 2K+1 so that the trigonometric polynomial is
-    represented without aliasing; defaults to the grid resolution.
+    ``points``, an integer (an integer-valued float counts), must be at least
+    2K+1 so that the trigonometric polynomial is represented without
+    aliasing; defaults to the grid resolution.
     """
-    p = f.grid.n if points is None else int(points)
+    if points is None:
+        points = f.grid.n
+    if not (isinstance(points, numbers.Integral)
+            or isinstance(points, numbers.Real) and float(points).is_integer()):
+        raise ValueError(f"points must be an integer, got {points!r}")
+    p = int(points)
     if p < f.grid.modes_per_axis:
         raise ValueError(f"need at least {f.grid.modes_per_axis} points per axis, got {p}")
     half = np.empty((3, p, p, p // 2 + 1), dtype=np.complex128)
@@ -540,9 +546,8 @@ def single_mode_field(
     if not 0 <= h1_norm < np.inf:  # NaN fails too
         raise ValueError(f"h1_norm must be finite and nonnegative, got {h1_norm!r}")
     K = grid.cutoff
-    karr = np.asarray(k)
-    if (karr.shape != (3,) or karr.dtype.kind not in "iuf"
-            or not np.all(np.isfinite(karr)) or np.any(karr != np.trunc(karr))):
+    karr = _three_finite(k)
+    if karr is None or np.any(karr != np.trunc(karr)):
         raise ValueError(f"mode k must be three finite integers, got {k!r}")
     kf = karr.astype(np.float64)  # compared as floats: an int64 abs may overflow
     if np.all(kf == 0):
@@ -550,9 +555,10 @@ def single_mode_field(
     if np.max(np.abs(kf)) > K:
         raise ValueError(f"mode {k} exceeds the dealias cutoff K={K}")
     karr = kf.astype(np.int64)
-    p = np.asarray(polarization, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"polarization must be finite, got {polarization!r}")
+    p = _three_finite(polarization)
+    if p is None:
+        raise ValueError(f"polarization must be finite and have three components, "
+                         f"got {polarization!r}")
     p = p - kf * (p @ kf) / (kf @ kf)
     pnorm = np.linalg.norm(p)
     if pnorm < 1e-14:
@@ -565,6 +571,17 @@ def single_mode_field(
         if p[comp] != 0.0:
             _set_pair(f.coef, K, tuple(karr), comp, -0.5j * amp * p[comp])
     return f
+
+
+def _three_finite(v):
+    """``v`` as an array if it is three finite real numbers, else None."""
+    try:
+        a = np.asarray(v)
+    except ValueError:  # a ragged sequence such as ((1, 0), 0, 0)
+        return None
+    if a.shape != (3,) or a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)):
+        return None
+    return a
 
 
 _NSF1_MAGIC = b"NSF1"

@@ -15,14 +15,16 @@ from mildns import (
     energy_budget,
     energy_identity_residual,
     hs_norm,
+    march,
     named_flow,
     pigeonhole_time,
     poincare_violation,
     random_divfree,
     simulate,
+    single_mode_field,
     unit_time_contraction,
 )
-from mildns import semigroup_flow, spectral_field
+from mildns import apriori_diagnostics, semigroup_flow, spectral_field
 
 
 def heat_series(rate, h1_0, times):
@@ -284,6 +286,55 @@ class TestCompactness:
                                      dt=0.01)
         assert rep.T_used == 0.05
         assert sum(rows) == 4 * (2 + 1) * 5
+
+    @pytest.mark.parametrize("freqs", [[], ()])
+    def test_empty_freqs_rejected(self, monkeypatch, freqs):
+        # an empty list marched the base flow to T and reported no distances
+        marches = []
+        monkeypatch.setattr(semigroup_flow, "_lockstep", lambda *args: marches.append(args))
+        u0 = named_flow("shear", 1.0, GridSpec(8))
+        with pytest.raises(ValueError, match="^freqs must hold at least one frequency$"):
+            compactness_experiment(u0, freqs, 0.0, 2.0)
+        assert marches == []
+
+    def test_window_excludes_initial_gap(self, grid8):
+        # the distance starts at the perturbation's H^1 size and decays, so a
+        # later window leaves out the larger early distances; every step time
+        # in [eps_window, T] enters the supremum, and no earlier one
+        u0 = named_flow("shear", 1.0, grid8)
+        full = compactness_experiment(u0, [2], 0.0, 2.0, dt=1e-2)
+        T = full.T_used
+        late = compactness_experiment(u0, [2], T / 2, 2.0, dt=1e-2)
+        w = single_mode_field(grid8, (2, 0, 0), (0.0, 1.0, 0.0), 1.0)
+        gaps = [(t, hs_norm(v - u, 1.0)) for t, (u, v), _ in march([u0, u0 + w], T, 1e-2)]
+        assert full.distances == [max(d for _, d in gaps)] == [gaps[0][1]]
+        assert late.distances == [max(d for t, d in gaps if t >= T / 2)]
+        assert late.distances[0] < full.distances[0]
+
+    # N=24 (P=26) steps the four states alone, on two threads where two
+    # CPUs are usable
+    @pytest.mark.parametrize("grid", [GridSpec(8), GridSpec(24)], ids=["N8", "N24"])
+    def test_several_freqs_match_each_alone(self, grid):
+        u0 = random_divfree(0.8, 2, 2.0, grid)
+        together = compactness_experiment(u0, [1, 2], 0.02, 0.5, dt=1e-2)
+        alone = [compactness_experiment(u0, [n], 0.02, 0.5, dt=1e-2).distances[0]
+                 for n in (1, 2)]
+        assert together.distances == alone
+
+    def test_one_march_per_experiment(self, monkeypatch):
+        # the base run and every perturbed run share one lockstep march
+        calls = []
+
+        def recording(states, T, dt):
+            states = list(states)
+            calls.append(len(states))
+            return march(states, T, dt)
+
+        monkeypatch.setattr(apriori_diagnostics, "march", recording)
+        u0 = named_flow("shear", 1.0, GridSpec(16))
+        for freqs in ([2], [1, 2, 4]):
+            compactness_experiment(u0, freqs, 0.0, 2.0, dt=2e-2)
+        assert calls == [2, 4]
 
     def test_json_export(self, tmp_path):
         grid = GridSpec(16)

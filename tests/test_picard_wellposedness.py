@@ -13,6 +13,7 @@ from mildns import (
     GridSpec,
     SpectralField,
     TrajectoryX,
+    compactness_experiment,
     heat_propagate,
     heat_trajectory,
     hs_norm,
@@ -26,7 +27,6 @@ from mildns import (
     xt_norm,
 )
 from mildns import picard_wellposedness, semigroup_flow
-from mildns.apriori_diagnostics import compactness_horizon
 from mildns.picard_wellposedness import _xt_norms
 from mildns.spectral_field import _norm_weights
 
@@ -210,7 +210,7 @@ class TestLocalTime:
         u0 = random_divfree(1.0, 3, 2.0, grid8)
         for run in (lambda: local_time(1.0, math.inf),
                     lambda: picard_solve(u0, c=math.inf),
-                    lambda: compactness_horizon(u0, math.inf)):
+                    lambda: compactness_experiment(u0, [1], 0.0, math.inf)):
             with pytest.raises(ValueError, match="^c must be positive and finite$"):
                 run()
 

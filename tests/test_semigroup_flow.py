@@ -14,6 +14,7 @@ from mildns import (
     GridSpec,
     NormSeries,
     SpectralField,
+    compactness_experiment,
     divergence_linf,
     heat_propagate,
     hs_norm,
@@ -25,7 +26,6 @@ from mildns import (
     simulate,
     single_mode_field,
     smoothing_ratio,
-    sup_distances,
 )
 from mildns import semigroup_flow
 
@@ -310,45 +310,6 @@ class TestSimulate:
             simulate(named_flow("shear", 1.0, grid8), 0.1, 1e-2, **kw)
 
 
-class TestSupDistances:
-    def test_identical_data(self, grid8):
-        u0 = random_divfree(0.5, 1, 2.0, grid8)
-        [(d, t)] = sup_distances(u0, [u0.copy()], 0.05, 1e-2)
-        assert d == 0.0
-
-    def test_window_excludes_initial_gap(self, grid8):
-        u0 = named_flow("shear", 1.0, grid8)
-        w = single_mode_field(grid8, (2, 0, 0), (0.0, 1.0, 0.0), 0.1)
-        [(full, _)] = sup_distances(u0, [u0 + w], 0.2, 1e-2, t_min=0.0)
-        [(late, t_at)] = sup_distances(u0, [u0 + w], 0.2, 1e-2, t_min=0.1)
-        assert late < full
-        assert t_at >= 0.1
-
-    def test_empty_window_rejected(self, grid8):
-        u0 = named_flow("shear", 1.0, grid8)
-        with pytest.raises(ValueError, match="window"):
-            sup_distances(u0, [u0], 0.05, 1e-2, t_min=1.0)
-
-    @pytest.mark.parametrize("t_min", [math.nan])
-    def test_nan_window_rejected(self, grid8, t_min):
-        u0 = named_flow("shear", 1.0, grid8)
-        with pytest.raises(ValueError, match="window"):
-            sup_distances(u0, [u0], 0.05, 1e-2, t_min=t_min)
-
-    # N=24 (P=26) steps the four states on several threads; three
-    # perturbations split unevenly between them
-    @pytest.mark.parametrize("grid", [GridSpec(8), GridSpec(24)], ids=["N8", "N24"])
-    def test_lockstep_matches_single_runs(self, grid):
-        base = random_divfree(0.8, 2, 2.0, grid)
-        others = [base + random_divfree(0.1, 3, 2.0, grid),
-                  base + single_mode_field(grid, (2, 0, 0), (0.0, 1.0, 0.0), 0.3),
-                  base + single_mode_field(grid, (0, 1, 1), (1.0, 0.0, 0.0), 0.2)]
-        together = sup_distances(base, others, 0.055, 1e-2, t_min=0.02)
-        single = [d for u in others
-                  for d in sup_distances(base, [u], 0.055, 1e-2, t_min=0.02)]
-        assert together == single
-
-
 class TestMarch:
     def test_plan_lands_on_horizon(self, grid8):
         u0 = named_flow("shear", 1.0, grid8)
@@ -379,7 +340,8 @@ class TestMarch:
         with pytest.raises(ValueError, match="grid"):
             march([u0, SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
         with pytest.raises(ValueError, match="grid"):
-            sup_distances(u0, [SpectralField.zero(GridSpec(16))], 0.1, 1e-2)
+            list(semigroup_flow._unretired(march([u0, SpectralField.zero(GridSpec(16))],
+                                                 0.1, 1e-2)))
 
     @pytest.mark.parametrize("T, dt, message", [
         (math.nan, 1e-2, "horizon T must be positive and finite, got nan"),
@@ -415,7 +377,7 @@ class TestMarch:
             bad.coef[2, K, K + 1, 1] = np.nan
         runs = [lambda: march([good, bad], 0.05, 0.01),
                 lambda: simulate(bad, 0.05, 0.01),
-                lambda: sup_distances(good, [good, bad], 0.05, 0.01)]
+                lambda: compactness_experiment(bad, [1], 0.0, 0.05, dt=0.01)]
         for run in runs:
             with pytest.raises(ValueError, match=message):
                 run()
@@ -474,7 +436,7 @@ class TestStackedMarch:
                 assert np.array_equal(now[j].coef, v.coef)
 
         with pytest.raises(BlowupError) as distances:
-            sup_distances(good[0], states[1:], T, dt)
+            list(semigroup_flow._unretired(march(states, T, dt)))
         for exc in (single.value, distances.value):
             assert exc.time == single.value.time
             assert str(exc) == ("left the Galerkin ball |u|_H1 <= sqrt(3) K |u0|_L2 "
@@ -626,7 +588,7 @@ class TestThreadedMarch:
         [(_, before)] = [(t, s) for t, s, _ in together if t < alone.value.time][-1:]
         assert np.array_equal(before[1].coef, alone.value.last_field.coef)
         with pytest.raises(BlowupError) as distances:
-            sup_distances(states[0], states[1:], 0.05, 1e-2)
+            list(semigroup_flow._unretired(march(states, 0.05, 1e-2)))
         assert distances.value.time == alone.value.time
         assert np.array_equal(distances.value.last_field.coef, alone.value.last_field.coef)
 
@@ -641,7 +603,7 @@ class TestThreadedMarch:
         assert last[1] is None
         assert threading.active_count() == start
         with pytest.raises(BlowupError):
-            sup_distances(mixed[0], mixed[1:], 0.05, 1e-2)
+            list(semigroup_flow._unretired(march(mixed, 0.05, 1e-2)))
         assert threading.active_count() == start
         steps = march(good, 0.05, 1e-2)
         next(steps)  # t = 0: no thread yet
@@ -749,6 +711,15 @@ class TestNormSeriesCsv:
         path = tmp_path / "norms.csv"
         path.write_text(f"t,l2,h1,enstrophy,div_linf\n0.5,1,2,4,0\n{row}\n")
         with pytest.raises(ValueError, match=f"^line 3 has {count} fields, not 5$"):
+            norms_from_csv(path)
+
+    @pytest.mark.parametrize("row, column, value", [("0.5,x,2,4,0", "l2", "'x'"),
+                                                    ("0.5,1,2,4,", "div_linf", "''")])
+    def test_non_numeric_value_named(self, tmp_path, row, column, value):
+        # the line was named only for a wrong field count
+        path = tmp_path / "norms.csv"
+        path.write_text(f"t,l2,h1,enstrophy,div_linf\n0,1,2,4,0\n{row}\n")
+        with pytest.raises(ValueError, match=f"^line 3, column {column}: {value} is not a number$"):
             norms_from_csv(path)
 
     @pytest.mark.parametrize("text", ["", "\n"], ids=["empty", "blank_first_line"])

@@ -389,6 +389,17 @@ class TestTransformReference:
             assert np.max(np.abs(t - shifted)) <= 4e-15 * np.max(np.abs(w))
             assert np.all(t[2, 2] == 0.0)
 
+    @pytest.mark.parametrize("points", [20.7, 20.5, np.float64(20.5), math.nan, math.inf, "20"])
+    def test_sample_on_grid_points_must_be_an_integer(self, grid8, points):
+        # 20.7 sampled 20 points
+        with pytest.raises(ValueError, match=r"^points must be an integer, got "):
+            sample_on_grid(named_flow("abc", 1.0, grid8), points)
+
+    @pytest.mark.parametrize("points", [20.0, np.float64(20.0), np.int64(20)])
+    def test_sample_on_grid_integer_valued_points(self, grid8, points):
+        f = named_flow("abc", 1.0, grid8)
+        assert np.array_equal(sample_on_grid(f, points), sample_on_grid(f, 20))
+
     @pytest.mark.parametrize("n, k", [(8, None), (10, 1), (16, 7), (32, None), (48, None)])
     def test_sample_on_grid_exact(self, n, k):
         # 2K+1 is the odd minimal grid, where the k and -k blocks abut
@@ -700,7 +711,7 @@ class TestSingleModeField:
 
     @pytest.mark.parametrize("k", [(1.5, 0, 0), (1, 0.5, 0), (1, math.nan, 0),
                                    (1, 0, math.inf), (1, 0), (1, 0, 0, 0), ("1", 0, 0),
-                                   (1, None, 0), 1])
+                                   (1, None, 0), 1, ((1, 0), 0, 0), ((0, 1), 0, 0)])
     def test_non_integer_mode_rejected(self, grid8, k):
         # a fraction must not be dropped: (1.5, 0, 0) is not the mode (1, 0, 0)
         with pytest.raises(ValueError, match=r"^mode k must be three finite integers, got "):
@@ -722,6 +733,14 @@ class TestSingleModeField:
     def test_non_finite_polarization_rejected(self, grid16, polarization):
         # NaN gave a NaN field, inf an invalid-value warning
         with pytest.raises(ValueError, match="polarization must be finite"):
+            single_mode_field(grid16, (1, 0, 0), polarization)
+
+    @pytest.mark.parametrize("polarization", [(0.0, 1.0), (0.0, 1.0, 0.0, 0.0), ((0, 1), 0, 0),
+                                              ("0", 1.0, 0.0), (0.0, 1j, 0.0), 1.0])
+    def test_polarization_of_three_numbers(self, grid16, polarization):
+        # (0.0, 1.0) raised numpy's unnamed matmul mismatch
+        with pytest.raises(ValueError, match=r"^polarization must be finite and have three "
+                                             r"components, got "):
             single_mode_field(grid16, (1, 0, 0), polarization)
 
 
