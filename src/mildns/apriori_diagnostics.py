@@ -5,6 +5,7 @@ Everything here is read-only: the series diagnostics take a
 never feed back into the dynamics.
 """
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -195,7 +196,13 @@ def compactness_experiment(
     time in [eps_window, T] enters the supremum, so the result does not
     depend on any storage thinning.  u0 is checked (finite, divergence-free)
     before its H^1 norm sets the horizon, and every argument before the march.
+    Each frequency must be an integer (an integer-valued float counts).
     """
+    freqs = list(freqs)
+    for n in freqs:
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) or
+                                       isinstance(n, numbers.Real) and float(n).is_integer()):
+            raise ValueError(f"perturbation frequency must be an integer, got {n!r}")
     freqs = [int(n) for n in freqs]
     if not freqs:
         raise ValueError("freqs must hold at least one frequency")

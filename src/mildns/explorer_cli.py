@@ -51,7 +51,7 @@ from .semigroup_flow import (
     simulate,
     smoothing_ratio,
 )
-from .picard_wellposedness import picard_solve
+from .picard_wellposedness import INTERVALS, picard_solve
 from .apriori_diagnostics import (
     _compactness_horizon,
     compactness_experiment,
@@ -443,7 +443,8 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
     fixed, rep = picard_solve(u_small, c=0.01, tol=1e-10, max_iter=40)
     worst = math.inf  # unless converged and aligned with the IF-RK4 fields
     if rep.converged:
-        sim = simulate(u_small, rep.T_used, rep.T_used / 256, store_every=4)
+        # 8 steps per Picard interval, so a field is stored at every node
+        sim = simulate(u_small, rep.T_used, rep.T_used / (8 * INTERVALS), store_every=8)
         if len(sim.field_times) == len(fixed.fields) and np.all(
                 np.abs(sim.field_times - fixed.nodes) <= 1e-12):
             worst = max(hs_norm(a - b, 1.0) for a, b in zip(fixed.fields, sim.fields))

@@ -3,7 +3,9 @@
 The contraction map applied here is
     Phi(u)(t) = e^(t L) u0 + int_0^t e^((t-t') L) D(u (x) u)(t') dt'
 evaluated on a discrete time grid with exact mode-wise heat factors and
-linear-in-time interpolation of the nonlinearity (second-order quadrature).
+cubic-in-time interpolation of the nonlinearity through four neighbouring
+nodes (fourth-order quadrature, with the phi-function weights of
+exponential integrators).
 The local horizon follows the subcritical scaling T = c A^-4 for data of
 H^1 size A, capped at 1.
 """
@@ -37,7 +39,19 @@ __all__ = [
     "picard_solve",
 ]
 
-INTERVALS = 64  # of picard_solve's time grid
+INTERVALS = 32  # of picard_solve's time grid
+
+# The nonlinearity is interpolated on each sub-interval [t_j, t_j+1] by the
+# cubic through four nodes, at offsets from j: the first interval's, an
+# interior one's and the last one's.  _LAGRANGE[s, m, i] is the coefficient
+# of tau^m, tau = (t - t_j) / h, in the basis polynomial of node i of
+# stencil s (the inverse of the stencil's Vandermonde matrix).
+_STENCILS = ((0, 1, 2, 3), (-1, 0, 1, 2), (-2, -1, 0, 1))
+_LAGRANGE = np.linalg.inv(np.array(_STENCILS, dtype=float)[..., None] ** np.arange(4))
+_LAGRANGE.setflags(write=False)
+# terms of phi_4's Taylor series below x = 2: term j is at most
+# 2^j / (j + 4)!, so the first one left out is below 1e-22
+_TAYLOR_TERMS = 24
 
 
 @dataclass
@@ -45,7 +59,8 @@ class TrajectoryX:
     """A discrete space-time field: one spectral field per uniform node
     t_j = j T / (len(fields) - 1) on [0, T], at least 8 sub-intervals, with
     trapezoid quadrature weights.  The node spacing must be a normal float:
-    :func:`phi_map` divides by it, and 1 / spacing overflows below that."""
+    :func:`phi_map` scales its weights by it, and a subnormal spacing
+    carries fewer significant bits."""
 
     T: float
     fields: list
@@ -76,10 +91,6 @@ class TrajectoryX:
         w[:-1] += 0.5 * h
         w[1:] += 0.5 * h
         return w
-
-    def __sub__(self, other: "TrajectoryX") -> "TrajectoryX":
-        _require_same_nodes(self, other)
-        return TrajectoryX(self.T, [a - b for a, b in zip(self.fields, other.fields)])
 
 
 @dataclass
@@ -169,24 +180,40 @@ def heat_trajectory(u0: SpectralField, T: float, intervals: int) -> TrajectoryX:
 
 
 def _duhamel_weights(k2: np.ndarray, h: float):
-    """Exact integrals over one sub-interval of e^((t_next - t') L) times the
-    linear interpolant basis: returns (decay, a0, a1) with
-        decay = e^(-|k|^2 h), a0 = (1 - e^(-x)) / lam, a1 = (h - a0) / lam,
-    x = lam h, continuously extended by (h, h^2/2) at lam = 0."""
-    lam = np.where(k2 > 0, k2, 1.0)
-    x = lam * h
-    a0 = -np.expm1(-x) / lam
-    a1 = (h - a0) / lam
-    a0 = np.where(k2 > 0, a0, h)
-    a1 = np.where(k2 > 0, a1, 0.5 * h * h)
-    return np.exp(-k2 * h), a0, a1
+    """Exact integrals over one sub-interval [t_j, t_j + h] of
+    e^(-|k|^2 (t_j + h - t')) times each cubic Lagrange basis polynomial of
+    the three stencils: returns (decay, weights), decay = e^(-|k|^2 h) and
+    weights[s][i] the weight of node i of stencil ``_STENCILS[s]``.
+
+    With x = |k|^2 h the moments int_0^h e^(-|k|^2 (h - t)) (t/h)^m dt are
+    h m! phi_(m+1)(-x), m = 0..3, with the phi-functions of exponential
+    integrators.  Below x = 2 they come from phi_4's Taylor series and
+    phi_k = 1/k! - x phi_(k+1); from there on from phi_0 = e^-x and
+    phi_(k+1) = (1/k! - phi_k) / x.  Both directions are stable on their
+    side, and x = 0 (the mean mode) is no special case."""
+    x = k2 * h
+    small = x < 2.0
+    xs = np.where(small, x, 0.0)
+    phi = [np.zeros_like(x)]  # phi_4 by Horner's rule, then phi_3, phi_2, phi_1
+    for j in reversed(range(_TAYLOR_TERMS)):
+        phi[0] = 1.0 / math.factorial(4 + j) - xs * phi[0]
+    for k in (3, 2, 1):
+        phi.insert(0, 1.0 / math.factorial(k) - xs * phi[0])
+    xl = np.where(small, 2.0, x)
+    upward = [np.exp(-xl)]  # phi_0, phi_1, .., phi_4
+    for k in range(4):
+        upward.append((1.0 / math.factorial(k) - upward[k]) / xl)
+    moments = np.array([h * math.factorial(m) * np.where(small, phi[m], upward[m + 1])
+                        for m in range(4)])
+    return np.exp(-x), np.einsum("smi,m...->si...", _LAGRANGE, moments)
 
 
 def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
     """One application of the Duhamel map to a discrete trajectory.
 
     The heat factor is applied exactly mode-wise; the nonlinearity is
-    evaluated at every node and interpolated linearly in time inside the
+    evaluated at every node and interpolated in time, on each sub-interval,
+    by the cubic through four neighbouring nodes (``_STENCILS``) inside the
     per-interval exponential quadrature.  Output at t=0 is exactly u0.  The
     time grid is uniform, so the quadrature weights are computed once.
 
@@ -204,29 +231,34 @@ def phi_map(u: TrajectoryX, u0: SpectralField) -> TrajectoryX:
     pairs = _split(len(u.fields), _stack_size(u.grid))
     for pair in pairs:
         _require_projected(_node_stack(u, pair), u.grid)
+    weights = _duhamel_weights(_wavenumbers(u.grid)[1], u.T / (len(u.fields) - 1))
     with _stack_threads(len(pairs)) as run:
-        return _duhamel_map(u, u0, run, pairs, [])
+        return _duhamel_map(u, u0, run, pairs, [], weights)
 
 
-def _duhamel_map(u: TrajectoryX, u0: SpectralField, run, pairs, g: list) -> TrajectoryX:
+def _duhamel_map(u: TrajectoryX, u0: SpectralField, run, pairs, g: list,
+                 weights) -> TrajectoryX:
     """The Duhamel map of ``u`` from ``u0``, given the nonlinear terms ``g``
     of the nodes before the stacks ``pairs`` (``(start, stop)`` node
     ranges that cover the rest), transformed by ``run`` from
-    :func:`_stack_threads`.  Its callers check every input first."""
+    :func:`_stack_threads`, and :func:`_duhamel_weights` of the node
+    spacing.  Its callers check every input first."""
     # each stack is built again where its terms are computed, so the node
     # copies are never all alive at once
     terms = run(lambda pair: _nonlinear_stack(_node_stack(u, pair), u.grid), pairs)
     g = [*g, *(row for rows in terms for row in rows)]
-    widths = np.diff(u.nodes)
-    _, k2, _ = _wavenumbers(u.grid)
-    decay, a0, a1 = _duhamel_weights(k2, float(widths[0]))
+    decay, stencil_weights = weights
+    n = len(g) - 1
 
     out = [u0.copy()]
     homog = u0.coef
     integral = np.zeros_like(u0.coef)
-    for j, h in enumerate(widths):
-        slope = (g[j + 1] - g[j]) / h
-        integral = decay * integral + a0 * g[j] + a1 * slope
+    for j in range(n):
+        s = (j > 0) + (j == n - 1)  # first, interior or last stencil
+        start = j + _STENCILS[s][0]
+        integral = decay * integral
+        for w, gi in zip(stencil_weights[s], g[start:start + 4]):
+            integral += w * gi
         homog = decay * homog
         out.append(SpectralField(u.grid, homog + integral))
     return TrajectoryX(u.T, out)
@@ -240,9 +272,10 @@ def picard_solve(
 ) -> tuple[TrajectoryX, PicardReport]:
     """Iterate the Duhamel map to its fixed point on [0, min(c A^-4, 1)].
 
-    Works on a uniform 64-interval time grid, starts from the heat flow of
-    u0 and stops once successive iterates are within ``tol`` in the
-    space-time norm; every iterate equals u0 exactly at t = 0.
+    Works on a uniform time grid of ``INTERVALS`` (32) intervals, starts
+    from the heat flow of u0 and stops once successive iterates are within
+    ``tol`` in the space-time norm; every iterate equals u0 exactly at
+    t = 0.
     Non-convergence within ``max_iter`` (an integer >= 1) returns
     converged=False (the chosen c is too large for this datum).  Iterates
     that leave a generous ball or whose successive differences double are
@@ -251,11 +284,12 @@ def picard_solve(
 
     Each iterate is bitwise :func:`phi_map` of the last, but the solve does
     the per-solve work once: u0 is checked, before its norm is read, and
-    its nonlinear term, that of node 0 in every iterate, computed once;
-    only nodes 1..64 are transformed per iterate, on one block of
-    ``_stack_threads`` whose helper ends with the solve, and never checked
-    (they are built from u0 and projected terms).  Each iterate's norm and
-    its distance to the last come from one pass over its node stacks.
+    its nonlinear term, that of node 0 in every iterate, computed once, as
+    are the quadrature weights; only nodes 1..32 are transformed per
+    iterate, on one block of ``_stack_threads`` whose helper ends with the
+    solve, and never checked (they are built from u0 and projected terms).
+    Each iterate's norm and its distance to the last come from one pass
+    over its node stacks.
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tolerance must be positive")
@@ -268,6 +302,7 @@ def picard_solve(
         raise ValueError(f"the local horizon c A^-4 underflows to 0 at c={c:g}, A={A:g}")
     g0 = list(_nonlinear_stack(u0.coef[None], u0.grid))
     pairs = [(a + 1, b + 1) for a, b in _split(INTERVALS, _stack_size(u0.grid))]
+    weights = _duhamel_weights(_wavenumbers(u0.grid)[1], T / INTERVALS)
     current = heat_trajectory(u0, T, INTERVALS)  # node 0 is u0 bitwise: e^0 = 1
     x1_norms = [xt_norm(current, 1.0)]
     diff_norms: list[float] = []
@@ -276,7 +311,7 @@ def picard_solve(
     converged = False
     with _stack_threads(len(pairs)) as run:
         for _ in range(max_iter):
-            nxt = _duhamel_map(current, u0, run, pairs, g0)
+            nxt = _duhamel_map(current, u0, run, pairs, g0, weights)
             x1, d = _xt_norms(nxt, 1.0, [None, current])
             x1_norms.append(x1)
             diff_norms.append(d)

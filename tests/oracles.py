@@ -18,9 +18,11 @@ modes as the current pipeline, which prunes its FFT passes to the lines
 holding those modes, so the two must agree exactly, not just to rounding.
 The six-product forms are the pipeline before it moved to five products;
 they agree with the five-product ones to rounding.
-``reference_phi_map`` is the Duhamel map as it was before its nodes were
-batched through the transforms: one checked ``nonlinear_term`` call per
-node.  It must agree with ``phi_map`` exactly.  ``reference_hs_norm``,
+``reference_phi_map`` is the (cubic-in-time) Duhamel map as it would be
+without batching its nodes through the transforms: one checked
+``nonlinear_term`` call per node, with the package's quadrature weights
+(tested against Gauss-Legendre on their own).  It must agree with
+``phi_map`` exactly.  ``reference_hs_norm``,
 ``reference_divergence_linf`` and ``reference_leray_project`` are frozen
 copies of the one-field readings from before each became the package's
 stacked form on a stack of one; both forms must agree exactly.
@@ -292,20 +294,28 @@ def reference_phi_map(u, u0):
     """The Duhamel map with one nonlinear_term call per node."""
     if u0.grid != u.grid:
         raise ValueError("initial datum and trajectory use different grids")
-    widths = np.diff(u.nodes)
+    n = len(u.fields) - 1
     _, k2, _ = _wavenumbers(u.grid)
     g = [nonlinear_term(f).coef for f in u.fields]
-    decay, a0, a1 = _duhamel_weights(k2, float(widths[0]))
+    decay, (first, interior, last) = _duhamel_weights(k2, u.T / n)
 
     out = [u0.copy()]
     homog = u0.coef
     integral = np.zeros_like(u0.coef)
-    for j, h in enumerate(widths):
-        slope = (g[j + 1] - g[j]) / h
-        integral = decay * integral + a0 * g[j] + a1 * slope
+    for j in range(n):
+        # the cubic through nodes 0..3, j-1..j+2 or n-3..n
+        start, w = (0, first) if j == 0 else (n - 3, last) if j == n - 1 else (j - 1, interior)
+        integral = decay * integral
+        for i in range(4):
+            integral += w[i] * g[start + i]
         homog = decay * homog
         out.append(SpectralField(u.grid, homog + integral))
     return TrajectoryX(u.T, out)
+
+
+def trajectory_difference(u, v):
+    """``u - v`` node by node, on the nodes of ``u``."""
+    return TrajectoryX(u.T, [a - b for a, b in zip(u.fields, v.fields)])
 
 
 def reference_xt_norm(u, s):
@@ -329,7 +339,7 @@ def reference_picard_solve(u0, c=0.01, tol=1e-10, max_iter=40):
     for _ in range(max_iter):
         nxt = reference_phi_map(current, u0)
         x1 = reference_xt_norm(nxt, 1.0)
-        d = reference_xt_norm(nxt - current, 1.0)
+        d = reference_xt_norm(trajectory_difference(nxt, current), 1.0)
         x1_norms.append(x1)
         diff_norms.append(d)
         if len(diff_norms) >= 2:

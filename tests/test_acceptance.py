@@ -34,6 +34,7 @@ from mildns import (
     smoothing_ratio,
 )
 from mildns.explorer_cli import ExperimentConfig
+from mildns.picard_wellposedness import INTERVALS
 
 from oracles import dense_convolution_nonlinearity, full_cube
 
@@ -162,17 +163,18 @@ def test_criterion_6_picard_contraction_and_orders(grid16):
     assert rep.converged
     assert all(f <= 0.5 for f in rep.contraction_factors)
 
-    sim = simulate(u0, rep.T_used, rep.T_used / 256, store_every=4)
+    sim = simulate(u0, rep.T_used, rep.T_used / (8 * INTERVALS), store_every=8)
     # the IF-RK4 run stores a field at every Picard node, in order
     assert len(sim.field_times) == len(fixed.fields)
     assert np.all(np.abs(sim.field_times - fixed.nodes) <= 1e-12)
     gap = max(hs_norm(f - fs, 1.0) for f, fs in zip(fixed.fields, sim.fields))
     assert gap <= 1e-4
 
-    # quadrature refinement orders, measured against deep references
+    # quadrature refinement orders, measured against deep references; on
+    # the horizon at c = 0.01 the map's error is at rounding level by n = 32
     g8 = GridSpec(8)
     up = random_divfree(1.0, 9, 2.0, g8)
-    T = local_time(hs_norm(up, 1.0), 0.01)
+    T = local_time(hs_norm(up, 1.0), 0.3)
 
     def phi_final(n):
         return phi_map(heat_trajectory(up, T, n), up).fields[-1]
@@ -180,7 +182,7 @@ def test_criterion_6_picard_contraction_and_orders(grid16):
     ref = phi_final(2048)
     errs = [hs_norm(phi_final(n) - ref, 1.0) for n in (32, 64, 128)]
     phi_orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert all(abs(p - 2.0) <= 0.3 for p in phi_orders)
+    assert all(abs(p - 4.0) <= 0.3 for p in phi_orders)
 
     us = random_divfree(1.5, 5, 2.0, g8)
     Ts = 0.25

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,26 @@ class TestCompactness:
         with pytest.raises(ValueError, match="^freqs must hold at least one frequency$"):
             compactness_experiment(u0, freqs, 0.0, 2.0)
         assert marches == []
+
+    @pytest.mark.parametrize("bad, named", [
+        (1.7, "1.7"), ("2", "'2'"), (math.nan, "nan"), (math.inf, "inf"), (True, "True"),
+    ])
+    def test_non_integer_freq_rejected(self, monkeypatch, bad, named):
+        # int() ran 1.7 as frequency 1 and '2' as 2, and NaN raised an
+        # unnamed conversion error
+        marches = []
+        monkeypatch.setattr(semigroup_flow, "_lockstep", lambda *args: marches.append(args))
+        u0 = named_flow("shear", 1.0, GridSpec(8))
+        with pytest.raises(ValueError, match=rf"^perturbation frequency must be an integer, "
+                                             rf"got {re.escape(named)}$"):
+            compactness_experiment(u0, [1, bad], 0.0, 2.0)
+        assert marches == []
+
+    def test_integer_valued_freqs_accepted(self):
+        u0 = named_flow("shear", 1.0, GridSpec(8))
+        want = compactness_experiment(u0, [1, 2], 0.0, 2.0, dt=2e-2)
+        for freqs in ([1.0, 2.0], np.array([1, 2]), (n for n in (1, 2))):
+            assert compactness_experiment(u0, freqs, 0.0, 2.0, dt=2e-2) == want
 
     def test_window_excludes_initial_gap(self, grid8):
         # the distance starts at the perturbation's H^1 size and decays, so a
