@@ -3,8 +3,8 @@
 Unit-viscosity, mean-zero incompressible flow in Fourier space, built around
 the mild (Duhamel) form of the equation: exact heat semigroup, exactly
 dealiased quadratic flux, integrating-factor RK4 marching, a Picard
-fixed-point solver on the subcritical local horizon, and diagnostics for the
-energy/dissipation/decay chain and empirical norm-growth envelopes.
+fixed-point solver on the subcritical local horizon, energy-identity and
+compactness diagnostics, and empirical norm-growth envelopes.
 """
 
 __version__ = "0.1.0"
@@ -45,14 +45,9 @@ from .picard_wellposedness import (
 )
 from .apriori_diagnostics import (
     CompactnessReport,
-    PigeonholeResult,
     compactness_experiment,
-    decay_envelope,
-    energy_budget,
     energy_identity_residual,
-    pigeonhole_time,
     poincare_violation,
-    unit_time_contraction,
 )
 from .explorer_cli import (
     ConfigError,

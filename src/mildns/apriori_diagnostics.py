@@ -1,8 +1,10 @@
-"""Energy, decay, and compactness diagnostics over completed trajectories.
+"""Energy-identity, Poincare and compactness diagnostics.
 
-Everything here is read-only: the series diagnostics take a
-:class:`NormSeries` (a trajectory's ``norm_series``, t = 0 included) and
-never feed back into the dynamics.
+Everything here is read-only.  The two series checks that ``verify``
+reads, the energy-identity residual and the Poincare violation, take a
+:class:`NormSeries` (a trajectory's ``norm_series``, t = 0 included); the
+compactness experiment marches its own runs and reports their distances.
+None of them feeds back into the dynamics.
 """
 
 import numbers
@@ -22,13 +24,8 @@ from .picard_wellposedness import local_time
 
 __all__ = [
     "EnergyResiduals",
-    "PigeonholeResult",
     "CompactnessReport",
     "energy_identity_residual",
-    "energy_budget",
-    "pigeonhole_time",
-    "decay_envelope",
-    "unit_time_contraction",
     "compactness_experiment",
     "poincare_violation",
 ]
@@ -64,95 +61,6 @@ def energy_identity_residual(s: NormSeries) -> EnergyResiduals:
         starts, ends = np.append(starts, t.size - 2), np.append(ends, t.size - 1)
         integral = np.append(integral, 0.5 * (f[-2] + f[-1]) * (t[-1] - t[-2]))
     return EnergyResiduals(t[ends], np.abs(e[ends] - e[starts] + 2.0 * integral))
-
-
-def energy_budget(s: NormSeries) -> tuple[float, float]:
-    """Return (sup_t L^2 norm, sqrt(2 * int enstrophy dt)).
-
-    For dissipative runs the supremum is the initial L^2 norm and the total
-    dissipation never exceeds it.
-    """
-    sup_l2 = float(np.max(s.l2)) if s.l2.size else 0.0
-    total = float(np.sqrt(2.0 * np.trapezoid(s.h1**2, s.times))) if s.times.size > 1 else 0.0
-    return sup_l2, total
-
-
-@dataclass
-class PigeonholeResult:
-    """A low-dissipation time inside the pigeonhole window [0, 1/eps^2]."""
-
-    T_prime: float
-    gradient_l2_at_T_prime: float
-    epsilon_used: float
-    budget_bound: float
-    h1_at_T_prime: float
-    partial: bool = False
-
-    def to_json(self, path=None) -> str:
-        return _write_json(asdict(self), path)
-
-
-def pigeonhole_time(series: NormSeries, eps: float) -> PigeonholeResult:
-    """Earliest sampled time minimizing enstrophy over [0, 1/eps^2].
-
-    The dissipation budget forces the minimizer below its window average:
-    enstrophy(T') * window <= int enstrophy dt holds exactly on the discrete
-    series.  A series shorter than the window is searched in full and the
-    result flagged partial.
-    """
-    if not eps > 0:  # NaN fails too
-        raise ValueError(f"eps must be positive, got {eps!r}")
-    window = 1.0 / eps**2
-    in_window = series.times <= window * (1.0 + 1e-12)
-    if not np.any(in_window):
-        raise ValueError("series does not cover any of the pigeonhole window")
-    partial = bool(series.times[-1] < window * (1.0 - 1e-12))
-    ens = series.h1[in_window] ** 2
-    t_in = series.times[in_window]
-    idx = int(np.argmin(ens))  # argmin returns the earliest minimizer
-    budget = float(np.trapezoid(ens, t_in)) if t_in.size > 1 else 0.0
-    h1_here = float(series.h1[in_window][idx])
-    return PigeonholeResult(
-        T_prime=float(t_in[idx]),
-        gradient_l2_at_T_prime=float(np.sqrt(ens[idx])),
-        epsilon_used=eps,
-        budget_bound=budget,
-        h1_at_T_prime=h1_here,
-        partial=partial,
-    )
-
-
-def decay_envelope(series: NormSeries, t_start: float) -> float:
-    """Least-squares slope of log H^1 on [t_start, end] (the decay rate).
-
-    Pure heat flows reproduce minus the least active |k|^2; small-data runs
-    decay at least like e^-t up to quadratic corrections.
-    """
-    mask = series.times >= t_start
-    t = series.times[mask]
-    h1 = series.h1[mask]
-    if t.size < 4:
-        raise ValueError("need at least 4 samples beyond t_start for a rate fit")
-    if np.any(h1 <= 0):
-        raise ValueError("H1 norm hits zero inside the fit window")
-    slope = np.polyfit(t, np.log(h1), 1)[0]
-    return float(slope)
-
-
-def unit_time_contraction(series: NormSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Ratios h1(t+1)/h1(t) at integer offsets t = 0, 1, ...
-
-    Values are linearly interpolated between samples; a zero numerator and
-    denominator reports 0 by convention.  Requires a horizon of at least 2.
-    """
-    horizon = series.times[-1]
-    if horizon < 2.0:
-        raise ValueError("unit-time contraction needs a horizon >= 2")
-    offsets = np.arange(0.0, np.floor(horizon))
-    h_at = np.interp(offsets, series.times, series.h1)
-    h_next = np.interp(offsets + 1.0, series.times, series.h1)
-    ratios = np.divide(h_next, h_at, out=np.zeros_like(h_at), where=h_at > 0)
-    return offsets, ratios
 
 
 @dataclass

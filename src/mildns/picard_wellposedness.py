@@ -126,9 +126,9 @@ def _xt_norms(u: TrajectoryX, s: float, minus: list) -> list:
     """``xt_norm(u - v, s)`` for each ``v`` of ``minus`` (None for the norm
     of ``u`` itself), from one pass over the node stacks of ``u``; each
     difference is formed one stack at a time rather than as a whole
-    trajectory, and its norm is bitwise that of ``u - v``."""
-    for v in filter(None, minus):
-        _require_same_nodes(u, v)
+    trajectory, and its norm is bitwise that of ``u - v``.  Each ``v``
+    must hold ``u``'s nodes on ``u``'s grid; the solve builds both so, and
+    nothing checks it again."""
     norms = [[] for _ in minus]
     for pair in _split(len(u.fields), _stack_size(u.grid)):
         coefs = _node_stack(u, pair)
@@ -153,12 +153,6 @@ def _weighted_squares(w, norms) -> float:
 def _node_stack(u: TrajectoryX, pair) -> np.ndarray:
     """The coefficients of the nodes ``range(*pair)`` of ``u``, stacked."""
     return np.stack([f.coef for f in u.fields[slice(*pair)]])
-
-
-def _require_same_nodes(u: TrajectoryX, v: TrajectoryX) -> None:
-    """Reject trajectories that differ in T, node count or grid."""
-    if (u.T, len(u.fields), u.grid) != (v.T, len(v.fields), v.grid):
-        raise ValueError("trajectory grids do not match")
 
 
 def local_time(A: float, c: float) -> float:
@@ -274,8 +268,8 @@ def picard_solve(
 
     Works on a uniform time grid of ``INTERVALS`` (32) intervals, starts
     from the heat flow of u0 and stops once successive iterates are within
-    ``tol`` in the space-time norm; every iterate equals u0 exactly at
-    t = 0.
+    ``tol`` (positive and finite) in the space-time norm; every iterate
+    equals u0 exactly at t = 0.
     Non-convergence within ``max_iter`` (an integer >= 1) returns
     converged=False (the chosen c is too large for this datum).  Iterates
     that leave a generous ball or whose successive differences double are
@@ -291,8 +285,8 @@ def picard_solve(
     Each iterate's norm and its distance to the last come from one pass
     over its node stacks.
     """
-    if not tol > 0:  # NaN fails too
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     _require_projected(u0.coef[None], u0.grid)

@@ -172,13 +172,6 @@ class TestXtNorm:
         [_, d] = _xt_norms(u, 1.0, [None, v])
         assert repr(d) == repr(reference_xt_norm(trajectory_difference(u, v), 1.0))
 
-    @pytest.mark.parametrize("T, n, grid", [(0.5, 16, 8), (1.0, 32, 8), (1.0, 16, 16)])
-    def test_mismatched_trajectories_rejected(self, grid8, T, n, grid):
-        u = constant_trajectory(SpectralField.zero(grid8), 1.0, 16)
-        other = constant_trajectory(SpectralField.zero(GridSpec(grid)), T, n)
-        with pytest.raises(ValueError, match="do not match"):
-            _xt_norms(u, 1.0, [None, other])
-
 
 class TestLocalTime:
     def test_values(self):
@@ -612,6 +605,7 @@ class TestPicardSolve:
         ({"max_iter": 2.0}, "max_iter"),
         ({"max_iter": "3"}, "max_iter"),
         ({"max_iter": None}, "max_iter"),
+        ({"tol": math.inf}, "tolerance"),
     ])
     def test_bad_tolerance_or_iteration_count_rejected(self, grid8, kw, named):
         with pytest.raises(ValueError, match=named):
