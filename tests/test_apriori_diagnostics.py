@@ -1,4 +1,5 @@
-"""Energy identity, the Poincare check and the compactness experiment."""
+"""Energy identity, the Poincare check, the compactness experiment and the
+small-data decay that the a priori estimates predict."""
 
 import json
 import math
@@ -64,6 +65,31 @@ class TestEnergyIdentity:
         res = energy_identity_residual(traj.norm_series)
         tol = 1e-6 * max(1.0, traj.norm_series.l2[0] ** 2)
         assert res.max_residual <= tol
+
+
+class TestDecayEnvelope:
+    def test_small_data_decays_at_least_unit_rate(self, grid8):
+        # H^1 size 0.1 is below 1/C_K ~ 0.183 at K = 2 (C_K^2 the sum of
+        # |k|^-2 over the active modes), where the flux cannot outrun
+        # dissipation: H^1 falls at every step (the largest change read
+        # -1.4e-5), and log H^1 decays at least at unit rate past t = 0.5
+        # up to quadratic corrections (the fitted slope read -1.10)
+        s = simulate(random_divfree(0.1, 6, 2.0, grid8), 2.0, 2e-3).norm_series
+        assert np.all(np.diff(s.h1) < 0.0)
+        late = s.times >= 0.5
+        assert np.polyfit(s.times[late], np.log(s.h1[late]), 1)[0] <= -0.9
+
+
+class TestUnitTimeContraction:
+    def test_small_data_ns_contracts(self, grid8):
+        # H^1(t + 1) <= H^1(t) at the integer offsets t = 0, 1 of a small-data
+        # run, the norm read between samples by linear interpolation
+        s = simulate(random_divfree(0.2, 9, 2.0, grid8), 2.5, 2.5e-3).norm_series
+        offsets = np.arange(0.0, np.floor(s.times[-1]))
+        assert list(offsets) == [0.0, 1.0]
+        h_at = np.interp(offsets, s.times, s.h1)
+        assert np.all(h_at > 0.0)
+        assert np.all(np.interp(offsets + 1.0, s.times, s.h1) <= h_at)
 
 
 class TestCompactness:
