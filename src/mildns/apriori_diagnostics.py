@@ -19,7 +19,7 @@ from .spectral_field import (
     hs_norm,
     single_mode_field,
 )
-from .semigroup_flow import NormSeries, _unretired, march
+from .semigroup_flow import NormSeries, _simpson_pairs, _unretired, march
 from .picard_wellposedness import local_time
 
 __all__ = [
@@ -51,15 +51,8 @@ class EnergyResiduals:
 def energy_identity_residual(s: NormSeries) -> EnergyResiduals:
     """Check the discrete energy balance over pairs of steps, by Simpson's
     rule in its form for unequal steps (a shortened last step)."""
-    t, e, f = s.times, s.l2**2, s.h1**2
-    starts = np.arange(0, t.size - 2, 2)
-    h0, h1 = t[starts + 1] - t[starts], t[starts + 2] - t[starts + 1]
-    integral = (h0 + h1) / 6.0 * ((2.0 - h1 / h0) * f[starts] + (2.0 - h0 / h1) * f[starts + 2]
-                                  + (h0 + h1) ** 2 / (h0 * h1) * f[starts + 1])
-    ends = starts + 2
-    if t.size % 2 == 0 and t.size:  # an odd step count: the last step alone
-        starts, ends = np.append(starts, t.size - 2), np.append(ends, t.size - 1)
-        integral = np.append(integral, 0.5 * (f[-2] + f[-1]) * (t[-1] - t[-2]))
+    t, e = s.times, s.l2**2
+    starts, ends, integral = _simpson_pairs(t, s.h1**2)
     return EnergyResiduals(t[ends], np.abs(e[ends] - e[starts] + 2.0 * integral))
 
 

@@ -28,6 +28,7 @@ from .spectral_field import (
     GridSpec,
     SpectralField,
     _norm_weights,
+    _planar_divfree,
     _wavenumbers,
     _write_json,
     divergence_linf,
@@ -376,6 +377,17 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
     bound = 1e-10 * hs_norm(u, 1.0) ** 3
     _report(checks, "nonlinear_energy_orthogonality", abs(inner) <= bound,
             f"|<D(uxu),u>| {abs(inner):.3e} <= {bound:.3e}")
+
+    # planar data: every 2D triad conserves enstrophy, so the flux does no
+    # enstrophy transfer at any amplitude, and H1 falls along the march
+    planar = _planar_divfree(100.0, seed, 2.0, grid)
+    nl = nonlinear_term(planar)
+    transfer = abs(float(np.sum(np.real(nl.coef * np.conj(planar.coef))
+                                * _norm_weights(grid, 1.0))))
+    bound = 1e-12 * hs_norm(nl, 1.0) * hs_norm(planar, 1.0)
+    rise = float(np.max(np.diff(simulate(planar, 20 * 1e-4, 1e-4).norm_series.h1)))
+    _report(checks, "planar_enstrophy_transfer", transfer <= bound and rise <= 0.0,
+            f"|<N(u),Lap u>| {transfer:.3e} <= {bound:.3e}; max H1 rise {rise:.3e} <= 0")
 
     worst = 0.0
     for name in FLOW_NAMES:  # each flux is a pure gradient

@@ -27,7 +27,7 @@ from .spectral_field import (
     _write_json,
     hs_norm,
 )
-from .semigroup_flow import _split, _stack_size, _stack_threads, heat_propagate
+from .semigroup_flow import _simpson_pairs, _split, _stack_size, _stack_threads, heat_propagate
 
 __all__ = [
     "TrajectoryX",
@@ -57,9 +57,9 @@ _TAYLOR_TERMS = 24
 @dataclass
 class TrajectoryX:
     """A discrete space-time field: one spectral field per uniform node
-    t_j = j T / (len(fields) - 1) on [0, T], at least 8 sub-intervals, with
-    trapezoid quadrature weights.  The node spacing must be a normal float:
-    :func:`phi_map` scales its weights by it, and a subnormal spacing
+    t_j = j T / (len(fields) - 1) on [0, T], at least 8 sub-intervals.  The
+    node spacing must be a normal float: :func:`phi_map` and
+    :func:`xt_norm` scale their weights by it, and a subnormal spacing
     carries fewer significant bits."""
 
     T: float
@@ -84,14 +84,6 @@ class TrajectoryX:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, len(self.fields))
 
-    @property
-    def trapezoid_weights(self) -> np.ndarray:
-        h = np.diff(self.nodes)
-        w = np.zeros(len(self.fields))
-        w[:-1] += 0.5 * h
-        w[1:] += 0.5 * h
-        return w
-
 
 @dataclass
 class PicardReport:
@@ -112,7 +104,7 @@ class PicardReport:
 
 def xt_norm(u: TrajectoryX, s: float) -> float:
     """Space-time norm: sup-in-time H^s plus the L^2-in-time H^(s+1) integral,
-    the latter by trapezoid quadrature over the trajectory's nodes.
+    the latter by the energy check's Simpson rule scaled by the node spacing.
 
     The nodes are read in the stacks a lockstep march would use on this grid
     (``_split`` by ``_stack_size``) with ``_stack_norms``, so each node's
@@ -135,19 +127,13 @@ def _xt_norms(u: TrajectoryX, s: float, minus: list) -> list:
         for v, out in zip(minus, norms):
             c = coefs if v is None else coefs - _node_stack(v, pair)
             out += zip(*(_stack_norms(c, u.grid, t).tolist() for t in (s, s + 1.0)))
-    w = u.trapezoid_weights
-    return [max(a for a, _ in n) + math.sqrt(_weighted_squares(w, [b for _, b in n]))
-            for n in norms]
-
-
-def _weighted_squares(w, norms) -> float:
-    """``sum(wi * b**2)`` in node order; inf where it is beyond the float
-    range (where a square is, Python's float ``**`` raises)."""
-    try:
-        with np.errstate(over="ignore"):
-            return sum(wi * b**2 for wi, b in zip(w, norms))
-    except OverflowError:
-        return math.inf
+    # h * b**2 on unit steps: the unequal-step weights read 0/0 where h * h
+    # underflows
+    h, steps = u.T / (len(u.fields) - 1), np.arange(len(u.fields), dtype=float)
+    with np.errstate(over="ignore"):  # a square beyond the float range reads inf
+        return [max(a for a, _ in n)
+                + math.sqrt(_simpson_pairs(steps, h * np.array([b for _, b in n]) ** 2)[2].sum())
+                for n in norms]
 
 
 def _node_stack(u: TrajectoryX, pair) -> np.ndarray:

@@ -301,6 +301,22 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _simpson_pairs(t: np.ndarray, f: np.ndarray):
+    """The package's one time quadrature: ``(starts, ends, integrals)`` of
+    the samples ``f`` at the times ``t`` over each pair of steps, by Simpson's
+    rule in its form for unequal steps, and over an odd last step alone by
+    the trapezoid rule."""
+    starts = np.arange(0, t.size - 2, 2)
+    h0, h1 = t[starts + 1] - t[starts], t[starts + 2] - t[starts + 1]
+    integral = (h0 + h1) / 6.0 * ((2.0 - h1 / h0) * f[starts] + (2.0 - h0 / h1) * f[starts + 2]
+                                  + (h0 + h1) ** 2 / (h0 * h1) * f[starts + 1])
+    ends = starts + 2
+    if t.size % 2 == 0 and t.size:  # an odd step count: the last step alone
+        starts, ends = np.append(starts, t.size - 2), np.append(ends, t.size - 1)
+        integral = np.append(integral, 0.5 * (f[-2] + f[-1]) * (t[-1] - t[-2]))
+    return starts, ends, integral
+
+
 def _unretired(steps):
     """Pass on a march's ``(t, states, h1)`` up to the first step that retired
     a state (NaN in ``h1``), which raises :class:`BlowupError` instead, with

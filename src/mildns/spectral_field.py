@@ -486,6 +486,23 @@ def random_divfree(A: float, seed: int, slope: float, grid: GridSpec) -> Spectra
     return SpectralField(grid, f.coef * (A / hs_norm(f, 1.0)))
 
 
+def _planar_divfree(A: float, seed: int, slope: float, grid: GridSpec) -> SpectralField:
+    """Planar data: :func:`random_divfree`'s draw restricted to k3 = 0 and
+    u3 = 0, projected divergence-free again and rescaled to H^1 norm A.
+
+    Every triad of a 2D truncation conserves enstrophy as well as energy, so
+    the flux of such a field does no enstrophy transfer, <N(u), Laplace u> = 0,
+    and its H^1 norm cannot rise.
+    """
+    f = random_divfree(A, seed, slope, grid)
+    if A == 0.0:
+        return f
+    coef = np.zeros_like(f.coef)
+    coef[:2, ..., 0] = f.coef[:2, ..., 0]
+    f = leray_project(SpectralField(grid, coef))
+    return SpectralField(grid, f.coef * (A / hs_norm(f, 1.0)))
+
+
 def _set_pair(coef, K, k, component, value):
     """Add value at mode k and its conjugate at -k for one component,
     writing whichever of the two modes the field stores (k3 >= 0)."""

@@ -24,6 +24,8 @@ from mildns import (
 )
 from mildns import apriori_diagnostics, semigroup_flow, spectral_field
 
+from oracles import reference_energy_residuals
+
 
 class TestEnergyIdentity:
     def test_shear_flow_trapezoid_only(self, grid8):
@@ -58,6 +60,16 @@ class TestEnergyIdentity:
         trapezoid = 0.5 * (h1sq[-2] + h1sq[-1]) * 0.15
         exact = 0.15 + (0.6**2 - 0.45**2) / 2 + (0.6**3 - 0.45**3) / 3
         assert res.residuals[2] == pytest.approx(2.0 * abs(trapezoid - exact), rel=1e-9)
+
+    @pytest.mark.parametrize("T", [0.05, 0.051, 0.0505])
+    def test_bitwise_the_inline_formula(self, rand16, T):
+        # 50 steps, 51 steps, and 51 with a shortened last one: the shared
+        # quadrature gives the residuals the inline formula gave, bit for bit
+        s = simulate(rand16, T, 1e-3).norm_series
+        res = energy_identity_residual(s)
+        times, residuals = reference_energy_residuals(s)
+        assert res.times.tobytes() == times.tobytes()
+        assert res.residuals.tobytes() == residuals.tobytes()
 
     def test_random_run_within_default_tolerance(self, grid16):
         u0 = random_divfree(1.0, 3, 2.0, grid16)

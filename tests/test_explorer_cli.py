@@ -456,10 +456,17 @@ class TestVerifySuite:
         monkeypatch.setattr(explorer_cli, "named_flow",
                             lambda name, a, g: seen.append(name) or real(name, a, g))
         checks = {name: (ok, detail) for name, ok, detail in run_verify(n=n)}
-        assert len(checks) == 17
+        assert len(checks) == 18
         assert set(FLOW_NAMES) <= set(seen)
         ok, detail = checks["nonlinearity_annihilated_on_reference_flows"]
         assert ok, detail
+
+    def test_planar_check_fails_on_3d_data(self, monkeypatch):
+        # the same check on generic 3D data: their flux moves enstrophy
+        monkeypatch.setattr(explorer_cli, "_planar_divfree", random_divfree)
+        checks = {name: (ok, detail) for name, ok, detail in run_verify(n=8)}
+        ok, detail = checks["planar_enstrophy_transfer"]
+        assert not ok, detail
 
 
 class TestCli:

@@ -24,6 +24,7 @@ from mildns import (
     random_divfree,
     sample_on_grid,
     save_nsf1,
+    simulate,
     single_mode_field,
     smoothing_ratio,
     xt_norm,
@@ -34,6 +35,7 @@ from mildns.spectral_field import (
     STACK_SIZE,
     _nonlinear_stack,
     _norm_weights,
+    _planar_divfree,
     _product_stack,
     _project_stack,
     _stack_divergence,
@@ -626,6 +628,43 @@ class TestRandomDivfree:
             random_divfree(1.0, 1, slope, grid16)
         with pytest.raises(ValueError, match="slope must be finite"):
             random_divfree(0.0, 1, slope, grid16)
+
+
+def enstrophy_transfer(u):
+    """|<N(u), Laplace u>| over its Cauchy-Schwarz bound |N(u)|_{H^1} |u|_{H^1}."""
+    nl = nonlinear_term(u)
+    inner = np.sum(np.real(nl.coef * np.conj(u.coef)) * _norm_weights(u.grid, 1.0))
+    return abs(float(inner)) / (hs_norm(nl, 1.0) * hs_norm(u, 1.0))
+
+
+class TestPlanarData:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_postconditions(self, n):
+        f = _planar_divfree(2.0, 5, 2.0, GridSpec(n))
+        assert np.all(f.coef[..., 1:] == 0.0)  # k3 = 0
+        assert np.all(f.coef[2] == 0.0)  # u3 = 0
+        assert np.any(f.coef != 0.0)
+        assert hs_norm(f, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert divergence_linf(f) <= 1e-12
+        assert hermitian_residual(f) == 0.0
+
+    def test_zero_amplitude(self, grid16):
+        assert np.max(np.abs(_planar_divfree(0.0, 5, 2.0, grid16).coef)) == 0.0
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("A", [1.0, 100.0])
+    def test_flux_does_no_enstrophy_transfer(self, n, A):
+        # planar data read 5e-18 to 3.4e-17; 3D data of the same size 1.0e-3
+        # (N=32) and 9.1e-3 (N=16), so the reading tells the two apart
+        grid = GridSpec(n)
+        assert enstrophy_transfer(_planar_divfree(A, 5, 2.0, grid)) <= 1e-14
+        assert enstrophy_transfer(random_divfree(A, 5, 2.0, grid)) >= 1e-4
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_h1_falls_at_every_step(self, n):
+        h1 = simulate(_planar_divfree(100.0, 5, 2.0, GridSpec(n)), 20 * 1e-4, 1e-4).norm_series.h1
+        assert h1.size == 21
+        assert np.all(np.diff(h1) < 0.0)
 
 
 class TestNamedFlow:
