@@ -21,7 +21,6 @@ from .spectral_field import (
     random_divfree,
     sample_on_grid,
     save_nsf1,
-    single_mode_field,
 )
 from .semigroup_flow import (
     BlowupError,

@@ -15,9 +15,9 @@ import numpy as np
 from .spectral_field import (
     SpectralField,
     _require_projected,
+    _sine_mode,
     _write_json,
     hs_norm,
-    single_mode_field,
 )
 from .semigroup_flow import NormSeries, _simpson_pairs, _unretired, march
 from .picard_wellposedness import local_time
@@ -86,12 +86,12 @@ def compactness_experiment(
     freqs,
     eps_window: float,
     c: float,
-    dt: float = 1e-3,
+    dt: float,
 ) -> CompactnessReport:
     """Measure sup-H^1 distances between perturbed and base solutions.
 
-    For each frequency n the datum is u0 plus a divergence-free pair at
-    wavevector (n, 0, 0) with y-polarization and H^1 size 1.
+    For each frequency n the datum is u0 plus sin(n x1) e2 at H^1 size 1,
+    divergence-free.
     The base run and all perturbed runs march once, in lockstep, to the
     horizon T = local_time(A + 1, c), A the H^1 norm of u0, and every step
     time in [eps_window, T] enters the supremum, so the result does not
@@ -117,8 +117,7 @@ def compactness_experiment(
     T = _compactness_horizon(u0, c)
     if not 0 <= eps_window < T:  # NaN fails too
         raise ValueError(f"eps_window must lie in [0, T) with T={T:.6g}")
-    perturbed = [u0 + single_mode_field(u0.grid, (n, 0, 0), (0.0, 1.0, 0.0), 1.0)
-                 for n in freqs]
+    perturbed = [u0 + _sine_mode(u0.grid, n) for n in freqs]
     sups = [-1.0] * len(freqs)  # the last step time is T, inside the window
     for t, (base, *runs), _ in _unretired(march([u0, *perturbed], T, dt)):
         if t >= eps_window - 1e-12:

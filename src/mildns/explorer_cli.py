@@ -27,9 +27,9 @@ from .spectral_field import (
     STACK_SIZE,
     GridSpec,
     SpectralField,
-    _norm_weights,
+    _inner,
     _planar_divfree,
-    _wavenumbers,
+    _sine_mode,
     _write_json,
     divergence_linf,
     hermitian_residual,
@@ -40,9 +40,9 @@ from .spectral_field import (
     random_divfree,
     sample_on_grid,
     save_nsf1,
-    single_mode_field,
 )
 from .semigroup_flow import (
+    MAX_STEPS,
     BlowupError,
     _split,
     _usable_cores,
@@ -271,7 +271,6 @@ def estimate_F(cfg: ExperimentConfig, threads: int = 1, generator=None) -> Ensem
     if not isinstance(threads, numbers.Integral) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     grid = cfg.grid()
-    _wavenumbers(grid)  # warm the cache before forking so workers inherit it
     if generator is None:
         def generator(a, seed, g):
             return random_divfree(a, seed, cfg.slope, g)
@@ -372,8 +371,7 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
     _report(checks, "hermitian_symmetry_nonlinear", herm <= 1e-12,
             f"residual {herm:.3e} <= 1e-12")
 
-    # weighted like the L2 norm: a slot off the k3=0 plane stands for k and -k
-    inner = float(np.sum(np.real(nl.coef * np.conj(u.coef)) * _norm_weights(grid, 0.0)))
+    inner = _inner(nl, u, 0.0)
     bound = 1e-10 * hs_norm(u, 1.0) ** 3
     _report(checks, "nonlinear_energy_orthogonality", abs(inner) <= bound,
             f"|<D(uxu),u>| {abs(inner):.3e} <= {bound:.3e}")
@@ -382,10 +380,12 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
     # enstrophy transfer at any amplitude, and H1 falls along the march
     planar = _planar_divfree(100.0, seed, 2.0, grid)
     nl = nonlinear_term(planar)
-    transfer = abs(float(np.sum(np.real(nl.coef * np.conj(planar.coef))
-                                * _norm_weights(grid, 1.0))))
+    transfer = abs(_inner(nl, planar, 1.0))
     bound = 1e-12 * hs_norm(nl, 1.0) * hs_norm(planar, 1.0)
-    rise = float(np.max(np.diff(simulate(planar, 20 * 1e-4, 1e-4).norm_series.h1)))
+    # store_every=MAX_STEPS: a run that reads only its norms or its last
+    # field keeps the fields at t = 0 and at its end, no others
+    run = simulate(planar, 20 * 1e-4, 1e-4, store_every=MAX_STEPS)
+    rise = float(np.max(np.diff(run.norm_series.h1)))
     _report(checks, "planar_enstrophy_transfer", transfer <= bound and rise <= 0.0,
             f"|<N(u),Lap u>| {transfer:.3e} <= {bound:.3e}; max H1 rise {rise:.3e} <= 0")
 
@@ -406,26 +406,26 @@ def run_verify(n: int = 16, seed: int = 7) -> list[tuple[str, bool, str]]:
         lhs = hs_norm(heat_propagate(u, t), 0.0)
         rhs = math.exp(-t) * hs_norm(u, 0.0)
         ok &= lhs <= rhs * (1 + 1e-12)
-    pair = single_mode_field(grid, (1, 0, 0), (0.0, 1.0, 0.0), 1.0)
+    pair = _sine_mode(grid, 1)
     eq = abs(hs_norm(heat_propagate(pair, 1.0), 0.0) - math.exp(-1) * hs_norm(pair, 0.0))
     ok &= eq <= 1e-12 * hs_norm(pair, 0.0)
     _report(checks, "heat_decay", ok, f"spectral-gap decay holds; |k|=1 defect {eq:.3e}")
 
     sup_bound = math.sqrt(0.5) * math.exp(-0.5)
-    worst = max(smoothing_ratio(u, 1.0, 1.0, t)
+    worst = max(smoothing_ratio(u, 1.0, t)
                 for t in np.geomspace(1e-4, 1.0, 60))
     _report(checks, "smoothing_bound", worst <= sup_bound + 1e-6,
             f"max ratio {worst:.6f} <= {sup_bound + 1e-6:.6f}")
 
     dt = 1e-3
-    traj = simulate(named_flow("shear", 1.0, grid), 1.0, dt)
+    traj = simulate(named_flow("shear", 1.0, grid), 1.0, dt, store_every=MAX_STEPS)
     s = traj.norm_series
     exact = (1.0 / math.sqrt(2.0)) * np.exp(-s.times)
     rel = float(np.max(np.abs(s.h1 - exact) / exact))
     _report(checks, "shear_regression", rel <= 1e-10, f"max rel err {rel:.3e} <= 1e-10")
 
     tg = named_flow("taylor_green", 1.0, grid)
-    traj_tg = simulate(tg, 1.0, dt)
+    traj_tg = simulate(tg, 1.0, dt, store_every=MAX_STEPS)
     err = hs_norm(traj_tg.fields[-1] - math.exp(-2.0) * tg, 1.0) / (math.exp(-2.0) * hs_norm(tg, 1.0))
     _report(checks, "taylor_green_regression", err <= 1e-8,
             f"rel H1 err {err:.3e} <= 1e-8")

@@ -103,20 +103,19 @@ def heat_propagate(f: SpectralField, t: float) -> SpectralField:
     return SpectralField(f.grid, f.coef * np.exp(-k2 * t))
 
 
-def smoothing_ratio(f: SpectralField, s: float, delta: float, t: float) -> float:
-    """Parabolic smoothing quotient t^(d/2) |e^(tL) f|_{s+d} / |f|_s.
+def smoothing_ratio(f: SpectralField, s: float, t: float) -> float:
+    """Parabolic smoothing quotient t^(1/2) |e^(tL) f|_{s+1} / |f|_s, the
+    gain of one derivative.
 
-    Bounded by sup_{x>=0} x^(d/2) e^(-x) for any mean-zero f; undefined for
-    the zero field.
+    Bounded by sup_{x>=0} x^(1/2) e^(-x) = (2e)^(-1/2) for any mean-zero f;
+    undefined for the zero field.
     """
     if not 0 < t < math.inf:  # NaN fails too
         raise ValueError("smoothing ratio needs t > 0 and finite")
-    if not 0 < delta < math.inf:  # NaN fails too
-        raise ValueError("smoothing ratio needs delta > 0 and finite")
     denom = hs_norm(f, s)
     if denom == 0.0:
         raise ValueError("smoothing ratio undefined for the zero field")
-    return t ** (delta / 2.0) * hs_norm(heat_propagate(f, t), s + delta) / denom
+    return t ** 0.5 * hs_norm(heat_propagate(f, t), s + 1.0) / denom
 
 
 def _decay_factors(grid: GridSpec, h: float):

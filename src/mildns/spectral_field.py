@@ -33,7 +33,6 @@ __all__ = [
     "nonlinear_term",
     "random_divfree",
     "named_flow",
-    "single_mode_field",
     "sample_on_grid",
     "hermitian_residual",
     "save_nsf1",
@@ -202,6 +201,12 @@ def _stack_norms(coefs: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
                 c = coefs[j] / big
                 norms[j] = big * np.sqrt(np.einsum("cxyz,xyz->", c.real**2 + c.imag**2, w))
     return norms
+
+
+def _inner(f: SpectralField, g: SpectralField, s: float) -> float:
+    """The real H^s inner product sum over k != 0 of |k|^(2s) Re(f(k) . conj g(k)),
+    weighted like :func:`hs_norm` (a slot off the k3=0 plane stands for k and -k)."""
+    return float(np.sum(np.real(f.coef * np.conj(g.coef)) * _norm_weights(f.grid, s)))
 
 
 def leray_project(f: SpectralField) -> SpectralField:
@@ -415,23 +420,15 @@ def _require_projected(coefs: np.ndarray, grid: GridSpec) -> None:
             raise ValueError(f"nonlinear_term requires a divergence-free field (div_linf={d:.3e})")
 
 
-def sample_on_grid(f: SpectralField, points: int | None = None) -> np.ndarray:
-    """Sample the field on a uniform collocation grid.
+def sample_on_grid(f: SpectralField) -> np.ndarray:
+    """Sample the field on the grid's own n uniform points per axis.
 
-    Returns a real array (3, points, points, points) over x_j = 2 pi j / points.
-    ``points``, an integer (an integer-valued float counts), must be at least
-    2K+1 so that the trigonometric polynomial is represented without
-    aliasing; defaults to the grid resolution.
+    Returns a real array (3, n, n, n) over x_j = 2 pi j / n.  A grid has
+    n >= 2K+2, so the trigonometric polynomial is represented without
+    aliasing.
     """
-    if points is None:
-        points = f.grid.n
-    if not (isinstance(points, numbers.Integral)
-            or isinstance(points, numbers.Real) and float(points).is_integer()):
-        raise ValueError(f"points must be an integer, got {points!r}")
-    p = int(points)
-    if p < f.grid.modes_per_axis:
-        raise ValueError(f"need at least {f.grid.modes_per_axis} points per axis, got {p}")
-    half = np.empty((3, p, p, p // 2 + 1), dtype=np.complex128)
+    n = f.grid.n
+    half = np.empty((3, n, n, n // 2 + 1), dtype=np.complex128)
     return _to_physical(f.coef, f.grid.cutoff, half)
 
 
@@ -511,6 +508,15 @@ def _set_pair(coef, K, k, component, value):
             coef[component, k1 + K, k2 + K, k3] += v
 
 
+def _sine_mode(grid: GridSpec, n: int) -> SpectralField:
+    """sin(n x1) e2 scaled to H^1 norm 1, divergence-free, for 1 <= n <= K
+    (the callers check n): the compactness experiment's perturbation."""
+    f = SpectralField.zero(grid)
+    # amp * sin(k.x): |coef| = amp/2 at +-k, h1^2 = |k|^2 * amp^2 / 2
+    _set_pair(f.coef, grid.cutoff, (n, 0, 0), 1, -0.5j * (np.sqrt(2.0) / n))
+    return f
+
+
 def named_flow(name: str, amplitude: float, grid: GridSpec) -> SpectralField:
     """Classical divergence-free reference flows with exact coefficients.
 
@@ -545,60 +551,6 @@ def named_flow(name: str, amplitude: float, grid: GridSpec) -> SpectralField:
         _set_pair(c, K, (0, 1, 0), 2, sin_c)
         _set_pair(c, K, (1, 0, 0), 2, cos_c)
     return f
-
-
-def single_mode_field(
-    grid: GridSpec,
-    k: tuple[int, int, int],
-    polarization: tuple[float, float, float],
-    h1_norm: float = 1.0,
-) -> SpectralField:
-    """One conjugate pair amp * p * sin(k.x) scaled to a given H^1 norm.
-
-    The polarization is projected orthogonal to k so the field is
-    divergence-free.  A k that is not three finite integers or lies beyond
-    the dealias cutoff, a non-finite polarization or an h1_norm that is
-    negative or not finite is rejected.
-    """
-    if not 0 <= h1_norm < np.inf:  # NaN fails too
-        raise ValueError(f"h1_norm must be finite and nonnegative, got {h1_norm!r}")
-    K = grid.cutoff
-    karr = _three_finite(k)
-    if karr is None or np.any(karr != np.trunc(karr)):
-        raise ValueError(f"mode k must be three finite integers, got {k!r}")
-    kf = karr.astype(np.float64)  # compared as floats: an int64 abs may overflow
-    if np.all(kf == 0):
-        raise ValueError("mode k must be nonzero")
-    if np.max(np.abs(kf)) > K:
-        raise ValueError(f"mode {k} exceeds the dealias cutoff K={K}")
-    karr = kf.astype(np.int64)
-    p = _three_finite(polarization)
-    if p is None:
-        raise ValueError(f"polarization must be finite and have three components, "
-                         f"got {polarization!r}")
-    p = p - kf * (p @ kf) / (kf @ kf)
-    pnorm = np.linalg.norm(p)
-    if pnorm < 1e-14:
-        raise ValueError("polarization is parallel to k")
-    p /= pnorm
-    # amp * sin(k.x): |coef| = amp/2 at +-k, h1^2 = |k|^2 * amp^2 / 2
-    amp = h1_norm * np.sqrt(2.0) / np.linalg.norm(kf)
-    f = SpectralField.zero(grid)
-    for comp in range(3):
-        if p[comp] != 0.0:
-            _set_pair(f.coef, K, tuple(karr), comp, -0.5j * amp * p[comp])
-    return f
-
-
-def _three_finite(v):
-    """``v`` as an array if it is three finite real numbers, else None."""
-    try:
-        a = np.asarray(v)
-    except ValueError:  # a ragged sequence such as ((1, 0), 0, 0)
-        return None
-    if a.shape != (3,) or a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)):
-        return None
-    return a
 
 
 _NSF1_MAGIC = b"NSF1"

@@ -38,6 +38,10 @@ with the package's stacked forms exactly.
 ``march`` yielded its H^1 norms: a ``reference_hs_norm`` call per live
 state after every yield, and censoring read from the final ``None`` slots.
 It must give the same records as ``estimate_F``, bit for bit.
+``single_mode`` is a frozen copy of the package's former general builder
+of one sine mode (any wavevector, polarization and H^1 size), without its
+input checks: the tests build their corner, z-polarized and huge modes with
+it, and the package's ``_sine_mode`` must match it bit for bit.
 
 A field stores only the k3 >= 0 half of its mode cube; every transform
 oracle reads and returns whole (.., M, M, M) cubes, built by
@@ -196,6 +200,27 @@ def _ref_from_padded_physical(values, grid, scale_cube=False):
     plane = cube[:, :, :, K]
     cube[:, :, :, K] = 0.5 * (plane + np.conj(plane[:, ::-1, ::-1]))
     return cube
+
+
+def single_mode(grid, k, polarization, h1_norm=1.0):
+    """amp * p * sin(k.x) at H^1 norm ``h1_norm``, p the polarization
+    projected orthogonal to k and normalized; k a nonzero integer 3-vector
+    within the cutoff."""
+    K = grid.cutoff
+    kf = np.asarray(k, dtype=np.float64)
+    p = np.asarray(polarization, dtype=np.float64)
+    p = p - kf * (p @ kf) / (kf @ kf)
+    p /= np.linalg.norm(p)
+    # amp * sin(k.x): |coef| = amp/2 at +-k, h1^2 = |k|^2 * amp^2 / 2
+    amp = h1_norm * np.sqrt(2.0) / np.linalg.norm(kf)
+    f = SpectralField.zero(grid)
+    for comp in range(3):
+        if p[comp] != 0.0:
+            value = -0.5j * amp * p[comp]
+            for (k1, k2, k3), v in ((k, value), ((-k[0], -k[1], -k[2]), np.conj(value))):
+                if k3 >= 0:
+                    f.coef[comp, k1 + K, k2 + K, k3] += v
+    return f
 
 
 def reference_sample_on_grid(f, points):

@@ -30,11 +30,11 @@ from mildns import (
     picard_solve,
     random_divfree,
     simulate,
-    single_mode_field,
     smoothing_ratio,
 )
 from mildns.explorer_cli import ExperimentConfig
 from mildns.picard_wellposedness import INTERVALS
+from mildns.spectral_field import _sine_mode
 
 from oracles import dense_convolution_nonlinearity, full_cube
 
@@ -144,13 +144,13 @@ def test_criterion_5_heat_decay_and_smoothing(grid16):
         for t in (0.1, 0.5, 1.0, 3.0)
     )
     assert ok_decay
-    pair = single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), 1.0)
+    pair = _sine_mode(grid16, 1)
     eq_defect = abs(
         hs_norm(heat_propagate(pair, 1.0), 0.0) - math.exp(-1.0) * hs_norm(pair, 0.0)
     ) / hs_norm(pair, 0.0)
     assert eq_defect <= 1e-12
     worst = max(
-        smoothing_ratio(u, 1.0, 1.0, float(t)) for t in np.geomspace(1e-4, 1.0, 200)
+        smoothing_ratio(u, 1.0, float(t)) for t in np.geomspace(1e-4, 1.0, 200)
     )
     assert worst <= 0.4290 + 1e-6
     report(5, "heat_decay_smoothing", f"|k|=1 equality defect {eq_defect:.2e}; "

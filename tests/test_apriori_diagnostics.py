@@ -20,7 +20,6 @@ from mildns import (
     poincare_violation,
     random_divfree,
     simulate,
-    single_mode_field,
 )
 from mildns import apriori_diagnostics, semigroup_flow, spectral_field
 
@@ -124,18 +123,20 @@ class TestCompactness:
     def test_frequency_beyond_cutoff_rejected(self):
         grid = GridSpec(16)  # K = 5
         with pytest.raises(ValueError, match="cutoff"):
-            compactness_experiment(named_flow("shear", 1.0, grid), [2, 8], 0.05, 2.0)
+            compactness_experiment(named_flow("shear", 1.0, grid), [2, 8], 0.05, 2.0,
+                                   dt=1e-3)
 
     def test_frequencies_must_increase(self):
         grid = GridSpec(16)
         with pytest.raises(ValueError, match="increasing"):
-            compactness_experiment(named_flow("shear", 1.0, grid), [4, 2], 0.05, 2.0)
+            compactness_experiment(named_flow("shear", 1.0, grid), [4, 2], 0.05, 2.0,
+                                   dt=1e-3)
 
     def test_window_must_fit_horizon(self):
         grid = GridSpec(16)
         u0 = named_flow("shear", 1.0, grid)
         with pytest.raises(ValueError, match="eps_window"):
-            compactness_experiment(u0, [2], 0.5, 0.01)  # T = c(A+1)^-4 << 0.5
+            compactness_experiment(u0, [2], 0.5, 0.01, dt=1e-3)  # T = c(A+1)^-4 << 0.5
 
     @pytest.mark.parametrize("eps_window, c, named", [(math.nan, 2.0, "eps_window"),
                                                       (0.0, math.nan, "c must")])
@@ -191,7 +192,7 @@ class TestCompactness:
         monkeypatch.setattr(semigroup_flow, "_lockstep", lambda *args: marches.append(args))
         u0 = named_flow("shear", 1.0, GridSpec(8))
         with pytest.raises(ValueError, match="^freqs must hold at least one frequency$"):
-            compactness_experiment(u0, freqs, 0.0, 2.0)
+            compactness_experiment(u0, freqs, 0.0, 2.0, dt=1e-3)
         assert marches == []
 
     @pytest.mark.parametrize("bad, named", [
@@ -205,7 +206,7 @@ class TestCompactness:
         u0 = named_flow("shear", 1.0, GridSpec(8))
         with pytest.raises(ValueError, match=rf"^perturbation frequency must be an integer, "
                                              rf"got {re.escape(named)}$"):
-            compactness_experiment(u0, [1, bad], 0.0, 2.0)
+            compactness_experiment(u0, [1, bad], 0.0, 2.0, dt=1e-3)
         assert marches == []
 
     def test_integer_valued_freqs_accepted(self):
@@ -222,7 +223,7 @@ class TestCompactness:
         full = compactness_experiment(u0, [2], 0.0, 2.0, dt=1e-2)
         T = full.T_used
         late = compactness_experiment(u0, [2], T / 2, 2.0, dt=1e-2)
-        w = single_mode_field(grid8, (2, 0, 0), (0.0, 1.0, 0.0), 1.0)
+        w = spectral_field._sine_mode(grid8, 2)
         gaps = [(t, hs_norm(v - u, 1.0)) for t, (u, v), _ in march([u0, u0 + w], T, 1e-2)]
         assert full.distances == [max(d for _, d in gaps)] == [gaps[0][1]]
         assert late.distances == [max(d for t, d in gaps if t >= T / 2)]

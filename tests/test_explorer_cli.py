@@ -461,6 +461,26 @@ class TestVerifySuite:
         ok, detail = checks["nonlinearity_annihilated_on_reference_flows"]
         assert ok, detail
 
+    def test_runs_reading_norms_or_the_last_field_keep_two_fields(self, monkeypatch):
+        # these three runs read only their norms or their last field, so
+        # they keep the fields at t = 0 and at their end
+        grid = GridSpec(8)
+        norms_only = {"shear": named_flow("shear", 1.0, grid),
+                      "taylor_green": named_flow("taylor_green", 1.0, grid),
+                      "planar": explorer_cli._planar_divfree(100.0, 7, 2.0, grid)}
+        kept = {}
+
+        def recording(u0, *args, **kwargs):
+            traj = simulate(u0, *args, **kwargs)
+            for name, f in norms_only.items():
+                if np.array_equal(u0.coef, f.coef):
+                    kept[name] = len(traj.fields)
+            return traj
+
+        monkeypatch.setattr(explorer_cli, "simulate", recording)
+        run_verify(n=8, seed=7)
+        assert kept == {"shear": 2, "taylor_green": 2, "planar": 2}
+
     def test_planar_check_fails_on_3d_data(self, monkeypatch):
         # the same check on generic 3D data: their flux moves enstrophy
         monkeypatch.setattr(explorer_cli, "_planar_divfree", random_divfree)

@@ -23,7 +23,6 @@ from mildns import (
     picard_solve,
     random_divfree,
     simulate,
-    single_mode_field,
     xt_norm,
 )
 from mildns import picard_wellposedness, semigroup_flow
@@ -36,6 +35,7 @@ from oracles import (
     reference_phi_map,
     reference_picard_solve,
     reference_xt_norm,
+    single_mode,
     trajectory_difference,
 )
 
@@ -108,7 +108,7 @@ class TestXtNorm:
         # constant-in-time pair at |k|=1 with spatial norm sqrt(2) on [0,1]:
         # sup term sqrt(2); integral term (int_0^1 2 dt)^(1/2) = sqrt(2);
         # the quadrature is exact for a constant integrand
-        f = single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), math.sqrt(2.0))
+        f = single_mode(grid16, (1, 0, 0), (0.0, 1.0, 0.0), math.sqrt(2.0))
         assert hs_norm(f, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
         u = constant_trajectory(f, 1.0, 64)
         assert xt_norm(u, 1.0) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-13)
@@ -118,7 +118,7 @@ class TestXtNorm:
         # (int_0^1 2 e^(-2t) dt)^(1/2) = sqrt(1 - e^-2); Simpson's rule
         # converges to it at fourth order, like the map (the trapezoid rule
         # read 1.5e-4 off on 32 intervals, Simpson's 3.9e-8)
-        f = single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), math.sqrt(2.0))
+        f = single_mode(grid16, (1, 0, 0), (0.0, 1.0, 0.0), math.sqrt(2.0))
         want = math.sqrt(2.0) + math.sqrt(1.0 - math.exp(-2.0))
         errs = []
         for n in (64, 128, 256):
@@ -145,7 +145,7 @@ class TestXtNorm:
         u0 = random_divfree(1.0, 3, 2.0, grid16)
         v = heat_trajectory(u0, 0.01, 16)
         u = heat_trajectory(u0, 0.01, 16)
-        u.fields[5] = single_mode_field(grid16, (5, 5, 5), (1.0, -1.0, 0.0), 1e156)
+        u.fields[5] = single_mode(grid16, (5, 5, 5), (1.0, -1.0, 0.0), 1e156)
         for w in (u, trajectory_difference(u, v)):
             # node 5 alone has a plain sum of squares beyond the float range,
             # so it alone takes the rescale, at both orders
@@ -171,7 +171,7 @@ class TestXtNorm:
     def test_integral_near_the_top_of_the_float_range_is_finite(self, grid16):
         # squares of 1e308 on [0, 1]: the integral is 1e308, in range, though
         # the unit-step Simpson sum of the squares alone is 3.2e309
-        f = single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), 1e154)
+        f = single_mode(grid16, (1, 0, 0), (0.0, 1.0, 0.0), 1e154)
         u = constant_trajectory(f, 1.0, 32)
         assert xt_norm(u, 1.0) == pytest.approx(2e154, rel=1e-13)
         assert xt_norm(u, 1.0) == reference_xt_norm(u, 1.0)
@@ -213,7 +213,7 @@ class TestLocalTime:
         u0 = random_divfree(1.0, 3, 2.0, grid8)
         for run in (lambda: local_time(1.0, math.inf),
                     lambda: picard_solve(u0, c=math.inf),
-                    lambda: compactness_experiment(u0, [1], 0.0, math.inf)):
+                    lambda: compactness_experiment(u0, [1], 0.0, math.inf, dt=1e-3)):
             with pytest.raises(ValueError, match="^c must be positive and finite$"):
                 run()
 
@@ -598,7 +598,7 @@ class TestPicardSolve:
     def test_lipschitz_data_dependence(self, grid8):
         u0 = random_divfree(0.5, 8, 2.0, grid8)
         A = hs_norm(u0, 1.0)
-        direction = single_mode_field(grid8, (1, 1, 0), (0.0, 0.0, 1.0), 1.0)
+        direction = single_mode(grid8, (1, 1, 0), (0.0, 0.0, 1.0))
         ls = []
         for delta in (1e-3 * A, 5e-4 * A):
             u, _ = picard_solve(u0, c=0.01, tol=1e-12)

@@ -24,10 +24,12 @@ from mildns import (
     norms_to_csv,
     random_divfree,
     simulate,
-    single_mode_field,
     smoothing_ratio,
 )
 from mildns import semigroup_flow
+from mildns.spectral_field import _sine_mode
+
+from oracles import single_mode
 
 
 class TestHeatPropagate:
@@ -36,7 +38,7 @@ class TestHeatPropagate:
         assert np.array_equal(out.coef, rand16.coef)
 
     def test_single_mode_decay_rate(self, grid16):
-        f = single_mode_field(grid16, (1, 0, 0), (0.0, 1.0, 0.0), 1.0)
+        f = _sine_mode(grid16, 1)
         out = heat_propagate(f, 1.0)
         assert np.allclose(out.coef, math.exp(-1.0) * f.coef, rtol=1e-15, atol=0)
 
@@ -62,34 +64,27 @@ class TestHeatPropagate:
 
 class TestSmoothingRatio:
     def test_single_mode_value(self, grid16):
-        f = single_mode_field(grid16, (1, 0, 0), (0.0, 0.0, 1.0), 1.0)
-        assert smoothing_ratio(f, 1.0, 1.0, 1.0) == pytest.approx(
+        f = single_mode(grid16, (1, 0, 0), (0.0, 0.0, 1.0))
+        assert smoothing_ratio(f, 1.0, 1.0) == pytest.approx(
             math.exp(-1.0), rel=1e-13
         )
 
     def test_sweep_bounded_by_sup(self, rand16):
         bound = math.sqrt(0.5) * math.exp(-0.5)  # sup_x sqrt(x) e^-x
         for t in np.geomspace(1e-4, 1.0, 120):
-            assert smoothing_ratio(rand16, 1.0, 1.0, float(t)) <= bound + 1e-6
-
-    def test_vanishing_delta_is_contraction(self, rand16):
-        assert smoothing_ratio(rand16, 1.0, 1e-9, 0.5) <= 1.0 + 1e-12
+            assert smoothing_ratio(rand16, 1.0, float(t)) <= bound + 1e-6
 
     def test_errors(self, grid16, rand16):
         with pytest.raises(ValueError, match="zero field"):
-            smoothing_ratio(SpectralField.zero(grid16), 1.0, 1.0, 1.0)
+            smoothing_ratio(SpectralField.zero(grid16), 1.0, 1.0)
         with pytest.raises(ValueError):
-            smoothing_ratio(rand16, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            smoothing_ratio(rand16, 1.0, -1.0, 1.0)
+            smoothing_ratio(rand16, 1.0, 0.0)
 
-    @pytest.mark.parametrize("delta, t, named", [(1.0, math.nan, "t > 0"),
-                                                 (math.nan, 1.0, "delta > 0"),
-                                                 (1.0, math.inf, "t > 0 and finite"),
-                                                 (math.inf, 1.0, "delta > 0 and finite")])
-    def test_nan_rejected(self, rand16, delta, t, named):
+    @pytest.mark.parametrize("s, t, named", [(1.0, math.nan, "t > 0"),
+                                             (1.0, math.inf, "t > 0 and finite")])
+    def test_nan_rejected(self, rand16, s, t, named):
         with pytest.raises(ValueError, match=named):
-            smoothing_ratio(rand16, 1.0, delta, t)
+            smoothing_ratio(rand16, s, t)
 
 
 def one_step(u, dt):
@@ -225,7 +220,7 @@ class TestSimulate:
         # every retained |k|^2 <= 3K^2, with equality only at the corners, so a
         # corner mode starts on its ball; alone it is a heat mode, and decays
         K = grid8.cutoff
-        u0 = single_mode_field(grid8, (K, K, K), (1.0, -1.0, 0.0), 1.0)
+        u0 = single_mode(grid8, (K, K, K), (1.0, -1.0, 0.0))
         assert hs_norm(u0, 1.0) == math.sqrt(3.0) * K * hs_norm(u0, 0.0)
         traj = simulate(u0, 0.1, 1e-2)
         assert traj.norm_series.times[-1] == 0.1
